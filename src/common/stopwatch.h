@@ -7,6 +7,14 @@
 
 namespace mendel {
 
+// Seconds on the monotonic clock since its fixed, arbitrary origin: the
+// wall time actors see outside the simulator.
+inline double monotonic_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 class Stopwatch {
  public:
   Stopwatch() : start_(clock::now()) {}

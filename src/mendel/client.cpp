@@ -7,6 +7,7 @@
 
 #include "src/cluster/telemetry.h"
 #include "src/common/error.h"
+#include "src/common/stopwatch.h"
 #include "src/hash/sha1.h"
 #include "src/mendel/protocol.h"
 #include "src/scoring/matrix.h"
@@ -227,9 +228,7 @@ void Client::settle_socket() {
 
 double Client::now_seconds() const {
   if (sim_) return sim_->external_time();
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+  return monotonic_seconds();
 }
 
 bool Client::transport_down(net::NodeId id) const {
@@ -406,9 +405,6 @@ QueryTicket Client::submit(const seq::Sequence& query, QueryParams params) {
   QueryTicket ticket;
   ticket.id = query_id;
   ticket.injected_at = now_seconds();
-  // Deprecated field, still populated for callers that diff against it;
-  // outcome.traffic itself now comes from per-query attribution.
-  ticket.traffic_before = transport_->stats();
 
   if (options_.runtime.enable_tracing) {
     const std::uint64_t submit_span =
@@ -780,11 +776,6 @@ NodeCounters Client::total_counters() const {
     total.anchors_pruned += c.anchors_pruned;
   }
   return total;
-}
-
-net::SimTransport& Client::transport() {
-  require(sim_ != nullptr, "Client::transport: not in TransportMode::kSim");
-  return *sim_;
 }
 
 net::ThreadTransport& Client::thread_transport() {

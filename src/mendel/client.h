@@ -159,11 +159,6 @@ struct QueryOutcome {
 struct QueryTicket {
   std::uint64_t id = 0;
   double injected_at = 0.0;
-  // Deprecated: cluster-wide totals at submit time. QueryOutcome.traffic is
-  // now computed from the transport's per-query attribution, which is exact
-  // under concurrency; the after-minus-before diff over this field was only
-  // an upper bound. Kept (and still populated) so existing callers build.
-  net::NetworkStats traffic_before;
 };
 
 class Client {
@@ -238,12 +233,9 @@ class Client {
   // includes these totals as node.* counters next to everything else. Kept
   // so existing callers build.
   NodeCounters total_counters() const;
-  // Deprecated concrete-transport accessors, kept as shims over the
-  // factory-owned transport (construction itself now goes through
-  // net::make_transport). Prefer fault_injector() for the capability most
-  // callers wanted these for.
-  // The simulator instance (TransportMode::kSim only).
-  net::SimTransport& transport();
+  // Deprecated concrete-transport accessors over the factory-owned
+  // transport, for the runtime-specific surface (wait_idle, handler_errors,
+  // heartbeats_missed). Prefer fault_injector() for failure injection.
   // The threaded instance (TransportMode::kThreaded only).
   net::ThreadTransport& thread_transport();
   // The socket instance (TransportMode::kSocket only).

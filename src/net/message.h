@@ -17,6 +17,9 @@
 //   * SocketTransport (socket_transport.h) — real length-prefixed frames
 //     over TCP or Unix-domain sockets; the multi-process deployment
 //     runtime behind the mendel-node daemon.
+// They share one traffic account (TrafficLedger, ledger.h) and one fault
+// table (FaultInjector, fault.h); the threaded and socket transports also
+// share one in-process mailbox runtime (LocalRuntime, local_runtime.h).
 #pragma once
 
 #include <cstdint>
@@ -127,7 +130,7 @@ class Transport {
   virtual NetworkStats stats() const = 0;
 
   // Fault-injection capability (src/net/fault.h). All Mendel transports
-  // implement it and return `this`; the default keeps the Transport
+  // inherit FaultInjector and return `this`; the default keeps the Transport
   // interface implementable without one (callers must check for null).
   virtual FaultInjector* fault_injector() { return nullptr; }
 
@@ -136,9 +139,11 @@ class Transport {
   // whose request_id equals `id` is also counted into a per-query bucket
   // until take_query_stats(id) removes and returns it. Because the query
   // dataflow reuses the query id as request_id end to end, the bucket is
-  // exactly that query's traffic even with other queries in flight. Only
-  // registered ids pay the bookkeeping; the defaults make the feature a
-  // no-op for Transport subclasses that don't implement it.
+  // exactly that query's traffic even with other queries in flight. Id 0
+  // is never tracked, a repeated begin keeps the running bucket, and taking
+  // an untracked id returns zeros. All Mendel transports implement this
+  // with TrafficLedger (ledger.h); the defaults make the feature a no-op
+  // for Transport subclasses that don't.
   virtual void begin_query_stats(std::uint64_t query_id) {
     (void)query_id;
   }

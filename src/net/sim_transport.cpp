@@ -20,24 +20,7 @@ void SimTransport::send(Message message) {
     throw ProtocolError("SimTransport: send to unregistered node " +
                         std::to_string(message.to));
   }
-  stats_.messages += 1;
-  stats_.bytes += message.wire_size();
-  if (!query_stats_.empty()) {
-    // A query's ~thousand messages all carry the same request_id, so one
-    // memoized bucket pointer replaces a map lookup per message. std::map
-    // value pointers survive unrelated insert/erase; begin/take invalidate
-    // the memo when they touch the cached id.
-    if (message.request_id != last_stats_id_ || !last_stats_valid_) {
-      auto it = query_stats_.find(message.request_id);
-      last_stats_id_ = message.request_id;
-      last_stats_ = it == query_stats_.end() ? nullptr : &it->second;
-      last_stats_valid_ = true;
-    }
-    if (last_stats_ != nullptr) {
-      last_stats_->messages += 1;
-      last_stats_->bytes += message.wire_size();
-    }
-  }
+  ledger_.count(message);
   if (in_handler_) {
     // A handler's outbound messages depart when the handler's node clock
     // advances past its (yet unknown) completion time; buffer them and
@@ -77,16 +60,7 @@ double SimTransport::run_until_idle() {
     Event event = std::move(const_cast<Event&>(queue_.top()));
     queue_.pop();
 
-    if (failed_[event.message.to]) {
-      ++dropped_;
-      continue;
-    }
-    const auto type_drop = type_drops_.find(event.message.to);
-    if (type_drop != type_drops_.end() &&
-        type_drop->second == event.message.type) {
-      ++dropped_;
-      continue;
-    }
+    if (drops(event.message)) continue;
     Actor* actor = actors_.at(event.message.to);
     double& clock = clocks_[event.message.to];
     const double start = std::max(clock, event.time);
@@ -130,20 +104,6 @@ double SimTransport::node_clock(NodeId id) const {
   auto it = clocks_.find(id);
   require(it != clocks_.end(), "SimTransport: unknown node clock");
   return it->second;
-}
-
-void SimTransport::fail_node(NodeId id) { failed_[id] = true; }
-void SimTransport::heal_node(NodeId id) {
-  failed_[id] = false;
-  type_drops_.erase(id);
-}
-void SimTransport::drop_type_to(NodeId id, std::uint32_t type) {
-  type_drops_[id] = type;
-}
-
-bool SimTransport::node_down(NodeId id) const {
-  auto it = failed_.find(id);
-  return it != failed_.end() && it->second;
 }
 
 }  // namespace mendel::net

@@ -27,6 +27,8 @@
 #include <queue>
 #include <vector>
 
+#include "src/net/fault.h"
+#include "src/net/ledger.h"
 #include "src/net/message.h"
 
 namespace mendel::net {
@@ -69,21 +71,12 @@ class SimTransport final : public Transport, public FaultInjector {
   double external_time() const { return external_now_; }
 
   double node_clock(NodeId id) const;
-  NetworkStats stats() const override { return stats_; }
-
-  // Per-query traffic attribution (see Transport). The engine is
-  // single-threaded, so a plain map suffices.
+  NetworkStats stats() const override { return ledger_.totals(); }
   void begin_query_stats(std::uint64_t query_id) override {
-    query_stats_[query_id] = {};
-    last_stats_valid_ = false;  // send() memoizes a bucket pointer
+    ledger_.begin(query_id);
   }
   NetworkStats take_query_stats(std::uint64_t query_id) override {
-    auto it = query_stats_.find(query_id);
-    if (it == query_stats_.end()) return {};
-    NetworkStats out = it->second;
-    query_stats_.erase(it);
-    last_stats_valid_ = false;
-    return out;
+    return ledger_.take(query_id);
   }
 
   // Total measured handler CPU seconds charged so far (all nodes).
@@ -102,17 +95,9 @@ class SimTransport final : public Transport, public FaultInjector {
   void set_schedule_seed(std::uint64_t seed) { schedule_seed_ = seed; }
   std::uint64_t schedule_seed() const { return schedule_seed_; }
 
-  // Fault injection (net::FaultInjector): a failed node's deliveries are
-  // silently dropped and counted in dropped_messages(); drop_type_to drops
-  // only one message type, leaving the node otherwise healthy. Lets tests
-  // fail a node mid-dataflow — e.g. a sequence home that stops serving
-  // ranged fetches after its searches succeeded.
+  // Fault injection (FaultInjector): a failed node's deliveries are silently
+  // dropped at delivery time and counted in dropped_messages().
   FaultInjector* fault_injector() override { return this; }
-  void fail_node(NodeId id) override;
-  void heal_node(NodeId id) override;
-  bool node_down(NodeId id) const override;
-  void drop_type_to(NodeId id, std::uint32_t type) override;
-  std::uint64_t dropped_messages() const override { return dropped_; }
 
  private:
   struct Event {
@@ -130,22 +115,13 @@ class SimTransport final : public Transport, public FaultInjector {
   CostModel cost_;
   std::map<NodeId, Actor*> actors_;
   std::map<NodeId, double> clocks_;
-  std::map<NodeId, bool> failed_;
-  std::map<NodeId, std::uint32_t> type_drops_;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  NetworkStats stats_;
-  std::map<std::uint64_t, NetworkStats> query_stats_;
-  // Memoized query_stats_ bucket for the current request_id (send() hot
-  // path); invalidated whenever begin/take mutate the map.
-  std::uint64_t last_stats_id_ = 0;
-  NetworkStats* last_stats_ = nullptr;
-  bool last_stats_valid_ = false;
+  TrafficLedger ledger_;
   // Deterministic per-event delivery jitter in [0, 4*latency); see
   // set_schedule_seed().
   double schedule_jitter(std::uint64_t seq) const;
 
   std::uint64_t next_seq_ = 0;
-  std::uint64_t dropped_ = 0;
   std::uint64_t schedule_seed_ = 0;
   double external_now_ = 0.0;
   double total_cpu_ = 0.0;

@@ -16,19 +16,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <set>
 #include <utility>
 
 #include "src/common/error.h"
+#include "src/common/stopwatch.h"
 
 namespace mendel::net {
 
 namespace {
-
-double mono_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void sleep_seconds(double s) {
   std::this_thread::sleep_for(std::chrono::duration<double>(s));
@@ -79,38 +75,48 @@ bool set_blocking(int fd, bool blocking) {
   return ::fcntl(fd, F_SETFL, next) == 0;
 }
 
-// Connects to `endpoint` with a bounded timeout. Returns -1 on failure.
-int dial_fd(const std::string& endpoint, double timeout_seconds) {
-  const ParsedEndpoint parsed = parse_endpoint(endpoint);
+// A fresh stream socket for `endpoint` and the address to dial or bind it
+// to. fd is -1 when the name does not resolve or socket(2) fails.
+struct EndpointSocket {
   int fd = -1;
   sockaddr_storage addr{};
   socklen_t addr_len = 0;
+};
+
+EndpointSocket open_endpoint(const ParsedEndpoint& parsed, bool passive) {
+  EndpointSocket out;
   if (parsed.unix_domain) {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    auto* un = reinterpret_cast<sockaddr_un*>(&addr);
+    auto* un = reinterpret_cast<sockaddr_un*>(&out.addr);
     un->sun_family = AF_UNIX;
     std::strncpy(un->sun_path, parsed.host.c_str(),
                  sizeof(un->sun_path) - 1);
-    addr_len = sizeof(sockaddr_un);
-  } else {
-    addrinfo hints{};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo* res = nullptr;
-    if (::getaddrinfo(parsed.host.c_str(), parsed.port.c_str(), &hints,
-                      &res) != 0 ||
-        res == nullptr) {
-      return -1;
-    }
-    fd = ::socket(res->ai_family, res->ai_socktype, res->ai_protocol);
-    if (fd >= 0) {
-      std::memcpy(&addr, res->ai_addr, res->ai_addrlen);
-      addr_len = static_cast<socklen_t>(res->ai_addrlen);
-    }
-    ::freeaddrinfo(res);
-    if (fd < 0) return -1;
+    out.addr_len = sizeof(sockaddr_un);
+    out.fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    return out;
   }
+  addrinfo hints{};
+  hints.ai_family = AF_UNSPEC;
+  hints.ai_socktype = SOCK_STREAM;
+  hints.ai_flags = passive ? AI_PASSIVE : 0;
+  addrinfo* res = nullptr;
+  if (::getaddrinfo(parsed.host.c_str(), parsed.port.c_str(), &hints,
+                    &res) != 0 ||
+      res == nullptr) {
+    return out;
+  }
+  out.fd = ::socket(res->ai_family, res->ai_socktype, res->ai_protocol);
+  std::memcpy(&out.addr, res->ai_addr, res->ai_addrlen);
+  out.addr_len = static_cast<socklen_t>(res->ai_addrlen);
+  ::freeaddrinfo(res);
+  return out;
+}
+
+// Connects to `endpoint` with a bounded timeout. Returns -1 on failure.
+int dial_fd(const std::string& endpoint, double timeout_seconds) {
+  const EndpointSocket target =
+      open_endpoint(parse_endpoint(endpoint), /*passive=*/false);
+  const int fd = target.fd;
+  if (fd < 0) return -1;
 
   // Nonblocking connect + poll: a blocking connect to a dead TCP peer can
   // hang for minutes, which would wedge a sending handler thread.
@@ -118,7 +124,8 @@ int dial_fd(const std::string& endpoint, double timeout_seconds) {
     ::close(fd);
     return -1;
   }
-  int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), addr_len);
+  int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&target.addr),
+                     target.addr_len);
   if (rc != 0 && errno == EINPROGRESS) {
     pollfd pfd{fd, POLLOUT, 0};
     const int timeout_ms =
@@ -144,53 +151,29 @@ int dial_fd(const std::string& endpoint, double timeout_seconds) {
 
 int listen_fd_for(const std::string& endpoint, int backlog) {
   const ParsedEndpoint parsed = parse_endpoint(endpoint);
-  int fd = -1;
+  const EndpointSocket local = open_endpoint(parsed, /*passive=*/true);
+  const int fd = local.fd;
+  if (fd < 0) throw IoError("cannot open a socket for " + endpoint);
   if (parsed.unix_domain) {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) throw IoError("socket() failed for " + endpoint);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, parsed.host.c_str(),
-                 sizeof(addr.sun_path) - 1);
     // A previous daemon instance (or a SIGKILLed one) leaves the path
     // behind; rebinding over it is the restart path.
     ::unlink(parsed.host.c_str());
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      ::close(fd);
-      throw IoError("bind() failed for " + endpoint + ": " +
-                    std::strerror(errno));
-    }
   } else {
-    addrinfo hints{};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    hints.ai_flags = AI_PASSIVE;
-    addrinfo* res = nullptr;
-    if (::getaddrinfo(parsed.host.c_str(), parsed.port.c_str(), &hints,
-                      &res) != 0 ||
-        res == nullptr) {
-      throw IoError("getaddrinfo() failed for " + endpoint);
-    }
-    fd = ::socket(res->ai_family, res->ai_socktype, res->ai_protocol);
-    if (fd < 0) {
-      ::freeaddrinfo(res);
-      throw IoError("socket() failed for " + endpoint);
-    }
     int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    const int rc =
-        ::bind(fd, res->ai_addr, static_cast<socklen_t>(res->ai_addrlen));
-    ::freeaddrinfo(res);
-    if (rc != 0) {
-      ::close(fd);
-      throw IoError("bind() failed for " + endpoint + ": " +
-                    std::strerror(errno));
-    }
   }
-  if (::listen(fd, backlog) != 0) {
+  const char* failed = nullptr;
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&local.addr),
+             local.addr_len) != 0) {
+    failed = "bind";
+  } else if (::listen(fd, backlog) != 0) {
+    failed = "listen";
+  }
+  if (failed != nullptr) {
+    const int err = errno;
     ::close(fd);
-    throw IoError("listen() failed for " + endpoint + ": " +
-                  std::strerror(errno));
+    throw IoError(std::string(failed) + "() failed for " + endpoint + ": " +
+                  std::strerror(err));
   }
   return fd;
 }
@@ -246,19 +229,7 @@ SocketTransport::SocketTransport(SocketOptions options)
 
 SocketTransport::~SocketTransport() { stop(); }
 
-void SocketTransport::register_actor(NodeId id, Actor* actor) {
-  require(!started_, "SocketTransport: register_actor after start()");
-  require(actor != nullptr, "SocketTransport: null actor");
-  actors_[id] = actor;
-  mailboxes_[id] = std::make_unique<Mailbox>();
-}
-
-std::vector<NodeId> SocketTransport::local_ids() const {
-  std::vector<NodeId> ids;
-  ids.reserve(actors_.size());
-  for (const auto& [id, actor] : actors_) ids.push_back(id);
-  return ids;
-}
+SocketTransport::Conn::~Conn() { ::close(fd); }
 
 void SocketTransport::start() {
   require(!started_, "SocketTransport: start() called twice");
@@ -266,13 +237,11 @@ void SocketTransport::start() {
   running_.store(true, std::memory_order_release);
 
   // Listeners: one per unique endpoint among the locally hosted node ids.
-  std::vector<std::string> local_endpoints;
-  for (const auto& [id, actor] : actors_) {
-    if (id >= options_.endpoints.size()) continue;  // e.g. the client actor
-    const std::string& ep = options_.endpoints[id];
-    if (std::find(local_endpoints.begin(), local_endpoints.end(), ep) ==
-        local_endpoints.end()) {
-      local_endpoints.push_back(ep);
+  std::set<std::string> local_endpoints;
+  for (const NodeId id : runtime_.ids()) {
+    // Ids past the table (e.g. the client actor) have no endpoint.
+    if (id < options_.endpoints.size()) {
+      local_endpoints.insert(options_.endpoints[id]);
     }
   }
   for (const std::string& ep : local_endpoints) {
@@ -281,64 +250,47 @@ void SocketTransport::start() {
     threads_.emplace_back([this, fd] { accept_loop(fd); });
   }
 
-  // Dispatch threads (one per local actor, same contract as
-  // ThreadTransport: handlers of one actor never run concurrently).
-  for (auto& [id, mailbox] : mailboxes_) {
-    Actor* actor = actors_.at(id);
-    Mailbox* mb = mailbox.get();
-    const NodeId actor_id = id;
-    threads_.emplace_back(
-        [this, actor_id, actor, mb] { dispatch_loop(actor_id, actor, mb); });
-  }
+  runtime_.start();
 
   // Remote peers: every unique endpoint serving a non-local id.
+  std::vector<Peer*> to_dial;
   {
     std::lock_guard lock(peers_mu_);
-    const double now = mono_seconds();
+    const double now = monotonic_seconds();
     for (NodeId id = 0; id < options_.endpoints.size(); ++id) {
-      if (actors_.contains(id)) continue;
+      if (runtime_.hosts(id)) continue;
       const std::string& ep = options_.endpoints[id];
-      Peer* peer = nullptr;
-      for (auto& existing : peers_) {
-        if (existing->endpoint == ep) {
-          peer = existing.get();
-          break;
-        }
+      auto it = std::find_if(peers_.begin(), peers_.end(),
+                             [&](const auto& p) { return p->endpoint == ep; });
+      if (it == peers_.end()) {
+        it = peers_.insert(peers_.end(), std::make_unique<Peer>());
+        (*it)->endpoint = ep;
+        (*it)->last_seen = now;
+        to_dial.push_back(it->get());
       }
-      if (peer == nullptr) {
-        peers_.push_back(std::make_unique<Peer>());
-        peer = peers_.back().get();
-        peer->endpoint = ep;
-        peer->last_seen = now;
-      }
-      peer_of_id_[id] = peer;
+      peer_of_id_[id] = it->get();
     }
   }
 
   // Eager dial: peers may come up in any order, so retry each within the
   // connect budget. Failure here is not fatal — the peer stays subject to
-  // backoff redial and (if enabled) heartbeat down-marking.
-  std::vector<Peer*> to_dial;
-  {
-    std::lock_guard lock(peers_mu_);
-    for (auto& peer : peers_) to_dial.push_back(peer.get());
-  }
-  // Dial concurrently: peers come up in any order, and a sequential loop
-  // would serialize the full connect budget per missing peer. The accept
-  // loops are already live, so two processes dialing each other both
-  // succeed (each side keeps its own outbound connection).
+  // backoff redial and (if enabled) heartbeat down-marking. Dial
+  // concurrently: a sequential loop would serialize the full connect
+  // budget per missing peer. The accept loops are already live, so two
+  // processes dialing each other both succeed (each side keeps its own
+  // outbound connection).
   std::vector<std::thread> dialers;
   dialers.reserve(to_dial.size());
   for (Peer* peer : to_dial) {
     dialers.emplace_back([this, peer] {
-      const double deadline = mono_seconds() + options_.connect_timeout;
+      const double deadline = monotonic_seconds() + options_.connect_timeout;
       for (;;) {
         {
           std::lock_guard lock(peers_mu_);
           peer->dialing = true;
         }
         if (dial_peer(peer) != nullptr) break;
-        if (mono_seconds() >= deadline) break;
+        if (monotonic_seconds() >= deadline) break;
         sleep_seconds(0.02);
       }
     });
@@ -361,23 +313,17 @@ void SocketTransport::stop() {
   }
   listen_fds_.clear();
 
-  // Stop the dispatch workers (they drain their queues first).
-  for (auto& [id, mailbox] : mailboxes_) {
-    std::lock_guard lock(mailbox->mu);
-    mailbox->stop = true;
-    mailbox->cv.notify_all();
-  }
-
-  // Join the control threads (accept loops exit on the closed listeners,
-  // dispatch workers on the drained queues, the monitor on running_)
-  // BEFORE collecting the reader threads: the monitor's redials and late
-  // accepts adopt new readers, so collecting first would leave a joinable
-  // std::thread behind to terminate() the process at destruction.
+  // Join the dispatch workers (they drain their queues first) and the
+  // control threads (accept loops exit on the closed listeners, the
+  // monitor on running_) BEFORE collecting the reader threads: handler
+  // sends, the monitor's redials and late accepts adopt new readers, so
+  // collecting first would leave a joinable std::thread behind to
+  // terminate() the process at destruction.
+  runtime_.stop();
   for (auto& t : threads_) t.join();
   threads_.clear();
 
-  // Shut every connection down; the reader threads wake, close the fds,
-  // and exit.
+  // Shut every connection down; the reader threads wake and exit.
   std::vector<std::shared_ptr<Conn>> conns;
   {
     std::lock_guard lock(peers_mu_);
@@ -398,91 +344,20 @@ void SocketTransport::stop() {
   for (auto& t : readers) t.join();
 }
 
-void SocketTransport::dispatch_loop(NodeId id, Actor* actor,
-                                    Mailbox* mailbox) {
-  for (;;) {
-    Message message;
-    {
-      std::unique_lock lock(mailbox->mu);
-      while (mailbox->queue.empty() && !mailbox->stop) {
-        mailbox->cv.wait(lock);
-      }
-      if (mailbox->queue.empty()) return;  // stop and drained
-      message = std::move(mailbox->queue.front());
-      mailbox->queue.pop_front();
-    }
-    Context ctx(this, id, mono_seconds(), /*virtual_time=*/false);
-    try {
-      actor->handle(message, ctx);
-    } catch (const DecodeError&) {
-      // Malformed frame a non-node actor did not swallow itself: counted,
-      // dropped, keep serving (hostile bytes must never stop dispatch).
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
-    } catch (const std::exception& e) {
-      record_error("node " + std::to_string(id) + ", message type " +
-                   std::to_string(message.type) + ", request " +
-                   std::to_string(message.request_id) + ": " + e.what());
-    }
-    if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard lock(idle_mu_);
-      idle_cv_.notify_all();
-    }
-  }
-}
-
-void SocketTransport::wait_local_idle() {
-  std::unique_lock lock(idle_mu_);
-  idle_cv_.wait(lock, [this] {
-    return inflight_.load(std::memory_order_acquire) == 0;
-  });
-}
-
-void SocketTransport::deliver_local(Message message) {
-  auto it = mailboxes_.find(message.to);
-  if (it == mailboxes_.end()) {
-    // A frame addressed to an actor this process doesn't host: misrouted
-    // or version-skewed peer. Count and drop.
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  inflight_.fetch_add(1, std::memory_order_acq_rel);
-  Mailbox* mailbox = it->second.get();
-  {
-    std::lock_guard lock(mailbox->mu);
-    mailbox->queue.push_back(std::move(message));
-    mailbox->cv.notify_one();
-  }
-}
-
 void SocketTransport::send(Message message) {
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(message.wire_size(), std::memory_order_relaxed);
-  if (tracked_queries_.load(std::memory_order_acquire) > 0) {
-    std::lock_guard lock(qstats_mu_);
-    auto it = query_stats_.find(message.request_id);
-    if (it != query_stats_.end()) {
-      it->second.messages += 1;
-      it->second.bytes += message.wire_size();
-    }
-  }
-  {
-    std::lock_guard lock(fault_mu_);
-    auto fit = failed_.find(message.to);
-    if (fit != failed_.end() && fit->second) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    auto tit = type_drops_.find(message.to);
-    if (tit != type_drops_.end() && tit->second == message.type) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-  }
-  if (actors_.contains(message.to)) {
-    deliver_local(std::move(message));
+  ledger_.count(message);
+  if (drops(message)) return;
+  if (runtime_.hosts(message.to)) {
+    runtime_.deliver(std::move(message));
     return;
   }
-  send_remote(message);
+  std::shared_ptr<Conn> conn = connection_for(message.to);
+  if (conn == nullptr) {
+    count_drop();
+  } else if (!write_frame(conn, encode_message_frame(message))) {
+    close_conn(conn);
+    count_drop();
+  }
 }
 
 std::shared_ptr<SocketTransport::Conn> SocketTransport::connection_for(
@@ -511,7 +386,7 @@ std::shared_ptr<SocketTransport::Conn> SocketTransport::connection_for(
       }
       peer->conn = nullptr;
     }
-    const double now = mono_seconds();
+    const double now = monotonic_seconds();
     if (peer->dialing || now < peer->next_dial) return nullptr;
     peer->dialing = true;
   }
@@ -523,35 +398,28 @@ std::shared_ptr<SocketTransport::Conn> SocketTransport::dial_peer(
   // The endpoint string is immutable after start(), so it is safe to read
   // without peers_mu_ while the (slow) dial runs unlocked; `dialing` was
   // set by the caller and serializes concurrent dial attempts.
-  const double attempt_timeout =
-      std::min(options_.connect_timeout, 0.5);
-  const int fd = dial_fd(peer->endpoint, attempt_timeout);
-  if (fd < 0) {
-    std::lock_guard lock(peers_mu_);
-    peer->dialing = false;
-    peer->backoff = peer->backoff <= 0
-                        ? options_.reconnect_backoff
-                        : std::min(peer->backoff * 2,
-                                   options_.reconnect_backoff_max);
-    peer->next_dial = mono_seconds() + peer->backoff;
-    return nullptr;
-  }
-  auto conn = std::make_shared<Conn>();
-  conn->fd = fd;
-  // Hello preamble: announce our actor ids so the peer can route replies
-  // (in particular to the client actor, which has no endpoint) back over
-  // this connection.
-  const auto hello = encode_hello_frame(local_ids());
-  if (!write_all(fd, hello.data(), hello.size())) {
-    ::close(fd);
-    std::lock_guard lock(peers_mu_);
-    peer->dialing = false;
-    peer->next_dial = mono_seconds() + options_.reconnect_backoff;
-    return nullptr;
+  std::shared_ptr<Conn> conn;
+  const int fd =
+      dial_fd(peer->endpoint, std::min(options_.connect_timeout, 0.5));
+  if (fd >= 0) {
+    conn = std::make_shared<Conn>(fd);
+    // Hello preamble: announce our actor ids so the peer can route replies
+    // (in particular to the client actor, which has no endpoint) back over
+    // this connection.
+    const auto hello = encode_hello_frame(runtime_.ids());
+    if (!write_all(fd, hello.data(), hello.size())) conn = nullptr;
   }
   {
     std::lock_guard lock(peers_mu_);
     peer->dialing = false;
+    if (conn == nullptr) {
+      peer->backoff = peer->backoff <= 0
+                          ? options_.reconnect_backoff
+                          : std::min(peer->backoff * 2,
+                                     options_.reconnect_backoff_max);
+      peer->next_dial = monotonic_seconds() + peer->backoff;
+      return nullptr;
+    }
     peer->conn = conn;
     if (peer->ever_connected) {
       reconnects_.fetch_add(1, std::memory_order_relaxed);
@@ -559,41 +427,25 @@ std::shared_ptr<SocketTransport::Conn> SocketTransport::dial_peer(
     peer->ever_connected = true;
     peer->backoff = 0.0;
     peer->next_dial = 0.0;
-    peer->last_seen = mono_seconds();
+    peer->last_seen = monotonic_seconds();
     peer->hb_down = false;
   }
   adopt_reader(conn);
   return conn;
 }
 
-bool SocketTransport::send_remote(const Message& message) {
-  std::shared_ptr<Conn> conn = connection_for(message.to);
-  if (conn == nullptr) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  const auto bytes = encode_message_frame(message);
-  if (!write_frame(conn, bytes)) {
-    close_conn(conn);
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
 bool SocketTransport::write_frame(const std::shared_ptr<Conn>& conn,
                                   std::span<const std::uint8_t> bytes) {
   std::lock_guard lock(conn->write_mu);
-  if (!conn->open.load(std::memory_order_acquire) || conn->fd < 0) {
-    return false;
-  }
+  if (!conn->open.load(std::memory_order_acquire)) return false;
   return write_all(conn->fd, bytes.data(), bytes.size());
 }
 
 void SocketTransport::close_conn(const std::shared_ptr<Conn>& conn) {
-  // Mark closed and shut the stream down; the reader thread owns the
-  // actual close(2) so the fd number cannot be reused while a writer is
-  // mid-send on it.
+  // Mark closed and shut the stream down: blocked readers and writers
+  // wake with EOF/EPIPE. No lock, so this never waits behind a blocked
+  // write(2); the caller's reference keeps the fd from being closed and
+  // its number reused meanwhile (see Conn).
   if (!conn->open.exchange(false, std::memory_order_acq_rel)) return;
   ::shutdown(conn->fd, SHUT_RDWR);
 }
@@ -604,11 +456,6 @@ void SocketTransport::adopt_reader(std::shared_ptr<Conn> conn) {
     // stop() already collected the readers; a connection racing shutdown
     // (e.g. a send-path redial from a draining handler) is just closed.
     close_conn(conn);
-    std::lock_guard fd_lock(conn->write_mu);
-    if (conn->fd >= 0) {
-      ::close(conn->fd);
-      conn->fd = -1;
-    }
     return;
   }
   reader_threads_.emplace_back(
@@ -633,7 +480,6 @@ void SocketTransport::reader_loop(std::shared_ptr<Conn> conn) {
       // Malformed stream: after a framing error the byte position is
       // untrustworthy, so the whole connection is dropped.
       frame_errors_.fetch_add(1, std::memory_order_relaxed);
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
       break;
     }
   }
@@ -641,25 +487,18 @@ void SocketTransport::reader_loop(std::shared_ptr<Conn> conn) {
     // Peer died mid-frame: a truncated frame is a decode failure, the
     // same category the application codecs report for cut-short buffers.
     frame_errors_.fetch_add(1, std::memory_order_relaxed);
-    decode_errors_.fetch_add(1, std::memory_order_relaxed);
   }
   close_conn(conn);
-  {
-    // Drop every route over this connection; the fd is closed under the
-    // write mutex so no writer can race the close.
-    std::lock_guard lock(peers_mu_);
-    for (auto it = hello_routes_.begin(); it != hello_routes_.end();) {
-      it = it->second == conn ? hello_routes_.erase(it) : std::next(it);
-    }
-    for (auto& peer : peers_) {
-      if (peer->conn == conn) peer->conn = nullptr;
-    }
+  // Drop every reference the transport holds; the fd closes when the last
+  // in-flight writer lets go of the connection.
+  std::lock_guard lock(peers_mu_);
+  for (auto it = hello_routes_.begin(); it != hello_routes_.end();) {
+    it = it->second == conn ? hello_routes_.erase(it) : std::next(it);
   }
-  {
-    std::lock_guard lock(conn->write_mu);
-    ::close(conn->fd);
-    conn->fd = -1;
+  for (auto& peer : peers_) {
+    if (peer->conn == conn) peer->conn = nullptr;
   }
+  std::erase(inbound_, conn);
 }
 
 void SocketTransport::on_frame(const std::shared_ptr<Conn>& conn,
@@ -669,7 +508,7 @@ void SocketTransport::on_frame(const std::shared_ptr<Conn>& conn,
     std::lock_guard lock(peers_mu_);
     for (auto& peer : peers_) {
       if (peer->conn == conn) {
-        peer->last_seen = mono_seconds();
+        peer->last_seen = monotonic_seconds();
         peer->hb_down = false;
         break;
       }
@@ -677,7 +516,9 @@ void SocketTransport::on_frame(const std::shared_ptr<Conn>& conn,
   }
   switch (frame.kind) {
     case FrameKind::kMessage:
-      deliver_local(std::move(frame.message));
+      // A frame for an actor this process doesn't host: misrouted or
+      // version-skewed peer. Count and drop.
+      if (!runtime_.deliver(std::move(frame.message))) count_drop();
       return;
     case FrameKind::kHello: {
       std::lock_guard lock(peers_mu_);
@@ -690,7 +531,7 @@ void SocketTransport::on_frame(const std::shared_ptr<Conn>& conn,
         if (pit != peer_of_id_.end() && pit->second->conn == nullptr) {
           pit->second->conn = conn;
           pit->second->ever_connected = true;
-          pit->second->last_seen = mono_seconds();
+          pit->second->last_seen = monotonic_seconds();
           pit->second->hb_down = false;
         }
       }
@@ -718,8 +559,7 @@ void SocketTransport::accept_loop(int listen_fd) {
       return;
     }
     set_nodelay(fd);
-    auto conn = std::make_shared<Conn>();
-    conn->fd = fd;
+    auto conn = std::make_shared<Conn>(fd);
     {
       std::lock_guard lock(peers_mu_);
       inbound_.push_back(conn);
@@ -729,10 +569,10 @@ void SocketTransport::accept_loop(int listen_fd) {
 }
 
 void SocketTransport::monitor_loop() {
-  double next_tick = mono_seconds() + options_.heartbeat_interval;
+  double next_tick = monotonic_seconds() + options_.heartbeat_interval;
   while (running_.load(std::memory_order_acquire)) {
     sleep_seconds(std::min(options_.heartbeat_interval, 0.05));
-    const double now = mono_seconds();
+    const double now = monotonic_seconds();
     if (now < next_tick) continue;
     next_tick = now + options_.heartbeat_interval;
 
@@ -765,47 +605,14 @@ void SocketTransport::monitor_loop() {
   }
 }
 
-NetworkStats SocketTransport::stats() const {
-  NetworkStats out;
-  out.messages = messages_.load(std::memory_order_relaxed);
-  out.bytes = bytes_.load(std::memory_order_relaxed);
-  return out;
-}
-
-void SocketTransport::begin_query_stats(std::uint64_t query_id) {
-  std::lock_guard lock(qstats_mu_);
-  if (query_stats_.emplace(query_id, NetworkStats{}).second) {
-    tracked_queries_.fetch_add(1, std::memory_order_acq_rel);
-  }
-}
-
-NetworkStats SocketTransport::take_query_stats(std::uint64_t query_id) {
-  std::lock_guard lock(qstats_mu_);
-  auto it = query_stats_.find(query_id);
-  if (it == query_stats_.end()) return {};
-  NetworkStats out = it->second;
-  query_stats_.erase(it);
-  tracked_queries_.fetch_sub(1, std::memory_order_acq_rel);
-  return out;
-}
-
-void SocketTransport::fail_node(NodeId id) {
-  std::lock_guard lock(fault_mu_);
-  failed_[id] = true;
-}
-
 void SocketTransport::heal_node(NodeId id) {
-  {
-    std::lock_guard lock(fault_mu_);
-    failed_.erase(id);
-    type_drops_.erase(id);
-  }
+  FaultInjector::heal_node(id);
   // Give the peer a fresh liveness lease: a restarted daemon should be
   // redialed immediately, not after the stale backoff window.
   std::lock_guard lock(peers_mu_);
   auto pit = peer_of_id_.find(id);
   if (pit != peer_of_id_.end()) {
-    pit->second->last_seen = mono_seconds();
+    pit->second->last_seen = monotonic_seconds();
     pit->second->hb_down = false;
     pit->second->next_dial = 0.0;
     pit->second->backoff = 0.0;
@@ -813,31 +620,11 @@ void SocketTransport::heal_node(NodeId id) {
 }
 
 bool SocketTransport::node_down(NodeId id) const {
-  {
-    std::lock_guard lock(fault_mu_);
-    auto it = failed_.find(id);
-    if (it != failed_.end() && it->second) return true;
-  }
+  if (FaultInjector::node_down(id)) return true;
   if (options_.heartbeat_interval <= 0) return false;
   std::lock_guard lock(peers_mu_);
   auto pit = peer_of_id_.find(id);
-  if (pit == peer_of_id_.end()) return false;
-  return pit->second->hb_down;
-}
-
-void SocketTransport::drop_type_to(NodeId id, std::uint32_t type) {
-  std::lock_guard lock(fault_mu_);
-  type_drops_[id] = type;
-}
-
-std::vector<std::string> SocketTransport::handler_errors() const {
-  std::lock_guard lock(errors_mu_);
-  return errors_;
-}
-
-void SocketTransport::record_error(std::string what) {
-  std::lock_guard lock(errors_mu_);
-  errors_.push_back(std::move(what));
+  return pit != peer_of_id_.end() && pit->second->hb_down;
 }
 
 }  // namespace mendel::net

@@ -16,14 +16,15 @@
 //     dialing process's local actor ids, so the accepting side can route
 //     replies — in particular to the client actor, which has no endpoint
 //     of its own — back over the same connection.
-//   * send() is thread-safe: local destinations enqueue into the actor's
-//     mailbox (one dispatch thread per actor, same single-threaded handler
-//     contract as ThreadTransport); remote destinations are framed and
+//   * send() is thread-safe: local destinations enqueue into the shared
+//     LocalRuntime (the same mailboxes, dispatch threads and handler-error
+//     capture as ThreadTransport); remote destinations are framed and
 //     written under a per-connection mutex. A dead connection is redialed
 //     with exponential backoff; messages that cannot be delivered are
-//     dropped and counted, mirroring the other transports' fault
-//     semantics (Mendel's dataflows already tolerate loss via the client's
-//     stall/cancel machinery).
+//     dropped and counted in the shared fault table, mirroring the other
+//     transports' fault semantics (Mendel's dataflows already tolerate
+//     loss via the client's stall/cancel machinery). Traffic is counted in
+//     the shared TrafficLedger, so this class keeps only the remote edge.
 //   * With heartbeat_interval > 0 a monitor thread pings every remote
 //     peer; a peer whose traffic stays silent past heartbeat_timeout is
 //     reported node_down() — the same membership view the Client's
@@ -36,9 +37,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -48,7 +46,10 @@
 #include <vector>
 
 #include "src/common/thread_annotations.h"
+#include "src/net/fault.h"
 #include "src/net/frame.h"
+#include "src/net/ledger.h"
+#include "src/net/local_runtime.h"
 #include "src/net/message.h"
 
 namespace mendel::net {
@@ -102,8 +103,11 @@ class SocketTransport final : public Transport, public FaultInjector {
   SocketTransport(const SocketTransport&) = delete;
   SocketTransport& operator=(const SocketTransport&) = delete;
 
-  // All local actors must be registered before start().
-  void register_actor(NodeId id, Actor* actor) override;
+  // All local actors must be registered before start(); a duplicate id
+  // throws.
+  void register_actor(NodeId id, Actor* actor) override {
+    runtime_.add(id, actor);
+  }
 
   // Binds the local listeners, dials every remote endpoint (retrying up to
   // connect_timeout per peer), and spawns the dispatch / accept / monitor
@@ -122,31 +126,33 @@ class SocketTransport final : public Transport, public FaultInjector {
   // Blocks until every local mailbox is empty and no handler is running.
   // Local quiescence only — in-flight frames on the wire or queued in
   // other processes are invisible here.
-  void wait_local_idle();
+  void wait_local_idle() { runtime_.wait_idle(); }
 
-  NetworkStats stats() const override;
-  void begin_query_stats(std::uint64_t query_id) override;
-  NetworkStats take_query_stats(std::uint64_t query_id) override;
+  // Counts only THIS process's sends; remote processes' traffic is counted
+  // in their own transports.
+  NetworkStats stats() const override { return ledger_.totals(); }
+  void begin_query_stats(std::uint64_t query_id) override {
+    ledger_.begin(query_id);
+  }
+  NetworkStats take_query_stats(std::uint64_t query_id) override {
+    return ledger_.take(query_id);
+  }
 
-  // --- fault injection (net::FaultInjector) -----------------------------
+  // --- fault injection (FaultInjector) ----------------------------------
   // fail_node drops this process's outbound traffic to the id (chaos
   // testing and the client's explicit fail path); node_down additionally
   // reports peers whose heartbeats expired, so the one membership view
-  // covers injected and real failures.
+  // covers injected and real failures. heal_node also gives the peer a
+  // fresh liveness lease.
   FaultInjector* fault_injector() override { return this; }
-  void fail_node(NodeId id) override;
   void heal_node(NodeId id) override;
   bool node_down(NodeId id) const override;
-  void drop_type_to(NodeId id, std::uint32_t type) override;
-  std::uint64_t dropped_messages() const override {
-    return dropped_.load(std::memory_order_relaxed);
-  }
 
   // --- socket observability (exported as net.* counters) ----------------
   // Frames rejected at the framing layer (bad length prefix, unknown
   // kind, truncated body) plus local handlers that raised DecodeError.
   std::uint64_t decode_errors() const {
-    return decode_errors_.load(std::memory_order_relaxed);
+    return frame_errors() + runtime_.decode_errors();
   }
   // Framing-layer subset of decode_errors: connections dropped because
   // the byte stream itself was malformed.
@@ -161,18 +167,22 @@ class SocketTransport final : public Transport, public FaultInjector {
   std::uint64_t heartbeats_missed() const {
     return heartbeats_missed_.load(std::memory_order_relaxed);
   }
-  // Errors thrown by local actor handlers (kept serving, like
-  // ThreadTransport).
-  std::vector<std::string> handler_errors() const MENDEL_EXCLUDES(errors_mu_);
-
-  const SocketOptions& options() const { return options_; }
+  // See LocalRuntime::handler_errors().
+  std::vector<std::string> handler_errors() const {
+    return runtime_.handler_errors();
+  }
 
  private:
-  // One live stream socket. Reader threads are owned by the transport
-  // (joined in stop()), not by the connection, so a connection object can
-  // die while its reader unwinds.
+  // One live stream socket. The fd is fixed for the connection's lifetime
+  // and closed only by the destructor, so whoever holds a reference may
+  // shutdown(2) it without a lock: the number cannot be recycled under
+  // them. Reader threads are owned by the transport (joined in stop()),
+  // not by the connection.
   struct Conn {
-    int fd = -1;
+    explicit Conn(int socket_fd) : fd(socket_fd) {}
+    ~Conn();  // Not copyable or movable: write_mu pins it.
+
+    const int fd;
     std::mutex write_mu;
     std::atomic<bool> open{true};
   };
@@ -190,22 +200,10 @@ class SocketTransport final : public Transport, public FaultInjector {
     bool dialing = false;   // serializes concurrent dial attempts
   };
 
-  struct Mailbox {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Message> queue MENDEL_GUARDED_BY(mu);
-    bool stop MENDEL_GUARDED_BY(mu) = false;
-  };
-
-  void dispatch_loop(NodeId id, Actor* actor, Mailbox* mailbox);
   void reader_loop(std::shared_ptr<Conn> conn);
   void accept_loop(int listen_fd);
   void monitor_loop();
 
-  void deliver_local(Message message);
-  // Routes + writes one frame; returns false when the message had to be
-  // dropped (already counted).
-  bool send_remote(const Message& message);
   // Dials `peer` once (bounded single-attempt timeout), installs the
   // connection and sends the hello preamble on success. peers_mu_ must NOT
   // be held. Returns the connection or null.
@@ -216,18 +214,14 @@ class SocketTransport final : public Transport, public FaultInjector {
   void close_conn(const std::shared_ptr<Conn>& conn);
   bool write_frame(const std::shared_ptr<Conn>& conn,
                    std::span<const std::uint8_t> bytes);
-  void record_error(std::string what) MENDEL_EXCLUDES(errors_mu_);
-  std::vector<NodeId> local_ids() const;
 
   SocketOptions options_;
-  std::map<NodeId, Actor*> actors_;
-  std::map<NodeId, std::unique_ptr<Mailbox>> mailboxes_;
   bool started_ = false;
   bool stopped_ = false;
   std::atomic<bool> running_{false};
 
   std::vector<int> listen_fds_;
-  std::vector<std::thread> threads_;  // dispatch + accept + monitor
+  std::vector<std::thread> threads_;  // accept + monitor
   std::mutex reader_threads_mu_;
   std::vector<std::thread> reader_threads_
       MENDEL_GUARDED_BY(reader_threads_mu_);
@@ -242,40 +236,18 @@ class SocketTransport final : public Transport, public FaultInjector {
   // i.e. the client actor; also inbound daemon-daemon connections).
   std::unordered_map<NodeId, std::shared_ptr<Conn>> hello_routes_
       MENDEL_GUARDED_BY(peers_mu_);
-  // Accepted connections awaiting/holding routes (kept for cleanup).
+  // Accepted connections, held until their reader exits (for stop()).
   std::vector<std::shared_ptr<Conn>> inbound_ MENDEL_GUARDED_BY(peers_mu_);
 
-  // Manual fault injection state.
-  mutable std::mutex fault_mu_;
-  std::map<NodeId, bool> failed_ MENDEL_GUARDED_BY(fault_mu_);
-  std::map<NodeId, std::uint32_t> type_drops_ MENDEL_GUARDED_BY(fault_mu_);
-
-  // Local in-flight accounting for wait_local_idle().
-  std::atomic<std::int64_t> inflight_{0};
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> decode_errors_{0};
   std::atomic<std::uint64_t> frame_errors_{0};
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint64_t> heartbeats_missed_{0};
   std::atomic<std::uint64_t> ping_nonce_{0};
 
-  mutable std::mutex errors_mu_;
-  std::vector<std::string> errors_ MENDEL_GUARDED_BY(errors_mu_);
-
-  // Per-query traffic attribution: a mutex-guarded map gated by an atomic
-  // tracked count (zero → untracked sends skip the lock entirely). Socket
-  // sends are dominated by the write syscall, so the cold-path lock is
-  // acceptable; note the bucket only sees THIS process's sends — remote
-  // processes' traffic is counted in their own transports.
-  std::atomic<std::size_t> tracked_queries_{0};
-  mutable std::mutex qstats_mu_;
-  std::unordered_map<std::uint64_t, NetworkStats> query_stats_
-      MENDEL_GUARDED_BY(qstats_mu_);
+  TrafficLedger ledger_;
+  // Last member: its dispatch threads send through this transport, so it
+  // is destroyed (and its threads joined) before anything they touch.
+  LocalRuntime runtime_{this};
 };
 
 }  // namespace mendel::net

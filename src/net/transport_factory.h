@@ -4,9 +4,9 @@
 // selects its transport through TransportMode + TransportConfig instead of
 // naming a concrete class, so adding a transport — as the socket transport
 // was — touches this file and nothing upstream. The returned Transport
-// exposes the capabilities callers need behind virtual interfaces:
-// fault_injector() for failure injection (all three transports implement
-// it) and the stats/per-query attribution surface on Transport itself.
+// exposes the capabilities callers need: fault_injector() for failure
+// injection and the stats/per-query attribution surface, both backed by the
+// same FaultInjector table and TrafficLedger in every transport.
 // Runtime-specific control (SimTransport::run_until_idle,
 // ThreadTransport::wait_idle, SocketTransport::start) stays behind a
 // dynamic_cast by the owner that selected the mode — the factory

@@ -278,20 +278,21 @@ TEST(ConcurrentQuery, StallHealRetryLeavesNoLeakedPending) {
 
   // Silent failure: drop node 2's traffic without updating membership, so
   // fan-ins that await it stall and the cancel protocol kicks in.
-  client.transport().fail_node(2);
-  const auto dropped_before_cancel = client.transport().dropped_messages();
+  net::FaultInjector& faults = client.fault_injector();
+  faults.fail_node(2);
+  const auto dropped_before_cancel = faults.dropped_messages();
   const auto stalled = client.query(query);
   EXPECT_FALSE(stalled.completed);
   EXPECT_TRUE(stalled.hits.empty());
   // The cancel broadcast skipped the node the transport knows is down
   // (deferred instead of dropped): the stalled query's own traffic to node
   // 2 was dropped, but no cancel was.
-  const auto dropped_after_cancel = client.transport().dropped_messages();
+  const auto dropped_after_cancel = faults.dropped_messages();
 
   // Healing flushes the deferred cancel to node 2, scrubbing any state the
   // aborted query could have left there.
   client.heal_node(2);
-  EXPECT_EQ(client.transport().dropped_messages(), dropped_after_cancel);
+  EXPECT_EQ(faults.dropped_messages(), dropped_after_cancel);
   expect_no_leaked_pending(client);
   (void)dropped_before_cancel;
 
@@ -312,7 +313,7 @@ TEST(ConcurrentQuery, ThreadedStallHealRetryLeavesNoLeakedPending) {
   client.index(store);
   const auto query = probe_of(store, 3, 10, 120);
 
-  client.thread_transport().fail_node(2);
+  client.fault_injector().fail_node(2);
   const auto stalled = client.query(query);
   EXPECT_FALSE(stalled.completed);
 
@@ -370,7 +371,7 @@ TEST(ConcurrentQuery, HomeFailedMidFetchCancelsThenHealsAndCompletes) {
       fetch_serving_node(client.collect_trace(healthy_ticket.id));
   ASSERT_NE(victim, net::kClientNode) << "query traced no ranged fetches";
 
-  client.transport().drop_type_to(victim, core::kFetchRange);
+  client.fault_injector().drop_type_to(victim, core::kFetchRange);
   const auto stalled = client.query(query);
   EXPECT_FALSE(stalled.completed);
   EXPECT_TRUE(stalled.hits.empty());
@@ -400,7 +401,7 @@ TEST(ConcurrentQuery, ThreadedHomeFailedMidFetchCancelsThenHealsAndCompletes) {
       fetch_serving_node(client.collect_trace(healthy_ticket.id));
   ASSERT_NE(victim, net::kClientNode) << "query traced no ranged fetches";
 
-  client.thread_transport().drop_type_to(victim, core::kFetchRange);
+  client.fault_injector().drop_type_to(victim, core::kFetchRange);
   const auto stalled = client.query(query);
   EXPECT_FALSE(stalled.completed);
 

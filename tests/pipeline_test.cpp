@@ -339,14 +339,14 @@ TEST(Pipeline, SilentNodeFailureYieldsIncompleteOutcomeAndRecovers) {
 
   // Drop node 2's traffic WITHOUT updating membership: fan-ins that await
   // it can never complete, which is the stall the cancel protocol handles.
-  client.transport().fail_node(2);
+  client.fault_injector().fail_node(2);
   const auto stalled = client.query(probe_of(store, 3, 10, 120));
   EXPECT_FALSE(stalled.completed);
   EXPECT_TRUE(stalled.hits.empty());
 
   // After healing, subsequent queries work and no stale pending state from
   // the aborted query interferes.
-  client.transport().heal_node(2);
+  client.fault_injector().heal_node(2);
   const auto recovered = client.query(probe_of(store, 3, 10, 120));
   EXPECT_TRUE(recovered.completed);
   EXPECT_TRUE(hits_contain(recovered.hits, 3));

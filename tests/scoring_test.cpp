@@ -12,6 +12,11 @@
 #include "src/sequence/alphabet.h"
 
 namespace mendel::score {
+
+// Print matrix parameters by name, not by address, so the test names that
+// gtest lists (and ctest registers) are the same on every build and run.
+void PrintTo(const ScoringMatrix* m, std::ostream* os) { *os << m->name(); }
+
 namespace {
 
 using seq::Alphabet;

@@ -1,6 +1,7 @@
 // Socket transport: frame layer, live Unix-domain/TCP loopback wiring,
-// reconnect/heartbeat machinery, and the FaultInjector contract shared by
-// all three transports.
+// reconnect/heartbeat machinery, the FaultInjector and traffic-attribution
+// contracts shared by all three transports, and the local dispatch contract
+// shared by the threaded and socket transports.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -250,12 +251,12 @@ TEST(SocketTransport, TcpEchoRoundtrip) {
   FAIL() << "no free TCP port in the probed range";
 }
 
-// ------------------------------------------------ FaultInjector contract
+// ------------------------------------------ shared transport contracts
 
-// The chaos surface is written once against net::FaultInjector; this
-// harness pins the shared semantics on every transport. `pump` drives the
-// transport toward quiescence (sim: drain; threaded: wait_idle; socket:
-// nothing — delivery is awaited by polling).
+// The chaos and accounting surfaces are written once against
+// net::FaultInjector and net::Transport; these harnesses pin the shared
+// semantics on every transport. `pump` drives the transport toward
+// quiescence (sim: drain; threaded and socket: wait for local idle).
 struct FaultHarness {
   net::Transport* transport = nullptr;
   net::FaultInjector* fault = nullptr;
@@ -263,14 +264,76 @@ struct FaultHarness {
   std::function<std::vector<std::uint32_t>()> received_types;
 };
 
+class TypeRecorder : public net::Actor {
+ public:
+  void handle(const net::Message& m, net::Context&) override {
+    std::lock_guard lock(mu_);
+    types_.push_back(m.type);
+  }
+  std::vector<std::uint32_t> types() const {
+    std::lock_guard lock(mu_);
+    return types_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::uint32_t> types_;
+};
+
+using Contract = void (*)(const FaultHarness&);
+
+// Each runner hosts a TypeRecorder as node 1 and hands the contract a
+// harness over it.
+void run_on_sim(Contract contract) {
+  net::SimTransport transport;
+  TypeRecorder recorder;
+  transport.register_actor(1, &recorder);
+  contract({&transport, transport.fault_injector(),
+            [&] { transport.run_until_idle(); },
+            [&] { return recorder.types(); }});
+}
+
+void run_on_threads(Contract contract) {
+  net::ThreadTransport transport;
+  TypeRecorder recorder;
+  transport.register_actor(1, &recorder);
+  transport.start();
+  contract({&transport, transport.fault_injector(),
+            [&] { transport.wait_idle(); },
+            [&] { return recorder.types(); }});
+  transport.drain_and_stop();
+}
+
+void run_on_socket(const std::string& tag, Contract contract) {
+  // Both actors local to one transport: the fault check and the ledger sit
+  // ahead of local dispatch, so the contracts are topology independent.
+  net::SocketTransport transport(
+      socket_options({uds_endpoint(tag, 0), uds_endpoint(tag, 1)}));
+  net::FunctionActor sender([](const net::Message&, net::Context&) {});
+  TypeRecorder recorder;
+  transport.register_actor(0, &sender);  // else id 0 would be dialed
+  transport.register_actor(1, &recorder);
+  transport.start();
+  contract({&transport, transport.fault_injector(),
+            [&] { transport.wait_local_idle(); },
+            [&] { return recorder.types(); }});
+  transport.stop();
+}
+
+net::Message to_node_1(std::uint32_t type, std::uint64_t request_id,
+                       std::size_t payload_bytes = 0) {
+  net::Message m;
+  m.from = 0;
+  m.to = 1;
+  m.type = type;
+  m.request_id = request_id;
+  m.payload.assign(payload_bytes, 0);
+  return m;
+}
+
 void exercise_fault_contract(const FaultHarness& h) {
   auto send = [&](std::uint32_t type) {
-    net::Message m;
-    m.from = 0;
-    m.to = 1;
-    m.type = type;
-    m.request_id = 1;
-    h.transport->send(std::move(m));
+    h.transport->send(to_node_1(type, 1));
   };
   auto delivered = [&](std::vector<std::uint32_t> expected) {
     h.pump();
@@ -311,64 +374,127 @@ void exercise_fault_contract(const FaultHarness& h) {
   EXPECT_EQ(h.fault->dropped_messages(), 2u);
 }
 
-class TypeRecorder : public net::Actor {
- public:
-  void handle(const net::Message& m, net::Context&) override {
-    std::lock_guard lock(mu_);
-    types_.push_back(m.type);
-  }
-  std::vector<std::uint32_t> types() const {
-    std::lock_guard lock(mu_);
-    return types_;
-  }
+// Per-query attribution is counted inside send(), so every expectation
+// holds as soon as the sends return; the pump only settles delivery.
+void exercise_attribution_contract(const FaultHarness& h) {
+  net::Transport& t = *h.transport;
+  auto send = [&](std::uint64_t id, std::size_t bytes) {
+    t.send(to_node_1(/*type=*/3, id, bytes));
+  };
+  auto expect_bucket = [&](std::uint64_t id, std::uint64_t messages,
+                           std::uint64_t payload_bytes) {
+    const net::NetworkStats got = t.take_query_stats(id);
+    EXPECT_EQ(got.messages, messages) << "query " << id;
+    EXPECT_EQ(got.bytes, messages * 24 + payload_bytes) << "query " << id;
+  };
 
- private:
-  mutable std::mutex mu_;
-  std::vector<std::uint32_t> types_;
-};
+  // Interleaved ids: each bucket holds exactly its own messages, untracked
+  // and sentinel ids count only toward the totals.
+  const net::NetworkStats before = t.stats();
+  t.begin_query_stats(10);
+  t.begin_query_stats(20);
+  t.begin_query_stats(0);  // 0 is never tracked
+  for (int round = 0; round < 3; ++round) {
+    send(10, 1);
+    send(20, 5);
+    send(30, 2);
+    send(0, 4);
+  }
+  t.begin_query_stats(10);  // repeated begin keeps the running bucket
+  send(10, 1);
+  expect_bucket(10, 4, 4);
+  expect_bucket(20, 3, 15);
+  expect_bucket(10, 0, 0);  // already taken
+  expect_bucket(30, 0, 0);  // never tracked
+  expect_bucket(0, 0, 0);
+  EXPECT_EQ(t.stats().messages - before.messages, 13u);
+  EXPECT_EQ(t.stats().bytes - before.bytes, 13u * 24 + 37);
+
+  // More ids in flight than the ledger's slot table holds: the excess
+  // spills to the overflow map and must stay exact.
+  constexpr std::uint64_t kFirst = 1000;
+  constexpr std::uint64_t kIds = 300;
+  for (std::uint64_t id = kFirst; id < kFirst + kIds; ++id) {
+    t.begin_query_stats(id);
+  }
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    for (std::uint64_t id = kFirst; id < kFirst + kIds; ++id) {
+      if (round <= id % 3) send(id, id % 7);
+    }
+  }
+  for (std::uint64_t id = kFirst; id < kFirst + kIds; ++id) {
+    expect_bucket(id, 1 + id % 3, (1 + id % 3) * (id % 7));
+  }
+  h.pump();
+}
 
 TEST(FaultInjector, ContractHoldsOnSimTransport) {
-  net::SimTransport transport;
-  TypeRecorder recorder;
-  transport.register_actor(1, &recorder);
-  FaultHarness h;
-  h.transport = &transport;
-  h.fault = transport.fault_injector();
-  h.pump = [&] { transport.run_until_idle(); };
-  h.received_types = [&] { return recorder.types(); };
-  exercise_fault_contract(h);
+  run_on_sim(exercise_fault_contract);
 }
 
 TEST(FaultInjector, ContractHoldsOnThreadTransport) {
-  net::ThreadTransport transport;
-  TypeRecorder recorder;
-  transport.register_actor(1, &recorder);
-  transport.start();
-  FaultHarness h;
-  h.transport = &transport;
-  h.fault = transport.fault_injector();
-  h.pump = [&] { transport.wait_idle(); };
-  h.received_types = [&] { return recorder.types(); };
-  exercise_fault_contract(h);
-  transport.drain_and_stop();
+  run_on_threads(exercise_fault_contract);
 }
 
 TEST(FaultInjector, ContractHoldsOnSocketTransport) {
-  // Both actors local to one transport: the fault check sits ahead of
-  // local dispatch, so the contract is transport-topology independent.
-  net::SocketTransport transport(
-      socket_options({uds_endpoint("fault", 0), uds_endpoint("fault", 1)}));
-  net::FunctionActor sender([](const net::Message&, net::Context&) {});
-  TypeRecorder recorder;
-  transport.register_actor(0, &sender);  // else id 0 would be dialed
-  transport.register_actor(1, &recorder);
-  transport.start();
-  FaultHarness h;
-  h.transport = &transport;
-  h.fault = transport.fault_injector();
-  h.pump = [&] { transport.wait_local_idle(); };
-  h.received_types = [&] { return recorder.types(); };
-  exercise_fault_contract(h);
+  run_on_socket("fault", exercise_fault_contract);
+}
+
+TEST(TrafficAttribution, ContractHoldsOnSimTransport) {
+  run_on_sim(exercise_attribution_contract);
+}
+
+TEST(TrafficAttribution, ContractHoldsOnThreadTransport) {
+  run_on_threads(exercise_attribution_contract);
+}
+
+TEST(TrafficAttribution, ContractHoldsOnSocketTransport) {
+  run_on_socket("ledger", exercise_attribution_contract);
+}
+
+// ThreadTransport and SocketTransport share one local actor runtime: pin
+// its registration and handler-error semantics on both.
+template <typename LocalTransport>
+void exercise_dispatch_contract(LocalTransport& transport,
+                                const std::function<void()>& start,
+                                const std::function<void()>& quiesce) {
+  net::FunctionActor picky([](const net::Message& m, net::Context&) {
+    // Grow the payload before failing. The recorded identity must show the
+    // grown size, which proves the error string is formed after the
+    // handler threw rather than ahead of every dispatch.
+    const_cast<net::Message&>(m).payload.push_back(0);
+    throw DecodeError("bad bytes");
+  });
+  net::FunctionActor other([](const net::Message&, net::Context&) {});
+  transport.register_actor(1, &picky);
+  EXPECT_THROW(transport.register_actor(1, &other), InvalidArgument);
+  start();
+
+  net::Message grown = to_node_1(5, 77, 3);
+  grown.payload.push_back(0);
+  transport.send(to_node_1(5, 77, 3));
+  quiesce();
+  EXPECT_EQ(transport.decode_errors(), 1u);
+  const auto errors = transport.handler_errors();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0],
+            "node 1 handling " + net::describe(grown) + ": bad bytes");
+}
+
+TEST(LocalDispatch, ContractHoldsOnThreadTransport) {
+  net::ThreadTransport transport;
+  exercise_dispatch_contract(
+      transport, [&] { transport.start(); },
+      [&] { transport.wait_idle(); });
+  transport.drain_and_stop();
+}
+
+TEST(LocalDispatch, ContractHoldsOnSocketTransport) {
+  // No endpoints: node 1 is local only, nothing listens or dials.
+  net::SocketTransport transport(socket_options({}));
+  exercise_dispatch_contract(
+      transport, [&] { transport.start(); },
+      [&] { transport.wait_local_idle(); });
   transport.stop();
 }
 
