@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "src/common/error.h"
+
 namespace mendel::core {
 
 std::vector<CoalescedRange> coalesce_ranges(
@@ -47,6 +49,60 @@ std::vector<CoalescedRange> coalesce_ranges(
     std::sort(range.members.begin(), range.members.end());
   }
   return plan;
+}
+
+std::size_t FetchStage::start(std::vector<PlannedFetch> plan,
+                              FetchPurpose purpose, std::uint64_t query_id,
+                              const obs::TraceContext& trace,
+                              net::Context& ctx) {
+  plan_ = std::move(plan);
+  awaiting_.assign(plan_.size(), false);
+  fetched_.assign(plan_.size(), std::nullopt);
+  FetchRangePayload fetch;
+  fetch.purpose = static_cast<std::uint8_t>(purpose);
+  fetch.trace = trace;
+  for (std::size_t i = 0; i < plan_.size(); ++i) {
+    const PlannedFetch& range = plan_[i];
+    if (range.home == net::kClientNode) continue;
+    fetch.token = static_cast<std::uint32_t>(i);
+    fetch.sequence = range.sequence;
+    fetch.start = range.start;
+    fetch.length = range.length;
+    ctx.send(range.home, kFetchRange, query_id, encode_payload(fetch));
+    awaiting_[i] = true;
+    ++outstanding_;
+  }
+  return outstanding_;
+}
+
+bool FetchStage::accept(FetchRangeResultPayload reply, net::Context& ctx,
+                        ThreadPool* pool,
+                        std::function<void(std::size_t)> extend) {
+  const std::size_t token = reply.token;
+  if (token >= plan_.size() || !awaiting_[token] ||
+      reply.sequence != plan_[token].sequence) {
+    throw DecodeError("fetch_range_result: token " + std::to_string(token) +
+                      " for sequence " + std::to_string(reply.sequence) +
+                      " was never issued or is already answered");
+  }
+  awaiting_[token] = false;
+  --outstanding_;
+  fetched_[token] = FetchedRange{reply.start, std::move(reply.sequence_name),
+                                 std::move(reply.codes)};
+  if (pool == nullptr || ctx.virtual_time()) {
+    extend(token);
+  } else {
+    tasks_.push_back(pool->submit(
+        [extend = std::move(extend), token] { extend(token); }));
+  }
+  return outstanding_ == 0;
+}
+
+void FetchStage::join() {
+  for (std::future<void>& task : tasks_) {
+    if (task.valid()) task.get();
+  }
+  tasks_.clear();
 }
 
 }  // namespace mendel::core

@@ -2,41 +2,32 @@
 
 #include <algorithm>
 
-#include "src/align/banded.h"
-#include "src/align/ungapped.h"
 #include "src/common/check.h"
 #include "src/common/error.h"
 #include "src/common/simd.h"
 #include "src/common/stopwatch.h"
-#include "src/mendel/anchors.h"
 #include "src/scoring/matrix.h"
 
 namespace mendel::core {
 
-namespace {
-
-// Virtual-clock deltas (Context::now() differences) converted to span
-// nanoseconds; deterministic under the simulator because both endpoints
-// come from the virtual clock.
-std::uint64_t delta_ns(double begin, double end) {
+// Deterministic under the simulator because both endpoints come from the
+// virtual clock.
+std::uint64_t StorageNode::delta_ns(double begin, double end) {
   const double seconds = end - begin;
   return seconds <= 0.0 ? 0
                         : static_cast<std::uint64_t>(seconds * 1e9 + 0.5);
 }
 
-// Resolves a scoring matrix named by wire-carried query params. An unknown
-// name is a bad frame (any peer can put any string there), so the
-// InvalidArgument from matrix_by_name is re-raised as DecodeError for the
-// bad-frame guard.
-const score::ScoringMatrix& matrix_from_wire(const std::string& name) {
+// Any peer can put any string in the params, so the InvalidArgument from
+// matrix_by_name is re-raised as DecodeError for the bad-frame guard.
+const score::ScoringMatrix& StorageNode::matrix_from_wire(
+    const std::string& name) {
   try {
     return score::matrix_by_name(name);
   } catch (const InvalidArgument& e) {
     throw DecodeError(std::string("params: ") + e.what());
   }
 }
-
-}  // namespace
 
 StorageNode::StorageNode(net::NodeId id, StorageNodeConfig config)
     : id_(id),
@@ -222,23 +213,20 @@ void StorageNode::dispatch(const net::Message& message, net::Context& ctx) {
     case kGroupResult:
       on_group_result(message, ctx);
       return;
-    case kCancelQuery:
-      // Join streaming-extension tasks before tearing the entry down: a
-      // pool task holds a reference into the pending state and must never
-      // outlive it (fault path: a home node dies mid-fetch, the client's
-      // stall detector broadcasts the cancel while extensions for already-
-      // arrived ranges are still in flight).
-      if (auto git = group_pending_.find(message.request_id);
-          git != group_pending_.end()) {
-        drain_tasks(git->second.extend_tasks);
-        group_pending_.erase(git);
-      }
-      if (auto cit = coord_pending_.find(message.request_id);
-          cit != coord_pending_.end()) {
-        drain_tasks(cit->second.extend_tasks);
-        coord_pending_.erase(cit);
-      }
+    case kCancelQuery: {
+      // Join extension tasks before erasing an entry they reference (fault
+      // path: a home node dies mid-fetch and the client's stall detector
+      // cancels while extensions of arrived ranges are still running).
+      const auto cancel = [&](auto& pending_map) {
+        auto it = pending_map.find(message.request_id);
+        if (it == pending_map.end()) return;
+        it->second.fetch.join();
+        pending_map.erase(it);
+      };
+      cancel(group_pending_);
+      cancel(coord_pending_);
       return;
+    }
     case kRebalance:
       on_rebalance(ctx);
       return;
@@ -342,14 +330,13 @@ void StorageNode::on_fetch_range(const net::Message& message,
   auto it = sequences_.find(request.sequence);
   if (it != sequences_.end()) {
     const auto& codes = it->second.codes;
-    const auto start =
-        std::min<std::uint32_t>(request.start,
-                                static_cast<std::uint32_t>(codes.size()));
-    const auto end = std::min<std::uint32_t>(
-        request.start + request.length,
-        static_cast<std::uint32_t>(codes.size()));
+    const auto size = static_cast<std::uint32_t>(codes.size());
+    const std::uint32_t start = std::min(request.start, size);
+    // 64-bit sum: start + length may overflow 32 bits for hostile inputs.
+    const auto end = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+        std::uint64_t{request.start} + request.length, size));
     reply.start = start;
-    reply.sequence_length = static_cast<std::uint32_t>(codes.size());
+    reply.sequence_length = size;
     reply.sequence_name = it->second.name;
     reply.codes.assign(codes.begin() + start, codes.begin() + end);
   }
@@ -367,163 +354,6 @@ void StorageNode::on_collect_trace(const net::Message& message,
   report.spans = span_buffer_.take(message.request_id);
   ctx.send(message.from, kTraceReport, message.request_id,
            encode_payload(report));
-}
-
-// --- coordinator: query entry ----------------------------------------------
-
-void StorageNode::on_query_request(const net::Message& message,
-                                   net::Context& ctx) {
-  auto request = decode_payload<QueryRequestPayload>(message.payload);
-  // The query's codes index distance LUTs on every node downstream and the
-  // matrix name is resolved again at extension time: reject both here, at
-  // the dataflow's entry, so no later stage can trip on them.
-  validate_codes(request.query, seq::cardinality(config_.alphabet),
-                 "query_request");
-  matrix_from_wire(request.params.matrix);
-  ++counters_.queries_coordinated;
-
-  const std::size_t block_len = config_.prefix_tree->window_length();
-  const std::uint64_t query_id = message.request_id;
-
-  PendingQuery pending;
-  pending.client = message.from;
-  pending.params = request.params;
-  pending.query = request.query;
-
-  if (request.query.size() < block_len || request.params.k == 0) {
-    QueryResultPayload empty;
-    ctx.send(message.from, kQueryResult, query_id, encode_payload(empty));
-    return;
-  }
-
-  // Stride-k sliding window over the query (paper §V-B: "steps over the
-  // query sequence in larger intervals of size k ... to reduce the
-  // amplification of the subqueries"), plus a final window flush against
-  // the tail so the query's end is always covered.
-  std::vector<Subquery> subqueries;
-  const std::size_t last_offset = request.query.size() - block_len;
-  for (std::size_t offset = 0;; offset += request.params.k) {
-    if (offset > last_offset) break;
-    Subquery sub;
-    sub.query_offset = static_cast<std::uint32_t>(offset);
-    sub.window.assign(request.query.begin() + static_cast<std::ptrdiff_t>(offset),
-                      request.query.begin() +
-                          static_cast<std::ptrdiff_t>(offset + block_len));
-    subqueries.push_back(std::move(sub));
-    if (offset == last_offset) break;
-    if (offset + request.params.k > last_offset) {
-      // Tail flush: one final window ending exactly at the query's end.
-      Subquery tail;
-      tail.query_offset = static_cast<std::uint32_t>(last_offset);
-      tail.window.assign(
-          request.query.begin() + static_cast<std::ptrdiff_t>(last_offset),
-          request.query.end());
-      subqueries.push_back(std::move(tail));
-      break;
-    }
-  }
-
-  // Tier-1 routing: vp-prefix multi-hash each subquery to its group(s).
-  std::map<std::uint32_t, std::vector<Subquery>> per_group;
-  for (const Subquery& sub : subqueries) {
-    const auto prefixes = config_.prefix_tree->hash_multi(
-        sub.window, request.params.branch_epsilon);
-    std::set<std::uint32_t> groups;
-    for (std::uint64_t prefix : prefixes) {
-      groups.insert(config_.topology->group_for_prefix(prefix));
-    }
-    for (std::uint32_t group : groups) per_group[group].push_back(sub);
-  }
-
-  // The routing span parents every downstream group's work; the pending
-  // trace context carries it to the coordinator's own later stages.
-  const std::uint64_t route_span =
-      record_span("coord.route", query_id, request.trace, ctx.now(), 0,
-                  subqueries.size());
-  pending.trace = request.trace.child(route_span);
-  pending.created = ctx.now();
-
-  // Dispatch one GroupQuery per selected group to an alive entry node.
-  // The params+trace+query prefix is serialized once; only each group's
-  // subquery set differs per message.
-  const auto prefix =
-      encode_group_query_prefix(request.params, pending.trace, request.query);
-  std::size_t dispatched = 0;
-  for (auto& [group, subs] : per_group) {
-    const auto alive = alive_group_members(group);
-    if (alive.empty()) continue;
-    const net::NodeId entry =
-        alive[(query_id + group) % alive.size()];
-    ctx.send(entry, kGroupQuery, query_id, encode_group_query(prefix, subs));
-    ++dispatched;
-  }
-
-  if (dispatched == 0) {
-    QueryResultPayload empty;
-    ctx.send(message.from, kQueryResult, query_id, encode_payload(empty));
-    return;
-  }
-  pending.awaiting_groups = dispatched;
-  coord_pending_[query_id] = std::move(pending);
-}
-
-// --- group entry -------------------------------------------------------------
-
-void StorageNode::on_group_query(const net::Message& message,
-                                 net::Context& ctx) {
-  auto request = decode_payload<GroupQueryPayload>(message.payload);
-  // A group query can arrive from any peer, not only our own coordinator:
-  // re-validate the query (extension scores it against fetched subjects)
-  // and every subquery window (forwarded verbatim into node searches).
-  {
-    const std::size_t cardinality = seq::cardinality(config_.alphabet);
-    validate_codes(request.query, cardinality, "group_query");
-    matrix_from_wire(request.params.matrix);
-    for (const Subquery& sub : request.subqueries) {
-      validate_codes(sub.window, cardinality, "group_query subquery");
-      const std::uint64_t end =
-          static_cast<std::uint64_t>(sub.query_offset) + sub.window.size();
-      if (end > request.query.size()) {
-        throw DecodeError("group_query: subquery at offset " +
-                          std::to_string(sub.query_offset) + " (window " +
-                          std::to_string(sub.window.size()) +
-                          ") overruns query length " +
-                          std::to_string(request.query.size()));
-      }
-    }
-  }
-  ++counters_.group_queries;
-  const std::uint64_t query_id = message.request_id;
-  const std::uint32_t group = config_.topology->address(id_).group;
-
-  PendingGroupQuery pending;
-  pending.coordinator = message.from;
-  pending.params = request.params;
-  pending.query = request.query;
-
-  // Flat-hash dispersal means any node of the group may hold relevant
-  // blocks: replicate the search to every alive member (paper §V-B).
-  const auto members = alive_group_members(group);
-  const std::uint64_t broadcast_span =
-      record_span("group.broadcast", query_id, request.trace, ctx.now(), 0,
-                  members.size());
-  pending.trace = request.trace.child(broadcast_span);
-  pending.created = ctx.now();
-  NodeSearchPayload search;
-  search.params = request.params;
-  search.trace = pending.trace;
-  search.subqueries = std::move(request.subqueries);
-  const auto encoded = encode_payload(search);
-  for (net::NodeId member : members) {
-    ctx.send(member, kNodeSearch, query_id, encoded);
-  }
-  pending.awaiting_nodes = members.size();
-  if (members.empty()) {
-    GroupResultPayload empty;
-    ctx.send(message.from, kGroupResult, query_id, encode_payload(empty));
-    return;
-  }
-  group_pending_[query_id] = std::move(pending);
 }
 
 // --- searcher ------------------------------------------------------------------
@@ -693,773 +523,45 @@ void StorageNode::on_node_search(const net::Message& message,
            encode_payload(reply));
 }
 
-// --- group entry: fan-in, merge, fetch, extend ------------------------------
+// --- fan-in shared by both aggregating roles ------------------------------
 
-void StorageNode::on_node_search_result(const net::Message& message,
-                                        net::Context& ctx) {
-  auto it = group_pending_.find(message.request_id);
-  if (it == group_pending_.end()) return;  // stale / cancelled
-  PendingGroupQuery& pending = it->second;
-
-  auto payload = decode_payload<NodeSearchResultPayload>(message.payload);
-  // A forged or duplicated result frame must not underflow the fan-in
-  // counter or feed seeds whose windows overrun the query into the merge
-  // arithmetic (merged ranges drive fetch lengths and extension spans).
-  if (pending.awaiting_nodes == 0) {
-    throw DecodeError("node_search_result: group query " +
-                      std::to_string(message.request_id) +
-                      " has no outstanding node searches (duplicate or "
-                      "forged result from node " +
-                      std::to_string(message.from) + ")");
+bool StorageNode::PendingHead::cross_off(net::NodeId from, const char* what) {
+  if (awaiting.erase(from) == 0) {
+    throw DecodeError(std::string(what) + ": no outstanding reply from node " +
+                      std::to_string(from) + " (duplicate or forged)");
   }
-  for (const Seed& seed : payload.seeds) {
-    validate_seed(seed);
-    const std::uint64_t q_end =
-        static_cast<std::uint64_t>(seed.query_offset) + seed.length;
-    if (q_end > pending.query.size()) {
-      throw DecodeError("node_search_result: seed window [" +
-                        std::to_string(seed.query_offset) + ", " +
-                        std::to_string(q_end) + ") overruns query length " +
-                        std::to_string(pending.query.size()));
-    }
-  }
-  pending.seeds.insert(pending.seeds.end(), payload.seeds.begin(),
-                       payload.seeds.end());
-  if (--pending.awaiting_nodes > 0) return;
-  if (h_group_fanin_ != nullptr) {
-    // Broadcast → last search result; virtual seconds under the simulator.
-    h_group_fanin_->record_seconds(ctx.now() - pending.created);
-  }
-  group_entry_merge_and_fetch(message.request_id, pending, ctx);
+  return awaiting.empty();
 }
-
-void StorageNode::group_entry_merge_and_fetch(std::uint64_t query_id,
-                                              PendingGroupQuery& pending,
-                                              net::Context& ctx) {
-  if (pending.seeds.empty()) {
-    GroupResultPayload empty;
-    ctx.send(pending.coordinator, kGroupResult, query_id,
-             encode_payload(empty));
-    group_pending_.erase(query_id);
-    return;
-  }
-
-  // Merge seeds on the same (sequence, diagonal) into runs (paper §V-B:
-  // binning by sequence id, combining overlapping anchors on the same
-  // diagonal).
-  std::sort(pending.seeds.begin(), pending.seeds.end(),
-            [](const Seed& a, const Seed& b) {
-              if (a.sequence != b.sequence) return a.sequence < b.sequence;
-              if (a.diagonal() != b.diagonal())
-                return a.diagonal() < b.diagonal();
-              return a.query_offset < b.query_offset;
-            });
-  std::vector<MergedSeed> merged;
-  for (const Seed& seed : pending.seeds) {
-    const bool extends_last =
-        !merged.empty() && merged.back().sequence == seed.sequence &&
-        static_cast<std::ptrdiff_t>(merged.back().s_begin) -
-                static_cast<std::ptrdiff_t>(merged.back().q_begin) ==
-            seed.diagonal() &&
-        seed.query_offset <= merged.back().q_end;
-    if (extends_last) {
-      merged.back().q_end = std::max(merged.back().q_end,
-                                     seed.query_offset + seed.length);
-    } else {
-      MergedSeed m;
-      m.sequence = seed.sequence;
-      m.q_begin = seed.query_offset;
-      m.q_end = seed.query_offset + seed.length;
-      m.s_begin = seed.subject_start;
-      merged.push_back(m);
-    }
-  }
-  // Optional noise gate: drop isolated short runs before paying for their
-  // fetch + extension (params.min_anchor_span, 0 = keep everything).
-  if (pending.params.min_anchor_span > 0) {
-    std::erase_if(merged, [&](const MergedSeed& m) {
-      return m.q_end - m.q_begin < pending.params.min_anchor_span;
-    });
-    if (merged.empty()) {
-      GroupResultPayload empty;
-      ctx.send(pending.coordinator, kGroupResult, query_id,
-               encode_payload(empty));
-      group_pending_.erase(query_id);
-      return;
-    }
-  }
-  pending.merged = std::move(merged);
-
-  const std::uint64_t merge_span =
-      record_span("group.merge", query_id, pending.trace, ctx.now(), 0,
-                  pending.merged.size());
-  const obs::TraceContext fetch_trace = pending.trace.child(merge_span);
-
-  // Coalesced range fetches: anchors of one sequence cluster on nearby
-  // diagonals, so their margin-padded windows overlap heavily; union them
-  // into one kFetchRange per covering range (token = plan index) and issue
-  // everything up front. Extension runs per arrival (on_fetch_range_result)
-  // instead of behind the last fetch, overlapping fetch latency with
-  // compute.
-  const std::uint32_t margin = pending.params.extension_margin;
-  std::vector<RangeRequest> requests(pending.merged.size());
-  for (std::size_t i = 0; i < pending.merged.size(); ++i) {
-    const MergedSeed& m = pending.merged[i];
-    RangeRequest& req = requests[i];
-    req.sequence = m.sequence;
-    req.start = m.s_begin > margin ? m.s_begin - margin : 0;
-    req.length = (m.s_begin - req.start) + (m.q_end - m.q_begin) + margin;
-  }
-  pending.fetch_plan = coalesce_ranges(requests);
-  pending.fetched.assign(pending.fetch_plan.size(), std::nullopt);
-  pending.anchor_slots.assign(pending.merged.size(), std::nullopt);
-
-  std::size_t sent = 0;
-  std::size_t member_requests = 0;
-  for (std::size_t i = 0; i < pending.fetch_plan.size(); ++i) {
-    const CoalescedRange& range = pending.fetch_plan[i];
-    const net::NodeId home =
-        pick_sequence_home(sequence_placement_key(range.sequence));
-    if (home == net::kClientNode) continue;  // no alive replica: skip range
-    FetchRangePayload fetch;
-    fetch.purpose = static_cast<std::uint8_t>(FetchPurpose::kGroupExtension);
-    fetch.token = static_cast<std::uint32_t>(i);
-    fetch.trace = fetch_trace;
-    fetch.sequence = range.sequence;
-    fetch.start = range.start;
-    fetch.length = range.length;
-    ctx.send(home, kFetchRange, query_id, encode_payload(fetch));
-    ++sent;
-    member_requests += range.members.size();
-  }
-  if (sent == 0) {
-    GroupResultPayload empty;
-    ctx.send(pending.coordinator, kGroupResult, query_id,
-             encode_payload(empty));
-    group_pending_.erase(query_id);
-    return;
-  }
-  const std::uint64_t saved =
-      static_cast<std::uint64_t>(member_requests - sent);
-  counters_.fetch_ranges_coalesced += saved;
-  if (c_ranges_coalesced_ != nullptr) c_ranges_coalesced_->add(saved);
-  pending.awaiting_fetches = sent;
-}
-
-void StorageNode::group_entry_extend_range(PendingGroupQuery& pending,
-                                           std::size_t range_idx,
-                                           bool wall_timing) {
-  if (!pending.fetched[range_idx].has_value()) return;
-  const FetchedRange& range = *pending.fetched[range_idx];
-  if (range.codes.empty()) return;
-  const auto& matrix = score::matrix_by_name(pending.params.matrix);
-  const std::uint32_t margin = pending.params.extension_margin;
-  std::optional<Stopwatch> watch;
-  if (wall_timing && h_group_extend_ != nullptr) watch.emplace();
-  const std::uint64_t data_begin = range.start;
-  const std::uint64_t data_end = range.start + range.codes.size();
-  // A reply shorter than requested means the home clamped at the end of
-  // the sequence, so data_end is the subject's exact length.
-  const std::uint32_t subject_len =
-      range.codes.size() < pending.fetch_plan[range_idx].length
-          ? static_cast<std::uint32_t>(data_end)
-          : 0;
-  for (std::uint32_t member : pending.fetch_plan[range_idx].members) {
-    const MergedSeed& m = pending.merged[member];
-    // Re-derive the member's own margin-padded window and clamp the
-    // coalesced buffer to it: extension must see exactly the bytes a
-    // dedicated per-seed fetch would have returned, so coalescing can
-    // never perturb where X-drop terminates (anchors stay byte-identical
-    // to the one-fetch-per-seed dataflow).
-    const std::uint32_t span = m.q_end - m.q_begin;
-    const std::uint32_t w_start = m.s_begin > margin ? m.s_begin - margin : 0;
-    const std::uint64_t w_end =
-        static_cast<std::uint64_t>(w_start) + (m.s_begin - w_start) + span +
-        margin;
-    const std::uint64_t view_begin = std::max<std::uint64_t>(w_start,
-                                                             data_begin);
-    const std::uint64_t view_end = std::min(w_end, data_end);
-    if (view_begin >= view_end) continue;
-    if (m.s_begin < view_begin) continue;  // defensive: clamp mismatch
-    const std::size_t s_local = m.s_begin - view_begin;
-    if (s_local + span > view_end - view_begin) continue;
-    const seq::CodeSpan subject(
-        range.codes.data() + (view_begin - data_begin),
-        static_cast<std::size_t>(view_end - view_begin));
-
-    const align::Hsp hsp =
-        align::extend_ungapped(pending.query, subject, m.q_begin, s_local,
-                               span, matrix, {pending.params.x_drop});
-    Anchor anchor;
-    anchor.sequence = m.sequence;
-    anchor.q_begin = static_cast<std::uint32_t>(hsp.q_begin);
-    anchor.q_end = static_cast<std::uint32_t>(hsp.q_end);
-    anchor.s_begin = static_cast<std::uint32_t>(hsp.s_begin + view_begin);
-    anchor.s_end = static_cast<std::uint32_t>(hsp.s_end + view_begin);
-    anchor.score = hsp.score;
-    anchor.cert = hsp.score;  // actually scored, never an estimate
-    anchor.subject_len = subject_len;
-    pending.anchor_slots[member] = anchor;
-  }
-  if (watch.has_value()) h_group_extend_->record_seconds(watch->seconds());
-}
-
-void StorageNode::group_entry_finish(std::uint64_t query_id,
-                                     PendingGroupQuery& pending,
-                                     net::Context& ctx) {
-  drain_tasks(pending.extend_tasks);
-  // Assemble in merged-seed order: slot writes are disjoint and the order
-  // below is index order, so the reply is independent of fetch arrival
-  // order and of how extension work was scheduled.
-  std::vector<Anchor> anchors;
-  anchors.reserve(pending.anchor_slots.size());
-  for (const std::optional<Anchor>& slot : pending.anchor_slots) {
-    if (slot.has_value()) anchors.push_back(*slot);
-  }
-  counters_.anchors_extended += anchors.size();
-
-  GroupResultPayload reply;
-  reply.anchors = merge_anchors(std::move(anchors));
-  record_span("group.extend", query_id, pending.trace, ctx.now(), 0,
-              reply.anchors.size());
-  ctx.send(pending.coordinator, kGroupResult, query_id,
-           encode_payload(reply));
-  group_pending_.erase(query_id);
-}
-
-void StorageNode::schedule_extension(std::vector<std::future<void>>& tasks,
-                                     net::Context& ctx,
-                                     std::function<void()> body) {
-  // Under the simulator extension runs inline: pool compute would escape
-  // the virtual clock (charged CPU must stay on the handler). Without a
-  // pool there is nowhere else to run it anyway.
-  if (config_.search_pool == nullptr || ctx.virtual_time()) {
-    body();
-    return;
-  }
-  tasks.push_back(config_.search_pool->submit(std::move(body)));
-}
-
-void StorageNode::drain_tasks(std::vector<std::future<void>>& tasks) {
-  for (std::future<void>& task : tasks) {
-    if (task.valid()) task.get();
-  }
-  tasks.clear();
-}
-
-// --- coordinator: fan-in, gapped extension, ranking ---------------------------
-
-void StorageNode::on_group_result(const net::Message& message,
-                                  net::Context& ctx) {
-  auto it = coord_pending_.find(message.request_id);
-  if (it == coord_pending_.end()) return;
-  PendingQuery& pending = it->second;
-
-  auto payload = decode_payload<GroupResultPayload>(message.payload);
-  // Forged/duplicate frames must not underflow the fan-in counter, and
-  // anchor intervals feed unsigned span arithmetic (length(), pruning
-  // ceilings, banded DP bands) — reject inverted or query-overrunning ones.
-  if (pending.awaiting_groups == 0) {
-    throw DecodeError("group_result: query " +
-                      std::to_string(message.request_id) +
-                      " has no outstanding group queries (duplicate or "
-                      "forged result from node " +
-                      std::to_string(message.from) + ")");
-  }
-  for (const Anchor& anchor : payload.anchors) {
-    validate_anchor(anchor);
-    if (anchor.q_end > pending.query.size()) {
-      throw DecodeError("group_result: anchor q interval [" +
-                        std::to_string(anchor.q_begin) + ", " +
-                        std::to_string(anchor.q_end) +
-                        ") overruns query length " +
-                        std::to_string(pending.query.size()));
-    }
-  }
-  // Streaming fan-in: bin by sequence as results arrive instead of piling
-  // anchors into one flat list for an end-of-fan-in pass; the last arrival
-  // then only pays per-sequence diagonal merging.
-  for (const Anchor& anchor : payload.anchors) {
-    pending.binned[anchor.sequence].push_back(anchor);
-  }
-  pending.raw_anchors += payload.anchors.size();
-  if (--pending.awaiting_groups > 0) return;
-  if (h_coord_fanin_ != nullptr) {
-    // Route → last group result; virtual seconds under the simulator.
-    h_coord_fanin_->record_seconds(ctx.now() - pending.created);
-  }
-  coordinator_bin_and_fetch(message.request_id, pending, ctx);
-}
-
-void StorageNode::coordinator_bin_and_fetch(std::uint64_t query_id,
-                                            PendingQuery& pending,
-                                            net::Context& ctx) {
-  // Second aggregation stage (paper §V-B): combine overlapping anchors on
-  // the same diagonal across groups. Anchors were already binned by
-  // sequence as the group results streamed in; merging never crosses
-  // sequences, so per-bin merges reproduce the old global pass exactly.
-  std::vector<SequenceBin> all_bins;
-  all_bins.reserve(pending.binned.size());
-  std::size_t total_merged = 0;
-  for (auto& [sid, anchors] : pending.binned) {
-    SequenceBin bin;
-    bin.sequence = sid;
-    bin.anchors = merge_anchors(std::move(anchors));
-    total_merged += bin.anchors.size();
-    all_bins.push_back(std::move(bin));
-  }
-  pending.binned.clear();
-
-  // The fan-in span covers route → last group result. The duration comes
-  // from clock deltas, so it is virtual (and deterministic) under the
-  // simulator and wall time under the threaded transport.
-  const std::uint64_t fanin_span = record_span(
-      "coord.fanin", query_id, pending.trace, pending.created,
-      delta_ns(pending.created, ctx.now()), total_merged);
-  const obs::TraceContext fetch_trace = pending.trace.child(fanin_span);
-
-  // Keep only bins with at least one anchor above the gapped trigger S.
-  pending.bins.clear();
-  for (auto& bin : all_bins) {
-    const bool qualifies = std::any_of(
-        bin.anchors.begin(), bin.anchors.end(), [&](const Anchor& a) {
-          return a.normalized_score() > pending.params.gapped_trigger;
-        });
-    if (!qualifies) continue;
-    // Best-first so the strongest anchor's gapped alignment is accepted
-    // before weaker overlapping anchors can shadow it in the dedup pass.
-    // The order is total, so results are independent of message arrival
-    // order (symmetric-architecture guarantee: every entry point generates
-    // identical results).
-    std::sort(bin.anchors.begin(), bin.anchors.end(),
-              [](const Anchor& a, const Anchor& b) {
-                if (a.score != b.score) return a.score > b.score;
-                if (a.s_begin != b.s_begin) return a.s_begin < b.s_begin;
-                if (a.q_begin != b.q_begin) return a.q_begin < b.q_begin;
-                return a.q_end < b.q_end;
-              });
-    pending.bins.push_back(std::move(bin));
-  }
-
-  if (pending.bins.empty()) {
-    QueryResultPayload empty;
-    ctx.send(pending.client, kQueryResult, query_id, encode_payload(empty));
-    coord_pending_.erase(query_id);
-    return;
-  }
-
-  // Per-bin fetch windows and homes, needed by both the pruning bound and
-  // the sends below.
-  struct BinFetch {
-    net::NodeId home = net::kClientNode;
-    std::uint32_t start = 0;
-    std::uint32_t length = 0;
-  };
-  const std::uint32_t margin =
-      pending.params.extension_margin + pending.params.band;
-  std::vector<BinFetch> plan(pending.bins.size());
-  for (std::size_t i = 0; i < pending.bins.size(); ++i) {
-    const SequenceBin& bin = pending.bins[i];
-    BinFetch& f = plan[i];
-    f.home = pick_sequence_home(sequence_placement_key(bin.sequence));
-    std::uint32_t lo = bin.anchors.front().s_begin;
-    std::uint32_t hi = 0;
-    for (const Anchor& a : bin.anchors) {
-      lo = std::min(lo, a.s_begin);
-      hi = std::max(hi, a.s_end);
-    }
-    f.start = lo > margin ? lo - margin : 0;
-    f.length = (lo - f.start) + (hi - lo) + 2 * margin;
-  }
-
-  // ---- score-bounded pruning (exact — see docs/architecture.md) --------
-  //
-  // Upper bound U_i on any banded score bin i can produce: every aligned
-  // pair consumes one query row and one subject column, and the window
-  // holds at most L_i columns (the planned fetch, clipped at the end of
-  // the subject when its length is known), so the score is at most the
-  // sum of the min(L_i, qlen) largest positive per-row matrix maxima —
-  // gap costs only subtract. A lower bound on every possible hit's
-  // E-value follows. Guaranteed hit: the
-  // bin's first attempted anchor always runs its DP against a window that
-  // contains its certified ungapped run, so the bin is certain to place a
-  // hit at E-value <= e(cert) when e(cert) passes the E-value filter. The
-  // cutoff C is the max_hits-th smallest such guarantee; a bin whose
-  // E-value lower bound is strictly above both C and the filter can only
-  // produce hits that rank past the top max_hits, so skipping its fetch
-  // and DP cannot change the reply.
-  if (config_.prune_extensions) {
-    const auto& matrix = score::matrix_by_name(pending.params.matrix);
-    const auto karlin = score::gapped_params(matrix);
-    const std::uint64_t db_residues =
-        config_.database_residues > 0 ? config_.database_residues : 1;
-    const std::size_t qlen = pending.query.size();
-    const std::size_t codes = seq::cardinality(config_.alphabet);
-    // Positive per-query-row matrix maxima, largest first, with prefix
-    // sums: an alignment against an L-column window pairs at most
-    // min(L, qlen) distinct query rows, so prefix[min(L, qlen)] bounds any
-    // achievable banded score (gap costs only subtract).
-    std::vector<int> row_maxima;
-    row_maxima.reserve(pending.query.size());
-    for (seq::Code code : pending.query) {
-      int row_max = 0;
-      for (std::size_t d = 0; d < codes; ++d) {
-        row_max = std::max(row_max,
-                           matrix.score(code, static_cast<seq::Code>(d)));
-      }
-      if (row_max > 0) row_maxima.push_back(row_max);
-    }
-    std::sort(row_maxima.begin(), row_maxima.end(), std::greater<>());
-    std::vector<double> prefix(row_maxima.size() + 1, 0.0);
-    for (std::size_t i = 0; i < row_maxima.size(); ++i) {
-      prefix[i + 1] = prefix[i] + row_maxima[i];
-    }
-
-    std::vector<double> guarantees;
-    std::vector<double> floor_evalue(pending.bins.size(), 0.0);
-    for (std::size_t i = 0; i < pending.bins.size(); ++i) {
-      const SequenceBin& bin = pending.bins[i];
-      // Subject columns a gapped alignment could use: the planned window,
-      // clipped at the end of the sequence when a group entry learned its
-      // length from a clamped fetch.
-      std::uint64_t columns = plan[i].length;
-      for (const Anchor& anchor : bin.anchors) {
-        if (anchor.subject_len == 0) continue;
-        const std::uint64_t usable =
-            anchor.subject_len > plan[i].start
-                ? anchor.subject_len - plan[i].start
-                : 0;
-        columns = std::min(columns, usable);
-        break;
-      }
-      const double best_possible =
-          prefix[std::min<std::size_t>(columns, row_maxima.size())];
-      floor_evalue[i] =
-          score::evalue(karlin, best_possible, qlen, db_residues);
-      if (plan[i].home == net::kClientNode) continue;  // no fetch: no hit
-      if (pending.params.max_gapped_per_bin == 0) continue;  // no DP runs
-      // First attempted anchor = first above the trigger in best-first
-      // order; its certified run bounds what its DP is sure to achieve.
-      const auto first = std::find_if(
-          bin.anchors.begin(), bin.anchors.end(), [&](const Anchor& a) {
-            return a.normalized_score() > pending.params.gapped_trigger;
-          });
-      if (first == bin.anchors.end() || first->cert <= 0) continue;
-      const double guaranteed =
-          score::evalue(karlin, first->cert, qlen, db_residues);
-      if (guaranteed > pending.params.evalue) continue;
-      guarantees.push_back(guaranteed);
-    }
-    double cutoff = std::numeric_limits<double>::infinity();
-    const std::size_t k = pending.params.max_hits;
-    if (k == 0) {
-      cutoff = -std::numeric_limits<double>::infinity();
-    } else if (guarantees.size() >= k) {
-      std::nth_element(guarantees.begin(),
-                       guarantees.begin() + static_cast<std::ptrdiff_t>(k) -
-                           1,
-                       guarantees.end());
-      cutoff = guarantees[k - 1];
-    }
-    std::size_t pruned_bins = 0;
-    std::uint64_t pruned_anchors = 0;
-    for (std::size_t i = 0; i < pending.bins.size(); ++i) {
-      // Strict >: a pruned hit tying the cutoff exactly could still win a
-      // subject-id tiebreak against the guaranteed hit. Support bins never
-      // self-prune (their floor is at most their own guarantee).
-      if (floor_evalue[i] > pending.params.evalue ||
-          floor_evalue[i] > cutoff) {
-        pending.bins[i].pruned = true;
-        ++pruned_bins;
-        pruned_anchors += pending.bins[i].anchors.size();
-      }
-    }
-    if (pruned_bins > 0) {
-      counters_.anchors_pruned += pruned_anchors;
-      if (c_anchors_pruned_ != nullptr) c_anchors_pruned_->add(pruned_anchors);
-    }
-    record_span("coord.prune", query_id, pending.trace, ctx.now(), 0,
-                pruned_bins);
-  }
-#ifdef MENDEL_CHECKED
-  // Prune audit: still fetch and extend pruned bins, then assert in
-  // coordinator_finish that dropping their hits leaves the ranking
-  // untouched — the exactness proof, executed.
-  const bool audit_pruned = config_.prune_extensions;
-#else
-  const bool audit_pruned = false;
-#endif
-
-  pending.fetched.assign(pending.bins.size(), std::nullopt);
-  std::size_t sent = 0;
-  for (std::size_t i = 0; i < pending.bins.size(); ++i) {
-    const SequenceBin& bin = pending.bins[i];
-    if (bin.pruned && !audit_pruned) continue;
-    if (plan[i].home == net::kClientNode) continue;
-    FetchRangePayload fetch;
-    fetch.purpose = static_cast<std::uint8_t>(FetchPurpose::kGappedExtension);
-    fetch.token = static_cast<std::uint32_t>(i);
-    fetch.trace = fetch_trace;
-    fetch.sequence = bin.sequence;
-    fetch.start = plan[i].start;
-    fetch.length = plan[i].length;
-    ctx.send(plan[i].home, kFetchRange, query_id, encode_payload(fetch));
-    ++sent;
-  }
-  if (sent == 0) {
-    QueryResultPayload empty;
-    ctx.send(pending.client, kQueryResult, query_id, encode_payload(empty));
-    coord_pending_.erase(query_id);
-    return;
-  }
-  pending.awaiting_fetches = sent;
-}
-
-void StorageNode::coordinator_extend_bin(PendingQuery& pending,
-                                         std::size_t bin_idx,
-                                         bool wall_timing) {
-  if (!pending.fetched[bin_idx].has_value()) return;
-  const FetchedRange& range = *pending.fetched[bin_idx];
-  if (range.codes.empty()) return;
-  SequenceBin& bin = pending.bins[bin_idx];
-  const auto& matrix = score::matrix_by_name(pending.params.matrix);
-  const auto karlin = score::gapped_params(matrix);
-  const std::uint64_t db_residues =
-      config_.database_residues > 0 ? config_.database_residues : 1;
-  std::optional<Stopwatch> watch;
-  if (wall_timing && h_coord_extend_ != nullptr) watch.emplace();
-
-  {
-    std::vector<align::GappedAlignment> accepted;
-    std::uint32_t attempts = 0;
-    for (const Anchor& anchor : bin.anchors) {
-      if (anchor.normalized_score() <= pending.params.gapped_trigger) {
-        continue;
-      }
-      if (attempts >= pending.params.max_gapped_per_bin) break;
-      // Anchors are processed best-first; skip any anchor already covered
-      // by an accepted gapped alignment *before* paying for its DP —
-      // nearby-diagonal anchors overwhelmingly converge to one alignment.
-      bool covered = false;
-      for (const auto& existing : accepted) {
-        const bool q_overlap = anchor.q_begin <
-                                   static_cast<std::uint32_t>(
-                                       existing.hsp.q_end) &&
-                               static_cast<std::uint32_t>(
-                                   existing.hsp.q_begin) < anchor.q_end;
-        const bool s_overlap = anchor.s_begin <
-                                   static_cast<std::uint32_t>(
-                                       existing.hsp.s_end) &&
-                               static_cast<std::uint32_t>(
-                                   existing.hsp.s_begin) < anchor.s_end;
-        if (q_overlap && s_overlap) {
-          covered = true;
-          break;
-        }
-      }
-      if (covered) continue;
-
-      ++attempts;
-      ++bin.dp_runs;
-      const std::ptrdiff_t local_diag =
-          anchor.diagonal() - static_cast<std::ptrdiff_t>(range.start);
-      align::GappedAlignment gapped = align::banded_local_align(
-          pending.query, range.codes, matrix, matrix.default_gaps(),
-          {local_diag, pending.params.band});
-      if (gapped.hsp.score <= 0) continue;
-      // Back to absolute subject coordinates.
-      gapped.hsp.s_begin += range.start;
-      gapped.hsp.s_end += range.start;
-
-      // Deduplicate against the accepted alignments (the pre-check used
-      // the anchor's span; the gapped result can drift).
-      bool duplicate = false;
-      for (const auto& existing : accepted) {
-        const bool q_overlap =
-            gapped.hsp.q_begin < existing.hsp.q_end &&
-            existing.hsp.q_begin < gapped.hsp.q_end;
-        const bool s_overlap =
-            gapped.hsp.s_begin < existing.hsp.s_end &&
-            existing.hsp.s_begin < gapped.hsp.s_end;
-        if (q_overlap && s_overlap) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) continue;
-
-      const double e = score::evalue(karlin, gapped.hsp.score,
-                                     pending.query.size(), db_residues);
-      if (e > pending.params.evalue) {
-        accepted.push_back(gapped);  // still shadows duplicates
-        continue;
-      }
-
-      align::AlignmentHit hit;
-      hit.subject_id = bin.sequence;
-      hit.subject_name = range.name;
-      hit.alignment = gapped;
-      hit.bit_score = score::bit_score(karlin, gapped.hsp.score);
-      hit.evalue = e;
-      if (pending.params.include_subject_segment) {
-        const std::size_t local_begin = gapped.hsp.s_begin - range.start;
-        hit.subject_segment.assign(
-            range.codes.begin() + static_cast<std::ptrdiff_t>(local_begin),
-            range.codes.begin() +
-                static_cast<std::ptrdiff_t>(local_begin +
-                                            gapped.hsp.s_len()));
-      }
-      bin.hits.push_back(std::move(hit));
-      accepted.push_back(gapped);
-    }
-  }
-  if (watch.has_value()) h_coord_extend_->record_seconds(watch->seconds());
-}
-
-namespace {
-
-// Ranked-hit ordering of the final reply (ties broken by subject id; hits
-// of one subject keep their bin emission order under std::sort's
-// implementation-determinism because assembly feeds bins in index order).
-void rank_hits(std::vector<align::AlignmentHit>& hits,
-               std::uint32_t max_hits) {
-  std::sort(hits.begin(), hits.end(),
-            [](const align::AlignmentHit& a, const align::AlignmentHit& b) {
-              if (a.evalue != b.evalue) return a.evalue < b.evalue;
-              return a.subject_id < b.subject_id;
-            });
-  if (hits.size() > max_hits) hits.resize(max_hits);
-}
-
-}  // namespace
-
-void StorageNode::coordinator_finish(std::uint64_t query_id,
-                                     PendingQuery& pending,
-                                     net::Context& ctx) {
-  drain_tasks(pending.extend_tasks);
-
-  QueryResultPayload reply;
-  for (const SequenceBin& bin : pending.bins) {
-    counters_.gapped_extensions += bin.dp_runs;
-    if (bin.pruned) continue;
-    reply.hits.insert(reply.hits.end(), bin.hits.begin(), bin.hits.end());
-  }
-  rank_hits(reply.hits, pending.params.max_hits);
-
-#ifdef MENDEL_CHECKED
-  if (config_.prune_extensions) {
-    // Prune audit: pruned bins were fetched and extended too (see
-    // coordinator_bin_and_fetch); their hits must not change the ranking.
-    std::vector<align::AlignmentHit> full;
-    for (const SequenceBin& bin : pending.bins) {
-      full.insert(full.end(), bin.hits.begin(), bin.hits.end());
-    }
-    rank_hits(full, pending.params.max_hits);
-    MENDEL_CHECK(full.size() == reply.hits.size(),
-                 "node " << id_ << ": query " << query_id
-                         << " prune audit: pruned ranking has "
-                         << reply.hits.size() << " hits, full ranking "
-                         << full.size());
-    for (std::size_t i = 0; i < full.size(); ++i) {
-      const align::AlignmentHit& a = full[i];
-      const align::AlignmentHit& b = reply.hits[i];
-      MENDEL_CHECK(a.subject_id == b.subject_id && a.evalue == b.evalue &&
-                       a.alignment.hsp.score == b.alignment.hsp.score &&
-                       a.alignment.hsp.q_begin == b.alignment.hsp.q_begin &&
-                       a.alignment.hsp.s_begin == b.alignment.hsp.s_begin,
-                   "node " << id_ << ": query " << query_id
-                           << " prune audit: rank " << i
-                           << " differs (full subject " << a.subject_id
-                           << " evalue " << a.evalue << " vs pruned subject "
-                           << b.subject_id << " evalue " << b.evalue << ")");
-    }
-  }
-#endif
-
-  record_span("coord.finish", query_id, pending.trace, ctx.now(), 0,
-              reply.hits.size());
-  ctx.send(pending.client, kQueryResult, query_id, encode_payload(reply));
-  coord_pending_.erase(query_id);
-}
-
-// --- fetch fan-in shared by both roles --------------------------------------
 
 void StorageNode::on_fetch_range_result(const net::Message& message,
                                         net::Context& ctx) {
   auto payload = decode_payload<FetchRangeResultPayload>(message.payload);
-  if (payload.purpose >
-      static_cast<std::uint8_t>(FetchPurpose::kGappedExtension)) {
-    throw DecodeError("fetch_range_result: unknown purpose " +
-                      std::to_string(payload.purpose));
-  }
   // Fetched subject codes are scored against the query through unchecked
   // LUT kernels (ungapped X-drop and banded DP).
   validate_codes(payload.codes, seq::cardinality(config_.alphabet),
                  "fetch_range_result");
-  FetchedRange range;
-  range.sequence = payload.sequence;
-  range.start = payload.start;
-  range.sequence_length = payload.sequence_length;
-  range.name = std::move(payload.sequence_name);
-  range.codes = std::move(payload.codes);
-
-  if (payload.purpose ==
-      static_cast<std::uint8_t>(FetchPurpose::kGroupExtension)) {
-    auto it = group_pending_.find(message.request_id);
-    if (it == group_pending_.end()) return;
-    PendingGroupQuery& pending = it->second;
-    if (pending.awaiting_fetches == 0) {
-      throw DecodeError("fetch_range_result: group query " +
-                        std::to_string(message.request_id) +
-                        " has no outstanding fetches (duplicate or forged "
-                        "result from node " +
-                        std::to_string(message.from) + ")");
-    }
-    if (payload.token < pending.fetched.size()) {
-      pending.fetched[payload.token] = std::move(range);
-      // Streaming extension: ungapped X-drop for this range's member seeds
-      // runs now — on the pool under the threaded transport, inline under
-      // the simulator — instead of queueing behind the last fetch. The
-      // pending entry is a stable map node and is only torn down after
-      // drain_tasks (reply assembly or cancel), so the captured reference
-      // outlives the task.
-      const std::size_t range_idx = payload.token;
-      const bool wall = !ctx.virtual_time();
-      schedule_extension(pending.extend_tasks, ctx,
-                         [this, &pending, range_idx, wall] {
-                           group_entry_extend_range(pending, range_idx, wall);
-                         });
-    }
-    if (--pending.awaiting_fetches == 0) {
-      group_entry_finish(message.request_id, pending, ctx);
-    }
-    return;
-  }
-
-  auto it = coord_pending_.find(message.request_id);
-  if (it == coord_pending_.end()) return;
-  PendingQuery& pending = it->second;
-  if (pending.awaiting_fetches == 0) {
-    throw DecodeError("fetch_range_result: query " +
-                      std::to_string(message.request_id) +
-                      " has no outstanding fetches (duplicate or forged "
-                      "result from node " +
-                      std::to_string(message.from) + ")");
-  }
-  if (payload.token < pending.fetched.size()) {
-    pending.fetched[payload.token] = std::move(range);
-    // Same streaming scheme as the group entry: the bin's banded DP chain
-    // starts at arrival, and coordinator_finish only assembles.
-    const std::size_t bin_idx = payload.token;
+  // The purpose tag only picks the role's pending map: the stage admits
+  // the reply and extends its range, and the last reply finishes.
+  const auto advance = [&](auto& pending_map) {
+    auto it = pending_map.find(message.request_id);
+    if (it == pending_map.end()) return;  // stale / cancelled
+    auto& pending = it->second;
     const bool wall = !ctx.virtual_time();
-    schedule_extension(pending.extend_tasks, ctx,
-                       [this, &pending, bin_idx, wall] {
-                         coordinator_extend_bin(pending, bin_idx, wall);
-                       });
+    if (pending.fetch.accept(std::move(payload), ctx, config_.search_pool,
+                             [this, &pending, wall](std::size_t token) {
+                               extend_range(pending, token, wall);
+                             })) {
+      finish_query(message.request_id, pending, ctx);
+    }
+  };
+  switch (static_cast<FetchPurpose>(payload.purpose)) {
+    case FetchPurpose::kGroupExtension:
+      return advance(group_pending_);
+    case FetchPurpose::kGappedExtension:
+      return advance(coord_pending_);
   }
-  if (--pending.awaiting_fetches == 0) {
-    coordinator_finish(message.request_id, pending, ctx);
-  }
+  throw DecodeError("fetch_range_result: unknown purpose " +
+                    std::to_string(payload.purpose));
 }
 
 // --- elasticity ---------------------------------------------------------------

@@ -11,25 +11,26 @@
 //   * searcher        — per-subquery n-NN lookups with identity and
 //                       c-score filtering (§V-B);
 //   * group entry     — fan-out/fan-in within its group, seed merging on
-//                       (sequence, diagonal), batched range fetches, and
-//                       ungapped anchor extension;
+//                       (sequence, diagonal), coalesced range fetches, and
+//                       ungapped anchor extension (group_entry.cpp);
 //   * coordinator     — system entry point: subquery construction, group
 //                       routing via the vp-prefix tree, cross-group anchor
-//                       aggregation, gapped extension, E-value ranking.
+//                       aggregation, gapped extension, E-value ranking
+//                       (coordinator.cpp).
+// The first three roles, dispatch, persistence and audit: storage_node.cpp.
+// Both aggregating roles end in one fetch→extend stage (fetch_plan.h).
 //
-// The class is transport-agnostic: the same code runs under the
-// deterministic SimTransport and the thread-per-node ThreadTransport. All
-// mutable state is only touched from handle(), which both transports call
-// from a single thread per node. The one intra-handler concurrency is the
-// subquery fan-out in on_node_search: pool tasks only *read* the vp-tree
-// and arena (each with a private probe metric) and write disjoint slots of
-// a local result vector; counters and the NN cache stay handler-thread-only.
+// The class is transport-agnostic: the same code runs under all three
+// transports. All mutable state is only touched from handle(), which every
+// transport calls from a single thread per node. Pool tasks run in two
+// places: the subquery fan-out in on_node_search only *reads* the vp-tree
+// and arena (each with a private probe metric) into disjoint slots of a
+// local vector, and the fetch stage's extension tasks write disjoint slots
+// of their pending entry. Counters and the NN cache stay handler-only.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <future>
 #include <limits>
 #include <map>
 #include <optional>
@@ -351,15 +352,6 @@ class StorageNode final : public net::Actor {
     }
   };
 
-  // A fetched subject range held while a pending state machine completes.
-  struct FetchedRange {
-    std::uint32_t sequence = 0;
-    std::uint32_t start = 0;
-    std::uint32_t sequence_length = 0;
-    std::string name;
-    std::vector<seq::Code> codes;
-  };
-
   // Seeds merged on one (sequence, diagonal) run, pre-extension.
   struct MergedSeed {
     std::uint32_t sequence = 0;
@@ -368,29 +360,31 @@ class StorageNode final : public net::Actor {
     std::uint32_t s_begin = 0;
   };
 
-  // ---- group entry pending state ----
-  struct PendingGroupQuery {
-    net::NodeId coordinator = 0;
+  // Per-query state of both aggregating roles: whom to answer, the query,
+  // the nodes whose fan-in replies are outstanding, the trace context for
+  // downstream spans, the fan-in wait origin, and the fetch→extend stage.
+  struct PendingHead {
+    net::NodeId reply_to = 0;
     QueryParams params;
     std::vector<seq::Code> query;
-    std::size_t awaiting_nodes = 0;
-    std::vector<Seed> seeds;
-    // fetch stage: one coalesced fetch per plan entry (token = plan index),
-    // each serving every member seed whose margin-padded window it covers.
-    std::vector<MergedSeed> merged;
-    std::vector<CoalescedRange> fetch_plan;
-    std::vector<std::optional<FetchedRange>> fetched;
-    std::size_t awaiting_fetches = 0;
-    // Streaming extension: ungapped X-drop runs as each fetch result
-    // arrives (pool task under the threaded transport, inline under the
-    // simulator), writing disjoint per-seed slots; the reply assembles
-    // them in merged-seed order so results are arrival-order independent.
-    std::vector<std::optional<Anchor>> anchor_slots;
-    std::vector<std::future<void>> extend_tasks;
-    // observability: trace context for downstream spans (parent = this
-    // entry's group.broadcast span) and the fan-in wait origin.
+    std::set<net::NodeId> awaiting;
     obs::TraceContext trace;
     double created = 0.0;
+    FetchStage fetch;
+
+    // Crosses `from` off the fan-in; a reply from a node never asked, or
+    // one already answered, is a DecodeError. True when it was the last.
+    bool cross_off(net::NodeId from, const char* what);
+  };
+
+  // ---- group entry pending state ----
+  struct PendingGroupQuery : PendingHead {
+    std::vector<Seed> seeds;
+    std::vector<MergedSeed> merged;
+    // Fetch token = plan index; each range serves its member seeds, whose
+    // extension writes only their own anchor slots.
+    std::vector<CoalescedRange> fetch_plan;
+    std::vector<std::optional<Anchor>> anchor_slots;
   };
 
   // ---- coordinator pending state ----
@@ -406,27 +400,12 @@ class StorageNode final : public net::Actor {
     std::vector<align::AlignmentHit> hits;
     std::uint32_t dp_runs = 0;
   };
-  struct PendingQuery {
-    net::NodeId client = 0;
-    QueryParams params;
-    std::vector<seq::Code> query;
-    std::size_t awaiting_groups = 0;
-    // Streaming fan-in: group results bin by sequence as they arrive
-    // instead of accumulating one flat anchor list for an end-of-fan-in
-    // pass. Per-sequence diagonal merging at the last arrival is
-    // byte-identical to the old global merge (merging never crosses
-    // sequences).
+  struct PendingQuery : PendingHead {
+    // Group results bin by sequence as they stream in; per-sequence
+    // merging at the last arrival equals a global merge (merging never
+    // crosses sequences).
     std::map<std::uint32_t, std::vector<Anchor>> binned;
-    std::size_t raw_anchors = 0;  // pre-merge arrivals (telemetry)
-    // gapped stage
-    std::vector<SequenceBin> bins;
-    std::vector<std::optional<FetchedRange>> fetched;
-    std::size_t awaiting_fetches = 0;
-    std::vector<std::future<void>> extend_tasks;
-    // observability: trace context for downstream spans (parent = this
-    // coordinator's coord.route span) and the fan-in wait origin.
-    obs::TraceContext trace;
-    double created = 0.0;
+    std::vector<SequenceBin> bins;  // fetch token = bin index
   };
 
   // Handlers, one per message type.
@@ -449,36 +428,35 @@ class StorageNode final : public net::Actor {
   std::uint64_t record_span(const char* name, std::uint64_t query_id,
                             const obs::TraceContext& trace, double start,
                             std::uint64_t duration_ns, std::uint64_t value);
+  // Virtual-clock deltas (Context::now() differences) as span nanoseconds.
+  static std::uint64_t delta_ns(double begin, double end);
+  // Resolves a wire-carried matrix name; an unknown one is a DecodeError.
+  static const score::ScoringMatrix& matrix_from_wire(const std::string& name);
 
-  // Stage transitions.
+  // Stage transitions (group_entry.cpp, coordinator.cpp): the fan-in's last
+  // reply plans and starts the fetch stage, each admitted range runs
+  // extend_range, the stage's last reply runs finish_query. *_reply_empty
+  // answers with no anchors / hits and drops the role's pending entry.
   void group_entry_merge_and_fetch(std::uint64_t query_id,
                                    PendingGroupQuery& pending,
                                    net::Context& ctx);
-  void group_entry_finish(std::uint64_t query_id, PendingGroupQuery& pending,
-                          net::Context& ctx);
   void coordinator_bin_and_fetch(std::uint64_t query_id,
                                  PendingQuery& pending, net::Context& ctx);
-  void coordinator_finish(std::uint64_t query_id, PendingQuery& pending,
-                          net::Context& ctx);
-
-  // Streaming extension bodies, scheduled per fetch arrival. Pure compute:
-  // they read the pending entry's immutable stage inputs and write only
-  // their own disjoint slots (anchor_slots members / one SequenceBin), so
-  // they are safe on pool threads while the handler thread keeps
-  // dispatching; `wall_timing` routes the phase histogram (off under the
-  // simulator, where wall time is meaningless and nondeterministic).
-  void group_entry_extend_range(PendingGroupQuery& pending,
-                                std::size_t range_idx, bool wall_timing);
-  void coordinator_extend_bin(PendingQuery& pending, std::size_t bin_idx,
-                              bool wall_timing);
-  // Runs `body` inline when `ctx` is virtual-time or no pool is configured;
-  // otherwise submits it to the pool and parks the future in `tasks`.
-  void schedule_extension(std::vector<std::future<void>>& tasks,
-                          net::Context& ctx, std::function<void()> body);
-  // Joins outstanding streaming-extension tasks (reply assembly and
-  // kCancelQuery teardown: a pending entry must never be erased while a
-  // pool task can still touch it).
-  static void drain_tasks(std::vector<std::future<void>>& tasks);
+  // Pure compute, on pool threads or inline: writes only the token's own
+  // slots (its members' anchor_slots / one SequenceBin); `wall_timing`
+  // routes the phase histogram (off under the simulator).
+  void extend_range(PendingGroupQuery& pending, std::size_t token,
+                    bool wall_timing);
+  void extend_range(PendingQuery& pending, std::size_t token,
+                    bool wall_timing);
+  void finish_query(std::uint64_t query_id, PendingGroupQuery& pending,
+                    net::Context& ctx);
+  void finish_query(std::uint64_t query_id, PendingQuery& pending,
+                    net::Context& ctx);
+  void group_entry_reply_empty(std::uint64_t query_id, net::NodeId to,
+                               net::Context& ctx);
+  void coordinator_reply_empty(std::uint64_t query_id, net::NodeId to,
+                               net::Context& ctx);
 
   // First alive home node of a sequence key.
   net::NodeId pick_sequence_home(std::uint64_t key) const;

@@ -5,6 +5,8 @@
 // (the TSan CI job runs this binary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -195,8 +197,27 @@ seq::Sequence probe_of(const seq::SequenceStore& store, std::size_t donor) {
 const char* const kPipelineStages[] = {
     "client.submit", "coord.route",  "group.broadcast", "node.search",
     "group.merge",   "node.fetch",   "group.extend",    "coord.fanin",
-    "coord.finish",  "client.reply",
+    "coord.prune",   "coord.finish", "client.reply",
 };
+
+// A query's span tree as a reader of the timeline sees it: one
+// "name<parent:value" entry per span ("" parent for the root), sorted so
+// the rendering depends on the tree, not on recording order.
+std::string span_tree(const obs::QueryTrace& trace) {
+  std::map<std::uint64_t, std::string> names;
+  for (const auto& span : trace.spans) names[span.span_id] = span.name;
+  std::vector<std::string> edges;
+  for (const auto& span : trace.spans) {
+    const auto parent = names.find(span.parent_span);
+    edges.push_back(span.name + "<" +
+                    (parent == names.end() ? "" : parent->second) + ":" +
+                    std::to_string(span.value) + " ");
+  }
+  std::sort(edges.begin(), edges.end());
+  std::string tree;
+  for (const auto& edge : edges) tree += edge;
+  return tree;
+}
 
 obs::QueryTrace traced_query(core::Client& client, const seq::Sequence& query) {
   const auto ticket = client.submit(query);
@@ -229,6 +250,60 @@ TEST(Trace, TimelineIsByteStableUnderSim) {
           << "identical sim runs must produce identical timelines";
     }
   }
+}
+
+// TimelineIsByteStableUnderSim only compares two runs with each other; this
+// pins the tree itself (span names, parents and values), which
+// bench/e2e/path.cpp and every trace reader depend on. A refactor that
+// renames, re-parents or drops a span fails here.
+TEST(Trace, SpanTreeIsPinnedUnderSim) {
+  const auto store = workload::generate_database(obs_spec());
+  core::Client client(obs_options(core::TransportMode::kSim));
+  client.index(store);
+  const char* const kPinned =
+      "client.reply<client.submit:3 client.submit<:110 "
+      "coord.fanin<coord.route:426 coord.finish<coord.route:3 "
+      "coord.prune<coord.route:0 coord.route<client.submit:14 "
+      "group.broadcast<coord.route:2 group.broadcast<coord.route:2 "
+      "group.broadcast<coord.route:2 group.extend<group.broadcast:126 "
+      "group.extend<group.broadcast:137 group.extend<group.broadcast:175 "
+      "group.merge<group.broadcast:132 group.merge<group.broadcast:143 "
+      "group.merge<group.broadcast:186 node.fetch<coord.fanin:213 "
+      "node.fetch<coord.fanin:213 node.fetch<coord.fanin:216 "
+      "node.fetch<group.merge:153 node.fetch<group.merge:153 "
+      "node.fetch<group.merge:153 node.fetch<group.merge:153 "
+      "node.fetch<group.merge:153 node.fetch<group.merge:153 "
+      "node.fetch<group.merge:154 node.fetch<group.merge:154 "
+      "node.fetch<group.merge:154 node.fetch<group.merge:167 "
+      "node.fetch<group.merge:167 node.fetch<group.merge:167 "
+      "node.fetch<group.merge:185 node.fetch<group.merge:185 "
+      "node.fetch<group.merge:185 node.fetch<group.merge:188 "
+      "node.fetch<group.merge:188 node.fetch<group.merge:188 "
+      "node.fetch<group.merge:188 node.fetch<group.merge:188 "
+      "node.fetch<group.merge:188 node.fetch<group.merge:190 "
+      "node.fetch<group.merge:190 node.fetch<group.merge:190 "
+      "node.fetch<group.merge:200 node.fetch<group.merge:200 "
+      "node.fetch<group.merge:200 node.fetch<group.merge:213 "
+      "node.fetch<group.merge:213 node.fetch<group.merge:213 "
+      "node.fetch<group.merge:213 node.fetch<group.merge:213 "
+      "node.fetch<group.merge:213 node.fetch<group.merge:214 "
+      "node.fetch<group.merge:214 node.fetch<group.merge:214 "
+      "node.fetch<group.merge:216 node.fetch<group.merge:216 "
+      "node.fetch<group.merge:216 node.fetch<group.merge:228 "
+      "node.fetch<group.merge:228 node.fetch<group.merge:228 "
+      "node.fetch<group.merge:231 node.fetch<group.merge:231 "
+      "node.fetch<group.merge:231 node.fetch<group.merge:245 "
+      "node.fetch<group.merge:245 node.fetch<group.merge:245 "
+      "node.fetch<group.merge:251 node.fetch<group.merge:251 "
+      "node.fetch<group.merge:251 node.fetch<group.merge:254 "
+      "node.fetch<group.merge:254 node.fetch<group.merge:254 "
+      "node.fetch<group.merge:279 node.fetch<group.merge:279 "
+      "node.fetch<group.merge:279 node.fetch<group.merge:282 "
+      "node.fetch<group.merge:282 node.fetch<group.merge:282 "
+      "node.search<group.broadcast:14 node.search<group.broadcast:14 "
+      "node.search<group.broadcast:14 node.search<group.broadcast:14 "
+      "node.search<group.broadcast:14 node.search<group.broadcast:14 ";
+  EXPECT_EQ(span_tree(traced_query(client, probe_of(store, 2))), kPinned);
 }
 
 TEST(Trace, CoversEveryStageUnderThreads) {

@@ -4,37 +4,124 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <type_traits>
 
 #include "src/common/error.h"
+#include "src/common/thread_pool.h"
 #include "src/mendel/client.h"
 #include "src/mendel/indexer.h"
 #include "src/mendel/protocol.h"
 #include "src/mendel/storage_node.h"
 #include "src/net/sim_transport.h"
+#include "src/net/thread_transport.h"
 #include "src/workload/generator.h"
 
 namespace mendel::core {
 namespace {
 
-// A tiny single-group cluster whose internals the tests can poke directly.
-struct MiniCluster {
+// Forwards every message to a node; before and after each reply a fan-in
+// waits for, also hands the node hostile variants of it:
+//   * before a fetch result: a copy for the wrong sequence and a copy whose
+//     token lies past any plan;
+//   * before a node-search or group result (the fan-in still running, so
+//     the role's fetch stage has issued nothing): a fetch result for it;
+//   * after every such reply: an exact duplicate.
+// A variant that reaches the query's live pending entry must be rejected
+// and counted in decode_errors; one that arrives after the entry finished
+// is stale and ignored. `rejected` tallies the former per kind (one query
+// in flight at a time, so "live" is "the role has a pending entry").
+class HostileReplies final : public net::Actor {
+ public:
+  explicit HostileReplies(StorageNode& node) : node_(node) {}
+
+  void handle(const net::Message& message, net::Context& ctx) override {
+    switch (message.type) {
+      case kFetchRangeResult: {
+        auto payload = decode_payload<FetchRangeResultPayload>(message.payload);
+        const bool group =
+            payload.purpose ==
+            static_cast<std::uint8_t>(FetchPurpose::kGroupExtension);
+        auto forged = payload;
+        forged.sequence += 1;
+        inject(message, forged, group, "wrong sequence", ctx);
+        forged = payload;
+        forged.token = 1u << 30;
+        inject(message, forged, group, "out-of-range token", ctx);
+        node_.handle(message, ctx);
+        deliver(message, group, "duplicate fetch", ctx);
+        return;
+      }
+      case kNodeSearchResult:
+      case kGroupResult: {
+        const bool group = message.type == kNodeSearchResult;
+        FetchRangeResultPayload unissued;
+        unissued.purpose = static_cast<std::uint8_t>(
+            group ? FetchPurpose::kGroupExtension
+                  : FetchPurpose::kGappedExtension);
+        inject(message, unissued, group, "unissued token", ctx);
+        node_.handle(message, ctx);
+        deliver(message, group, "duplicate fan-in reply", ctx);
+        return;
+      }
+      default:
+        node_.handle(message, ctx);
+    }
+  }
+
+  std::map<std::string, std::size_t> rejected;
+
+ private:
+  void inject(const net::Message& like, const FetchRangeResultPayload& payload,
+              bool group, const std::string& kind, net::Context& ctx) {
+    net::Message forged = like;
+    forged.type = kFetchRangeResult;
+    forged.payload = encode_payload(payload);
+    deliver(forged, group, kind, ctx);
+  }
+  void deliver(const net::Message& message, bool group,
+               const std::string& kind, net::Context& ctx) {
+    const bool live = (group ? node_.pending_group_queries()
+                             : node_.pending_coordinator_queries()) > 0;
+    node_.handle(message, ctx);
+    if (live) ++rejected[kind + (group ? " @group" : " @coordinator")];
+  }
+
+  StorageNode& node_;
+};
+
+// A tiny two-group cluster whose internals the tests can poke directly,
+// over the simulator or (with a two-thread search pool, so extension runs
+// on pool threads) over real threads. With `hostile`, every node sits
+// behind a HostileReplies wrapper.
+template <class Transport>
+struct BasicMiniCluster {
+  static constexpr bool kThreaded =
+      std::is_same_v<Transport, net::ThreadTransport>;
+
   cluster::Topology topology;
   const score::DistanceMatrix& distance;
   seq::SequenceStore store;
   vpt::VpPrefixTree prefix_tree;
-  net::SimTransport transport;
+  std::unique_ptr<ThreadPool> pool;
   std::vector<std::unique_ptr<StorageNode>> nodes;
+  std::vector<std::unique_ptr<HostileReplies>> hostile;
+  std::mutex inbox_mu;
   std::vector<net::Message> client_inbox;
   std::unique_ptr<net::FunctionActor> client;
+  // Declared last so a threaded transport stops its dispatch threads
+  // before the actors they call are destroyed.
+  Transport transport;
 
-  MiniCluster()
+  explicit BasicMiniCluster(bool with_hostile = false)
       : topology(make_config()),
         distance(score::default_distance(seq::Alphabet::kProtein)),
         store(make_store()),
         prefix_tree(make_tree()),
-        transport(net::CostModel{.measured_cpu = false}) {
+        transport(make_transport()) {
     topology.bind_prefixes(prefix_tree.leaf_prefixes());
     StorageNodeConfig config;
     config.topology = &topology;
@@ -46,15 +133,34 @@ struct MiniCluster {
     // blocks; the MENDEL_CHECKED placement audit would rightly reject
     // them, so it is opted out at the node level.
     config.checked_placement_audit = false;
+    if (kThreaded) {
+      pool = std::make_unique<ThreadPool>(2);
+      config.search_pool = pool.get();
+    }
     for (net::NodeId id = 0; id < topology.total_nodes(); ++id) {
       nodes.push_back(std::make_unique<StorageNode>(id, config));
-      transport.register_actor(id, nodes.back().get());
+      net::Actor* actor = nodes.back().get();
+      if (with_hostile) {
+        hostile.push_back(std::make_unique<HostileReplies>(*nodes.back()));
+        actor = hostile.back().get();
+      }
+      transport.register_actor(id, actor);
     }
     client = std::make_unique<net::FunctionActor>(
         [this](const net::Message& m, net::Context&) {
+          std::lock_guard lock(inbox_mu);
           client_inbox.push_back(m);
         });
     transport.register_actor(net::kClientNode, client.get());
+    if constexpr (kThreaded) transport.start();
+  }
+
+  static Transport make_transport() {
+    if constexpr (kThreaded) {
+      return {};
+    } else {
+      return Transport(net::CostModel{.measured_cpu = false});
+    }
   }
 
   static cluster::TopologyConfig make_config() {
@@ -83,13 +189,21 @@ struct MiniCluster {
     return indexer.build_prefix_tree(store, {.cutoff_depth = 3});
   }
 
+  void settle() {
+    if constexpr (kThreaded) {
+      transport.wait_idle();
+    } else {
+      transport.run_until_idle();
+    }
+  }
+
   void index_everything() {
     IndexingOptions options;
     options.window_length = 8;
     options.sample_size = 128;
     Indexer indexer(&topology, &distance, options);
     indexer.index_store(store, prefix_tree, transport, net::kClientNode);
-    transport.run_until_idle();
+    settle();
   }
 
   void send(net::NodeId to, std::uint32_t type, std::uint64_t request_id,
@@ -103,6 +217,8 @@ struct MiniCluster {
     transport.send(std::move(m));
   }
 };
+
+using MiniCluster = BasicMiniCluster<net::SimTransport>;
 
 TEST(StorageNode, StoreSequenceAndFetchRange) {
   MiniCluster mini;
@@ -154,6 +270,30 @@ TEST(StorageNode, FetchRangeClampsToSequenceEnd) {
   const auto reply = decode_payload<FetchRangeResultPayload>(
       mini.client_inbox[0].payload);
   EXPECT_EQ(seq::to_string(seq::Alphabet::kProtein, reply.codes), "AW");
+}
+
+TEST(StorageNode, FetchRangeEndDoesNotWrapPastU32) {
+  // start + length overflows 32 bits; the end must clamp to the sequence
+  // end, not wrap below the start.
+  MiniCluster mini;
+  StoreSequencePayload stored;
+  stored.sequence = 1;
+  stored.name = "long";
+  stored.codes.assign(300, 5);
+  mini.send(0, kStoreSequence, 0, encode_payload(stored));
+  mini.transport.run_until_idle();
+  FetchRangePayload fetch;
+  fetch.sequence = 1;
+  fetch.start = 100;
+  fetch.length = 0xFFFFFFFFu;
+  mini.send(0, kFetchRange, 1, encode_payload(fetch));
+  EXPECT_NO_THROW(mini.transport.run_until_idle());
+  ASSERT_EQ(mini.client_inbox.size(), 1u);
+  const auto reply = decode_payload<FetchRangeResultPayload>(
+      mini.client_inbox[0].payload);
+  EXPECT_EQ(reply.start, 100u);
+  EXPECT_EQ(reply.codes.size(), 200u);
+  EXPECT_EQ(mini.nodes[0]->counters().decode_errors, 0u);
 }
 
 TEST(StorageNode, FetchUnknownSequenceReturnsEmpty) {
@@ -485,6 +625,95 @@ TEST(StorageNode, DownNodesExcludedFromFanOut) {
   // Must complete without stalling (no response from node 1 is awaited).
   mini.transport.run_until_idle();
   ASSERT_EQ(mini.client_inbox.size(), 1u);
+}
+
+
+// ---------- duplicate and unissued replies at every fan-in ----------
+
+// Ranked hits of one query per donor window, sent one at a time through
+// node (query index % nodes) as coordinator.
+template <class Cluster>
+std::vector<std::vector<align::AlignmentHit>> query_each_donor(
+    Cluster& mini) {
+  std::vector<std::vector<align::AlignmentHit>> ranked;
+  for (std::uint64_t q = 0; q < 8; ++q) {
+    const auto window = mini.store.at(q).window(5, 100);
+    QueryRequestPayload request;
+    request.query.assign(window.begin(), window.end());
+    mini.send(static_cast<net::NodeId>(q % mini.nodes.size()), kQueryRequest,
+              100 + q, encode_payload(request));
+    mini.settle();
+    std::lock_guard lock(mini.inbox_mu);
+    EXPECT_EQ(mini.client_inbox.size(), 1u) << "query " << q;
+    if (mini.client_inbox.empty()) break;
+    ranked.push_back(
+        decode_payload<QueryResultPayload>(mini.client_inbox.back().payload)
+            .hits);
+    mini.client_inbox.clear();
+  }
+  return ranked;
+}
+
+template <class Cluster>
+void expect_hostile_replies_rejected() {
+  Cluster clean;
+  clean.index_everything();
+  const auto want = query_each_donor(clean);
+
+  Cluster mini(/*with_hostile=*/true);
+  mini.index_everything();
+  const auto got = query_each_donor(mini);
+
+  ASSERT_EQ(got.size(), want.size());
+  std::size_t hits = 0;
+  for (std::size_t q = 0; q < want.size(); ++q) {
+    ASSERT_EQ(got[q].size(), want[q].size()) << "query " << q;
+    hits += want[q].size();
+    for (std::size_t i = 0; i < want[q].size(); ++i) {
+      EXPECT_EQ(got[q][i].subject_id, want[q][i].subject_id);
+      EXPECT_EQ(got[q][i].alignment.hsp.score,
+                want[q][i].alignment.hsp.score);
+      EXPECT_EQ(got[q][i].alignment.hsp.s_begin,
+                want[q][i].alignment.hsp.s_begin);
+      EXPECT_EQ(got[q][i].alignment.cigar, want[q][i].alignment.cigar);
+      EXPECT_EQ(got[q][i].evalue, want[q][i].evalue);
+    }
+  }
+  EXPECT_GT(hits, 0u);
+
+  std::map<std::string, std::size_t> rejected;
+  std::uint64_t expected = 0;
+  std::uint64_t counted = 0;
+  for (std::size_t id = 0; id < mini.nodes.size(); ++id) {
+    for (const auto& [kind, n] : mini.hostile[id]->rejected) {
+      rejected[kind] += n;
+      expected += n;
+    }
+    counted += mini.nodes[id]->counters().decode_errors;
+    EXPECT_EQ(mini.nodes[id]->pending_group_queries(), 0u) << "node " << id;
+    EXPECT_EQ(mini.nodes[id]->pending_coordinator_queries(), 0u)
+        << "node " << id;
+  }
+  EXPECT_EQ(counted, expected);
+  // Every kind of hostile reply reached live state at both roles.
+  for (const char* kind : {"wrong sequence", "out-of-range token",
+                           "duplicate fetch", "unissued token",
+                           "duplicate fan-in reply"}) {
+    for (const char* role : {" @group", " @coordinator"}) {
+      EXPECT_GT(rejected[std::string(kind) + role], 0u) << kind << role;
+    }
+  }
+}
+
+TEST(StorageNode, DuplicateAndUnissuedRepliesAreRejected) {
+  expect_hostile_replies_rejected<MiniCluster>();
+}
+
+// Same contract with extension on a real pool under wall-clock time: a
+// duplicate reply must never start a second task on a range or bin whose
+// first extension may still be running (the TSan job runs this binary).
+TEST(StorageNode, DuplicateAndUnissuedRepliesAreRejectedOnThreads) {
+  expect_hostile_replies_rejected<BasicMiniCluster<net::ThreadTransport>>();
 }
 
 }  // namespace
