@@ -148,9 +148,11 @@ void BM_LeafScan(benchmark::State& state) {
 }
 BENCHMARK(BM_LeafScan)->Arg(4096);
 
-// Same top-16-of-N scan, but through the batched SIMD entry point: arena
-// windows scored 8 per pass against one probe with a shared tau. The
-// BM_LeafScan/BM_LeafScanBatched ratio is the isolated batching win.
+// Same top-16-of-N scan, but the way a node's leaf scan runs it: one
+// QProbe per probe, arena windows scored in chunks by the dispatched
+// batched kernel (the short-window shuffle kernel on AVX2), and admission
+// tested on scaled integers. The BM_LeafScan/BM_LeafScanBatched ratio is
+// the isolated batching win.
 void BM_LeafScanBatched(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
   const auto windows = make_windows(count, 103);
@@ -173,21 +175,19 @@ void BM_LeafScanBatched(benchmark::State& state) {
     const auto& probe = probes[p++ % probes.size()];
     std::vector<double> best;
     best.reserve(kNeighbors + 1);
-    double tau = std::numeric_limits<double>::infinity();
+    const score::QProbe qp(*q, probe.data(), kWindowLength);
+    std::int64_t qthresh = std::numeric_limits<std::int64_t>::max();
     std::int64_t qdists[kChunk];
     for (std::size_t offset = 0; offset < count; offset += kChunk) {
       const std::size_t run = std::min(count - offset, kChunk);
-      const std::int64_t qthresh = q->threshold(tau);
-      score::qkernels().distance_batch(*q, probe.data(), arena.base(),
-                                       arena.stride(), slots.data() + offset,
-                                       run, kWindowLength, qthresh, qdists);
+      qp.scan(arena.base(), arena.stride(), slots.data() + offset, run,
+              qthresh, qdists);
       for (std::size_t j = 0; j < run; ++j) {
         if (qdists[j] > qthresh) continue;
         const double d = q->to_double(qdists[j]);
-        if (d > tau) continue;
         best.insert(std::upper_bound(best.begin(), best.end(), d), d);
         if (best.size() > kNeighbors) best.pop_back();
-        if (best.size() == kNeighbors) tau = best.back();
+        if (best.size() == kNeighbors) qthresh = q->threshold(best.back());
       }
     }
     benchmark::DoNotOptimize(best.data());
@@ -196,9 +196,9 @@ void BM_LeafScanBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_LeafScanBatched)->Arg(4096);
 
-// The packed twin: DNA windows stored at 2 bits per residue with the
-// decode fused into the kernel. Compared against BM_LeafScanBatched this
-// is the cost of packing (acceptance: within ~10%) at 1/4 the memory.
+// The packed twin: DNA windows stored at 2 bits per residue, scored
+// without unpacking (the XOR and popcount kernel on AVX2) at 1/4 the
+// memory of BM_LeafScanBatched.
 void BM_LeafScanBatchedPacked(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
   Rng rng(111);
@@ -231,21 +231,19 @@ void BM_LeafScanBatchedPacked(benchmark::State& state) {
     const auto& probe = probes[p++ % probes.size()];
     std::vector<double> best;
     best.reserve(kNeighbors + 1);
-    double tau = std::numeric_limits<double>::infinity();
+    const score::QProbe qp(*q, probe.data(), kWindowLength);
+    std::int64_t qthresh = std::numeric_limits<std::int64_t>::max();
     std::int64_t qdists[kChunk];
     for (std::size_t offset = 0; offset < count; offset += kChunk) {
       const std::size_t run = std::min(count - offset, kChunk);
-      const std::int64_t qthresh = q->threshold(tau);
-      score::qkernels().distance_batch_packed(
-          *q, probe.data(), arena.base(), arena.stride(), arena.packed_bits(),
-          slots.data() + offset, run, kWindowLength, qthresh, qdists);
+      qp.scan_packed(arena.base(), arena.stride(), arena.packed_bits(),
+                     slots.data() + offset, run, qthresh, qdists);
       for (std::size_t j = 0; j < run; ++j) {
         if (qdists[j] > qthresh) continue;
         const double d = q->to_double(qdists[j]);
-        if (d > tau) continue;
         best.insert(std::upper_bound(best.begin(), best.end(), d), d);
         if (best.size() > kNeighbors) best.pop_back();
-        if (best.size() == kNeighbors) tau = best.back();
+        if (best.size() == kNeighbors) qthresh = q->threshold(best.back());
       }
     }
     benchmark::DoNotOptimize(best.data());

@@ -134,7 +134,7 @@ struct ClientOptions {
   IndexingOptions indexing;
   vpt::PrefixTreeOptions prefix_tree;
   net::CostModel cost;
-  std::size_t bucket_capacity = 32;
+  std::size_t bucket_capacity = kDefaultBucketCapacity;
   RuntimeOptions runtime;
 };
 

@@ -2,12 +2,20 @@
 // paper leaves implicit.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "src/common/codec.h"
 
 namespace mendel::core {
+
+// Leaf (bucket) capacity of every storage node's vp-tree: the one default
+// for the client, in-process nodes and daemons initialised over the wire.
+// Ranked hits do not depend on it (n-NN ties break on block identity); it
+// only trades vantage evaluations against leaf-scan items. Chosen by a
+// sweep over 32..1024 (docs/architecture.md, "Batched leaf scans").
+inline constexpr std::size_t kDefaultBucketCapacity = 1024;
 
 struct QueryParams {
   // --- Paper Table I ---------------------------------------------------

@@ -304,7 +304,7 @@ struct NodeInitPayload {
   // Groups of nodes added beyond the dense initial layout (add_node), in
   // id order — mirrors the index-snapshot encoding of grown topologies.
   std::vector<std::uint32_t> extra_node_groups;
-  std::uint64_t bucket_capacity = 32;
+  std::uint64_t bucket_capacity = kDefaultBucketCapacity;
   std::uint64_t database_residues = 0;
   // Node ids currently marked down, so a daemon (re)joining mid-outage
   // starts with the cluster's membership view instead of an empty one.

@@ -385,8 +385,13 @@ std::vector<Seed> StorageNode::search_subquery(
   // The probe rides in a per-call metric so concurrent subquery searches
   // never share mutable state; the tree itself is only read.
   const seq::CodeSpan probe_span(window);
+  std::optional<score::QProbe> qprobe;
+  if (const auto* q = config_.distance->quantized()) {
+    qprobe.emplace(*q, window.data(), window.size());
+  }
   const BlockRefMetric metric{config_.distance, &arena_, &probe_span,
-                              c_batched_scans_, c_scalar_fallbacks_};
+                              c_batched_scans_, c_scalar_fallbacks_,
+                              qprobe ? &*qprobe : nullptr};
   const BlockRef probe_ref{0, 0, BlockRef::kProbeSlot};
   // Exact radius cap from the identity filter: a candidate passing
   // identity >= i differs in at most (1-i)*k positions, each costing at

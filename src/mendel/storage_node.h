@@ -63,7 +63,7 @@ struct StorageNodeConfig {
   const vpt::VpPrefixTree* prefix_tree = nullptr;
   const score::DistanceMatrix* distance = nullptr;
   seq::Alphabet alphabet = seq::Alphabet::kProtein;
-  std::size_t bucket_capacity = 32;
+  std::size_t bucket_capacity = kDefaultBucketCapacity;
   // Total residues across the indexed database; set by the client after
   // indexing (used for Karlin–Altschul E-values at the coordinator).
   std::uint64_t database_residues = 0;
@@ -234,14 +234,13 @@ class StorageNode final : public net::Actor {
   };
 
   // Metric adapter: L1 window distance between arena-resident windows,
-  // with the early-abandoning variant the vp-tree uses for bucket scans
-  // and vantage pruning, plus the batched leaf-scan entry point that runs
-  // the SIMD kernels over whole bucket chunks. Lengths are validated once
-  // at admission (arena append) and search entry, so the kernels skip the
-  // per-call check.
+  // with the early-abandoning variant the vp-tree uses for vantage pruning,
+  // plus the leaf scan that runs the SIMD kernels over whole buckets.
+  // Lengths are validated once at admission (arena append) and search
+  // entry, so the kernels skip the per-call check.
   struct BlockRefMetric {
-    // Bucket chunk handed to one distance_batch kernel call.
-    static constexpr std::size_t kBatchChunk = 64;
+    // Bucket chunk handed to one batched kernel call.
+    static constexpr std::size_t kBatchChunk = 256;
 
     const score::DistanceMatrix* distance;
     const vpt::WindowArena* arena;
@@ -250,6 +249,9 @@ class StorageNode final : public net::Actor {
     // null on metrics-less nodes and on the tree's internal rebuild metric.
     obs::Counter* batched_scans = nullptr;
     obs::Counter* scalar_fallbacks = nullptr;
+    // The probe's kernel tables, built once per search; null on the
+    // tree's internal metric (a leaf scan then builds its own).
+    const score::QProbe* qprobe = nullptr;
 
     // Item-wise code access. The all-resident unpacked arena hands out
     // direct row pointers (the original zero-copy path); packed or spilled
@@ -286,67 +288,77 @@ class StorageNode final : public net::Actor {
       return score::window_distance_bounded_unchecked(
           *distance, codes(a, 0), codes(b, 1), arena->window_length(), bound);
     }
-    // Batched bucket scan: same item-wise contract as bounded(). Falls back
-    // to the item-at-a-time path when the matrix has no quantized twin or
-    // the arena is too large for 32-bit gather offsets.
-    void bounded_batch(const BlockRef& a, const BlockRef* items,
-                       std::size_t count, double bound, double* out) const {
+    // Leaf scan (the vp-tree's scan_leaf hook): calls admit(j, d) for each
+    // item whose distance d is within the current bound, in item order;
+    // admit returns the new bound. Distances stay scaled integers through
+    // the kernel and the admission test, since (q <= threshold(bound)) ==
+    // (q / scale <= bound); only admitted ones become doubles, and the
+    // threshold is re-derived only after an admission, the one event that
+    // changes the bound. Falls back to item-wise bounded() when the matrix
+    // has no quantized twin or the arena is too large for 32-bit gather
+    // offsets.
+    template <typename Admit>
+    void scan_leaf(const BlockRef& a, const BlockRef* items,
+                   std::size_t count, double bound, Admit&& admit) const {
       const score::QuantizedDistance* q = distance->quantized();
-      const std::size_t len = arena->window_length();
       const bool gatherable =
           arena->size() * arena->stride() <
           static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()) -
               vpt::WindowArena::kGuardTail;
+      auto item_wise = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t j = begin; j < end; ++j) {
+          const double d = bounded(a, items[j], bound);
+          if (d <= bound) bound = admit(j, d);
+        }
+      };
       if (q == nullptr || !gatherable) {
         if (q == nullptr && scalar_fallbacks != nullptr) {
           scalar_fallbacks->add();
         }
-        for (std::size_t j = 0; j < count; ++j) {
-          out[j] = bounded(a, items[j], bound);
-        }
+        item_wise(0, count);
         return;
       }
-      const seq::Code* probe_codes = codes(a, 0);
-      const std::int64_t qthresh = q->threshold(bound);
-      const auto& kernels = score::qkernels();
+      std::optional<score::QProbe> own;
+      const score::QProbe* p = qprobe;
+      if (p == nullptr || a.slot != BlockRef::kProbeSlot) {
+        p = &own.emplace(*q, codes(a, 0), arena->window_length());
+      }
+      std::int64_t qthresh = q->threshold(bound);
       std::array<std::uint32_t, kBatchChunk> slots;
       std::array<std::int64_t, kBatchChunk> qdists;
       for (std::size_t offset = 0; offset < count;) {
         const std::size_t run = std::min(count - offset, kBatchChunk);
         bool arena_only = true;
-        for (std::size_t j = 0; j < run && arena_only; ++j) {
-          arena_only = items[offset + j].slot != BlockRef::kProbeSlot;
+        for (std::size_t j = 0; j < run; ++j) {
+          slots[j] = items[offset + j].slot;
+          arena_only = arena_only && slots[j] != BlockRef::kProbeSlot;
         }
         if (!arena_only) {
           // A probe sentinel never lives in tree buckets, but the metric
           // contract doesn't depend on that: route odd chunks item-wise.
-          for (std::size_t j = 0; j < run; ++j) {
-            out[offset + j] = bounded(a, items[offset + j], bound);
-          }
+          item_wise(offset, offset + run);
+          qthresh = q->threshold(bound);
           offset += run;
           continue;
         }
-        for (std::size_t j = 0; j < run; ++j) {
-          slots[j] = items[offset + j].slot;
-        }
         // Spilled arenas: pin the chunk's rows so the gather kernels can
         // never touch an evicted (PROT_NONE) segment mid-scan; no-op for
-        // heap arenas. Packed arenas route to the fused-decode kernel.
+        // heap arenas. Packed arenas route to the fused-decode kernels.
         const auto pin = arena->pin_scan(slots.data(), run);
         if (arena->packed()) {
-          kernels.distance_batch_packed(*q, probe_codes, arena->base(),
-                                        arena->stride(), arena->packed_bits(),
-                                        slots.data(), run, len, qthresh,
-                                        qdists.data());
+          p->scan_packed(arena->base(), arena->stride(), arena->packed_bits(),
+                         slots.data(), run, qthresh, qdists.data());
         } else {
-          kernels.distance_batch(*q, probe_codes, arena->base(),
-                                 arena->stride(), slots.data(), run, len,
-                                 qthresh, qdists.data());
-        }
-        for (std::size_t j = 0; j < run; ++j) {
-          out[offset + j] = q->to_double(qdists[j]);
+          p->scan(arena->base(), arena->stride(), slots.data(), run, qthresh,
+                  qdists.data());
         }
         if (batched_scans != nullptr) batched_scans->add();
+        for (std::size_t j = 0; j < run; ++j) {
+          if (qdists[j] <= qthresh) {
+            bound = admit(offset + j, q->to_double(qdists[j]));
+            qthresh = q->threshold(bound);
+          }
+        }
         offset += run;
       }
     }

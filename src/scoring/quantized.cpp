@@ -1,5 +1,7 @@
 #include "src/scoring/quantized.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -386,6 +388,211 @@ __attribute__((target("avx2"))) void qbatch_packed_avx2(
   }
 }
 
+// --- AVX2 short-window kernels over a prepared QProbe --------------------
+//
+// The gather kernels above pay two gathers per residue per 8 rows. For the
+// short windows Mendel indexes (8 residues by default) it is cheaper to
+// move whole rows and look residues up in registers.
+
+// Byte transpose of 32 rows x 8 positions, in four rounds of unpacks. On
+// entry rows[k] holds rows k, 8 + k, 16 + k and 24 + k (one 8-byte row per
+// 64-bit element); on exit rows[p] holds position p of row r in byte r.
+__attribute__((target("avx2"))) inline void transpose_rows_8x32(
+    __m256i rows[8]) {
+  __m256i b[8];
+  for (int m = 0; m < 4; ++m) {
+    b[2 * m] = _mm256_unpacklo_epi8(rows[2 * m], rows[2 * m + 1]);
+    b[2 * m + 1] = _mm256_unpackhi_epi8(rows[2 * m], rows[2 * m + 1]);
+  }
+  __m256i c[8];
+  for (int n = 0; n < 2; ++n) {
+    for (int h = 0; h < 2; ++h) {
+      const __m256i x = b[4 * n + h];
+      const __m256i y = b[4 * n + 2 + h];
+      c[4 * n + 2 * h] = _mm256_unpacklo_epi16(x, y);
+      c[4 * n + 2 * h + 1] = _mm256_unpackhi_epi16(x, y);
+    }
+  }
+  __m256i d[8];
+  for (int h = 0; h < 2; ++h) {
+    for (int g = 0; g < 2; ++g) {
+      const __m256i x = c[2 * h + g];
+      const __m256i y = c[4 + 2 * h + g];
+      d[4 * h + 2 * g] = _mm256_unpacklo_epi32(x, y);
+      d[4 * h + 2 * g + 1] = _mm256_unpackhi_epi32(x, y);
+    }
+  }
+  for (int g = 0; g < 2; ++g) {
+    for (int f = 0; f < 2; ++f) {
+      const __m256i x = d[2 * g + f];
+      const __m256i y = d[4 + 2 * g + f];
+      rows[4 * g + 2 * f] = _mm256_unpacklo_epi64(x, y);
+      rows[4 * g + 2 * f + 1] = _mm256_unpackhi_epi64(x, y);
+    }
+  }
+}
+
+inline std::uint32_t load_u32(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+// Shuffle kernel: 32 rows per pass. Eight 4-row gathers move 8 bytes of
+// each row, a byte transpose makes one register per position, and each
+// position is looked up in the probe's byte LUT row with vpshufb — codes
+// 0-15 in one table, 16-23 in the other; the index bias zeroes the lookup
+// of the table a code is not in, so an OR blends the two. Sums add with
+// unsigned saturation (QProbe::lane_limit says when that is exact). Rows
+// of 9-16 residues take a second pass over their upper 8 bytes. Every
+// gather stays inside its row (stride >= the window rounded up to 8). A
+// short final pass repeats its first slot to fill the 32 lanes.
+__attribute__((target("avx2"))) bool qprobe_batch_avx2(
+    const QProbe& p, const seq::Code* base, std::size_t stride,
+    const std::uint32_t* slots, std::size_t count, std::int64_t qthresh,
+    std::int64_t* out) {
+  if (!p.shuffle_ready() || qthresh > p.lane_limit()) return false;
+  const std::size_t len = p.length();
+  const std::uint8_t* table = p.shuffle_table();
+  const __m256i stride_v = _mm256_set1_epi32(static_cast<int>(stride));
+  const __m256i lo_bias = _mm256_set1_epi8(0x70);
+  const __m256i hi_base = _mm256_set1_epi8(16);
+  std::uint32_t padded[32];
+  for (std::size_t j = 0; j < count; j += 32) {
+    const std::size_t run = std::min<std::size_t>(32, count - j);
+    const std::uint32_t* block = slots + j;
+    if (run < 32) {
+      std::copy(block, block + run, padded);
+      std::fill(padded + run, padded + 32, block[0]);
+      block = padded;
+    }
+    // Row offsets, transposed so that register k gathers rows k, 8 + k,
+    // 16 + k and 24 + k: the byte transpose then leaves row r in byte r.
+    __m256i by_eight[4];
+    for (int e = 0; e < 4; ++e) {
+      by_eight[e] = _mm256_mullo_epi32(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block + 8 * e)),
+          stride_v);
+    }
+    const __m256i t0 = _mm256_unpacklo_epi32(by_eight[0], by_eight[1]);
+    const __m256i t1 = _mm256_unpackhi_epi32(by_eight[0], by_eight[1]);
+    const __m256i t2 = _mm256_unpacklo_epi32(by_eight[2], by_eight[3]);
+    const __m256i t3 = _mm256_unpackhi_epi32(by_eight[2], by_eight[3]);
+    const __m256i u[4] = {
+        _mm256_unpacklo_epi64(t0, t2), _mm256_unpackhi_epi64(t0, t2),
+        _mm256_unpacklo_epi64(t1, t3), _mm256_unpackhi_epi64(t1, t3)};
+    __m128i off[8];
+    for (int k = 0; k < 4; ++k) {
+      off[k] = _mm256_castsi256_si128(u[k]);
+      off[k + 4] = _mm256_extracti128_si256(u[k], 1);
+    }
+    __m256i acc = _mm256_setzero_si256();
+    for (std::size_t c = 0; c < len; c += 8) {
+      __m256i rows[8];
+      for (int k = 0; k < 8; ++k) {
+        rows[k] = _mm256_i32gather_epi64(
+            reinterpret_cast<const long long*>(base + c), off[k], 1);
+      }
+      transpose_rows_8x32(rows);
+      const std::size_t positions = std::min<std::size_t>(len - c, 8);
+      for (std::size_t i = 0; i < positions; ++i) {
+        const std::uint8_t* cells = table + 32 * (c + i);
+        const __m256i lo = _mm256_broadcastsi128_si256(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(cells)));
+        const __m256i hi = _mm256_broadcastsi128_si256(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(cells + 16)));
+        const __m256i v = _mm256_or_si256(
+            _mm256_shuffle_epi8(lo, _mm256_adds_epu8(rows[i], lo_bias)),
+            _mm256_shuffle_epi8(hi, _mm256_sub_epi8(rows[i], hi_base)));
+        acc = _mm256_adds_epu8(acc, v);
+      }
+    }
+    alignas(32) std::uint8_t lanes[32];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
+    if (run == 32) {
+      for (std::size_t r = 0; r < 32; r += 4) {
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i*>(out + j + r),
+            _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(
+                static_cast<int>(load_u32(lanes + r)))));
+      }
+    } else {
+      for (std::size_t r = 0; r < run; ++r) out[j + r] = lanes[r];
+    }
+  }
+  return true;
+}
+
+// XOR kernel: 8 rows per pass, one 32-bit word (16 residues) per gather.
+// XOR against the packed probe leaves a non-zero 2-bit pair exactly where
+// the codes differ; folding each pair onto its low bit and counting bits
+// with a nibble-LUT popcount gives the mismatch count, which is the
+// indicator distance. Mismatch counts never exceed the window, so the
+// kernel computes them in full rather than testing qthresh. The last word
+// of a row may read up to 3 bytes past it (the guard tail covers the last
+// row); the mask drops those pairs.
+__attribute__((target("avx2"))) bool qprobe_batch_packed_avx2(
+    const QProbe& p, const std::uint8_t* base, std::size_t stride,
+    unsigned bits, const std::uint32_t* slots, std::size_t count,
+    std::int64_t /*qthresh*/, std::int64_t* out) {
+  if (bits != 2 || !p.xor_ready()) return false;
+  const std::size_t len = p.length();
+  const std::size_t words = (len + 15) / 16;
+  const std::uint32_t* probe = p.packed_words();
+  const __m256i stride_v = _mm256_set1_epi32(static_cast<int>(stride));
+  const __m256i nibble = _mm256_set1_epi8(0x0f);
+  const __m256i popcount4 = _mm256_setr_epi8(
+      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+  const __m256i ones8 = _mm256_set1_epi8(1);
+  const __m256i ones16 = _mm256_set1_epi16(1);
+  std::uint32_t padded[8];
+  for (std::size_t j = 0; j < count; j += 8) {
+    const std::size_t run = std::min<std::size_t>(8, count - j);
+    const std::uint32_t* block = slots + j;
+    if (run < 8) {
+      std::copy(block, block + run, padded);
+      std::fill(padded + run, padded + 8, block[0]);
+      block = padded;
+    }
+    const __m256i off = _mm256_mullo_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block)),
+        stride_v);
+    __m256i acc = _mm256_setzero_si256();
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::size_t codes = std::min<std::size_t>(len - 16 * w, 16);
+      const std::uint32_t low_bits =
+          codes == 16 ? 0x55555555u : 0x55555555u & ((1u << (2 * codes)) - 1);
+      const __m256i row = _mm256_i32gather_epi32(
+          reinterpret_cast<const int*>(base + 4 * w), off, 1);
+      __m256i x = _mm256_xor_si256(
+          row, _mm256_set1_epi32(static_cast<int>(probe[w])));
+      x = _mm256_and_si256(_mm256_or_si256(x, _mm256_srli_epi32(x, 1)),
+                           _mm256_set1_epi32(static_cast<int>(low_bits)));
+      const __m256i per_byte = _mm256_add_epi8(
+          _mm256_shuffle_epi8(popcount4, _mm256_and_si256(x, nibble)),
+          _mm256_shuffle_epi8(popcount4,
+                              _mm256_and_si256(_mm256_srli_epi16(x, 4),
+                                               nibble)));
+      acc = _mm256_add_epi32(
+          acc, _mm256_madd_epi16(_mm256_maddubs_epi16(per_byte, ones8),
+                                 ones16));
+    }
+    if (run == 8) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + j),
+                          _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc)));
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(out + j + 4),
+          _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc, 1)));
+    } else {
+      alignas(32) std::int32_t lanes[8];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
+      for (std::size_t r = 0; r < run; ++r) out[j + r] = lanes[r];
+    }
+  }
+  return true;
+}
+
 #endif  // MENDEL_SIMD_X86
 
 #if defined(MENDEL_SIMD_ARM)
@@ -438,28 +645,98 @@ void qbatch_neon(const QuantizedDistance& q, const seq::Code* probe,
 
 #endif  // MENDEL_SIMD_ARM
 
-constexpr QKernelTable kScalarTable{qdist_scalar, qdist_bounded_scalar,
-                                    qbatch_scalar, qbatch_packed_scalar};
+// The short-window kernels at levels that lack them: every QProbe scan
+// then takes the level's gather or scalar kernel.
+bool decline_batch(const QProbe&, const seq::Code*, std::size_t,
+                   const std::uint32_t*, std::size_t, std::int64_t,
+                   std::int64_t*) {
+  return false;
+}
+
+bool decline_batch_packed(const QProbe&, const std::uint8_t*, std::size_t,
+                          unsigned, const std::uint32_t*, std::size_t,
+                          std::int64_t, std::int64_t*) {
+  return false;
+}
+
+constexpr QKernelTable kScalarTable{
+    qdist_scalar,         qdist_bounded_scalar, qbatch_scalar,
+    qbatch_packed_scalar, decline_batch,        decline_batch_packed};
 
 // SSE2 and NEON lack the gathers the fused-decode scan leans on, so their
 // packed entries alias the scalar packed kernel (still bit-identical).
 const QKernelTable kTables[4] = {
     kScalarTable,
 #if defined(MENDEL_SIMD_X86)
-    {qdist_sse2, qdist_bounded_sse2, qbatch_sse2, qbatch_packed_scalar},
-    {qdist_avx2, qdist_bounded_avx2, qbatch_avx2, qbatch_packed_avx2},
+    {qdist_sse2, qdist_bounded_sse2, qbatch_sse2, qbatch_packed_scalar,
+     decline_batch, decline_batch_packed},
+    {qdist_avx2, qdist_bounded_avx2, qbatch_avx2, qbatch_packed_avx2,
+     qprobe_batch_avx2, qprobe_batch_packed_avx2},
 #else
     kScalarTable,
     kScalarTable,
 #endif
 #if defined(MENDEL_SIMD_ARM)
-    {qdist_neon, qdist_bounded_neon, qbatch_neon, qbatch_packed_scalar},
+    {qdist_neon, qdist_bounded_neon, qbatch_neon, qbatch_packed_scalar,
+     decline_batch, decline_batch_packed},
 #else
     kScalarTable,
 #endif
 };
 
 }  // namespace
+
+QProbe::QProbe(const QuantizedDistance& q, const seq::Code* codes,
+               std::size_t length)
+    : q_(&q), codes_(codes), length_(length) {
+  if (length <= kShortWindow) {
+    bool fits = true;
+    std::int64_t max_sum = 0;
+    for (std::size_t i = 0; i < length && fits; ++i) {
+      const std::uint16_t* row = q.lut16() + codes[i] * kCodesStride;
+      std::uint16_t row_max = 0;
+      for (std::size_t b = 0; b < kCodesStride; ++b) {
+        fits = fits && row[b] <= 255;
+        row_max = std::max(row_max, row[b]);
+        shuffle_[32 * i + b] = static_cast<std::uint8_t>(row[b]);
+      }
+      max_sum += row_max;
+    }
+    shuffle_ready_ = fits;
+    lane_limit_ = max_sum <= 255 ? std::numeric_limits<std::int64_t>::max()
+                                 : 254;
+  }
+  if (q.indicator() && length <= kMaxXorWindow) {
+    xor_ready_ = true;
+    for (std::size_t i = 0; i < length; ++i) {
+      xor_ready_ = xor_ready_ && codes[i] < 4;
+      packed_[i / 16] |= static_cast<std::uint32_t>(codes[i] & 3)
+                         << (2 * (i % 16));
+    }
+  }
+}
+
+void QProbe::scan(const seq::Code* base, std::size_t stride,
+                  const std::uint32_t* slots, std::size_t count,
+                  std::int64_t qthresh, std::int64_t* out) const {
+  const QKernelTable& k = qkernels();
+  if (!k.probe_batch(*this, base, stride, slots, count, qthresh, out)) {
+    k.distance_batch(*q_, codes_, base, stride, slots, count, length_,
+                     qthresh, out);
+  }
+}
+
+void QProbe::scan_packed(const std::uint8_t* base, std::size_t stride,
+                         unsigned bits, const std::uint32_t* slots,
+                         std::size_t count, std::int64_t qthresh,
+                         std::int64_t* out) const {
+  const QKernelTable& k = qkernels();
+  if (!k.probe_batch_packed(*this, base, stride, bits, slots, count, qthresh,
+                            out)) {
+    k.distance_batch_packed(*q_, codes_, base, stride, bits, slots, count,
+                            length_, qthresh, out);
+  }
+}
 
 std::shared_ptr<const QuantizedDistance> QuantizedDistance::build(
     const double* cells, std::size_t cardinality) {
@@ -522,5 +799,6 @@ const QKernelTable& qkernels() {
 const QKernelTable& qkernels_for(int level) {
   return kTables[level & 3];
 }
+
 
 }  // namespace mendel::score

@@ -24,6 +24,12 @@
 // of once per residue and still make exactly the scalar kernel's
 // keep/abandon decision. Abandoning kernels return a value > bound;
 // within-bound results are exact.
+//
+// Leaf scans of short windows go through a QProbe, which carries per-probe
+// tables for two AVX2 kernels that move whole rows instead of gathering
+// residue by residue: a vpshufb lookup over transposed unpacked rows, and
+// an XOR and popcount over 2-bit packed rows under an indicator metric.
+// Whatever they decline falls back to the gather kernels of QKernelTable.
 #pragma once
 
 #include <array>
@@ -33,6 +39,8 @@
 #include "src/sequence/sequence.h"
 
 namespace mendel::score {
+
+class QProbe;
 
 class QuantizedDistance {
  public:
@@ -115,6 +123,82 @@ struct QKernelTable {
                                 unsigned bits, const std::uint32_t* slots,
                                 std::size_t count, std::size_t length,
                                 std::int64_t qthresh, std::int64_t* out);
+  // The short-window kernels over a prepared probe (AVX2 only; the other
+  // levels decline). Each has the contract of the entry above it and
+  // returns false, writing nothing, when it does not apply to this probe,
+  // row encoding or threshold:
+  //   * probe_batch — unpacked rows of at most QProbe::kShortWindow
+  //     residues whose probe-row cells fit a byte (QProbe::shuffle_ready)
+  //     and a threshold the byte lanes answer exactly
+  //     (qthresh <= QProbe::lane_limit);
+  //   * probe_batch_packed — 2-bit rows under an indicator metric with a
+  //     probe of DNA core bases only (QProbe::xor_ready).
+  bool (*probe_batch)(const QProbe& p, const seq::Code* base,
+                      std::size_t stride, const std::uint32_t* slots,
+                      std::size_t count, std::int64_t qthresh,
+                      std::int64_t* out);
+  bool (*probe_batch_packed)(const QProbe& p, const std::uint8_t* base,
+                             std::size_t stride, unsigned bits,
+                             const std::uint32_t* slots, std::size_t count,
+                             std::int64_t qthresh, std::int64_t* out);
+};
+
+// One probe of an n-NN lookup, with the tables the short-window kernels
+// need. A lookup scores every candidate against the same probe, so the
+// tables are built once per lookup (StorageNode builds one per subquery)
+// rather than once per bucket scan:
+//   * shuffle tables — per probe position, the probe's LUT row as byte
+//     cells, split into codes 0-15 and 16-23 because vpshufb looks up 16
+//     entries at a time;
+//   * packed words — the probe at 2 bits per residue, for the XOR and
+//     popcount scan of 2-bit rows.
+// The probe codes are borrowed and must outlive the QProbe.
+class QProbe {
+ public:
+  // Longest window the shuffle kernel takes (two 8-residue row halves).
+  static constexpr std::size_t kShortWindow = 16;
+  // Longest window the XOR kernel takes (four 32-bit words of 2-bit codes).
+  static constexpr std::size_t kMaxXorWindow = 64;
+
+  QProbe(const QuantizedDistance& q, const seq::Code* codes,
+         std::size_t length);
+
+  std::size_t length() const { return length_; }
+
+  bool shuffle_ready() const { return shuffle_ready_; }
+  // Byte lanes add with unsigned saturation, so a lane holds
+  // min(sum, 255). They answer exactly for any qthresh up to this limit:
+  // every threshold when no window can pass 255, otherwise thresholds
+  // below 255 (a saturated lane is then > qthresh).
+  std::int64_t lane_limit() const { return lane_limit_; }
+  // 32 bytes per probe position: cells for codes 0-15, then codes 16-23
+  // and zero fill.
+  const std::uint8_t* shuffle_table() const { return shuffle_.data(); }
+
+  bool xor_ready() const { return xor_ready_; }
+  // The probe packed like a 2-bit arena row, read as little-endian words.
+  const std::uint32_t* packed_words() const { return packed_.data(); }
+
+  // Batched leaf scans with the contracts of QKernelTable::distance_batch
+  // and distance_batch_packed: the short-window kernel when it applies,
+  // otherwise the dispatched gather kernel.
+  void scan(const seq::Code* base, std::size_t stride,
+            const std::uint32_t* slots, std::size_t count,
+            std::int64_t qthresh, std::int64_t* out) const;
+  void scan_packed(const std::uint8_t* base, std::size_t stride,
+                   unsigned bits, const std::uint32_t* slots,
+                   std::size_t count, std::int64_t qthresh,
+                   std::int64_t* out) const;
+
+ private:
+  const QuantizedDistance* q_;
+  const seq::Code* codes_;
+  std::size_t length_;
+  bool shuffle_ready_ = false;
+  bool xor_ready_ = false;
+  std::int64_t lane_limit_ = 0;
+  alignas(32) std::array<std::uint8_t, kShortWindow * 32> shuffle_{};
+  std::array<std::uint32_t, kMaxXorWindow / 16> packed_{};
 };
 
 // The kernel table for simd::active_level() (one relaxed atomic read).

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -365,16 +364,18 @@ class DynamicVpTree {
         { m.bounded(a, b, bound) } -> std::convertible_to<double>;
       };
 
-  // Detects a Metric that can score a whole run of contiguous items against
-  // one target per call (the SIMD batched leaf scan): out[j] must be exact
-  // whenever it is <= bound, and any value > bound otherwise — the same
-  // contract as bounded(), item-wise. Bucket scans hand the metric chunks
-  // of the leaf's contiguous item array.
+  // Detects a Metric that scans a whole leaf bucket against one target per
+  // call (the SIMD leaf scan): scan_leaf(a, items, count, bound, admit)
+  // must call admit(j, d) — in item order, with the exact distance d — for
+  // exactly the items whose distance is <= the bound current at that item,
+  // where admit returns the new bound. Admission is the only event that
+  // shrinks tau, so the heap evolves exactly as in the item-at-a-time path.
   template <typename M>
-  static constexpr bool has_batched_metric =
+  static constexpr bool has_leaf_scan =
       requires(const M& m, const T& a, const T* items, std::size_t count,
-               double bound, double* out) {
-        { m.bounded_batch(a, items, count, bound, out) };
+               double bound) {
+        m.scan_leaf(a, items, count, bound,
+                    [](std::size_t, double d) { return d; });
       };
 
   using Iter = typename std::vector<T>::iterator;
@@ -695,27 +696,13 @@ class DynamicVpTree {
               KnnState<M>& state) const {
     if (node == nullptr) return;
     if (node->is_leaf()) {
-      if constexpr (has_batched_metric<M>) {
-        // Chunked batch scan. The abandon bound is tau at chunk entry;
-        // admission re-reads tau per item, so the heap evolves exactly as
-        // in the item-at-a-time path (tau only shrinks, and a distance
-        // admitted under the current tau was necessarily <= the entry tau
-        // and therefore exact).
-        constexpr std::size_t kChunk = 64;
-        std::array<double, kChunk> dists;
+      if constexpr (has_leaf_scan<M>) {
         const T* items = node->bucket.data();
-        const std::size_t total = node->bucket.size();
-        for (std::size_t offset = 0; offset < total;) {
-          const std::size_t run = std::min(total - offset, kChunk);
-          metric.bounded_batch(target, items + offset, run, state.tau(),
-                               dists.data());
-          for (std::size_t j = 0; j < run; ++j) {
-            if (dists[j] <= state.tau()) {
-              state.offer(&items[offset + j], dists[j]);
-            }
-          }
-          offset += run;
-        }
+        metric.scan_leaf(target, items, node->bucket.size(), state.tau(),
+                         [&](std::size_t j, double d) {
+                           state.offer(&items[j], d);
+                           return state.tau();
+                         });
       } else {
         for (const T& item : node->bucket) {
           if constexpr (has_bounded_metric<M>) {

@@ -131,6 +131,77 @@ TEST(Pipeline, DnaDatabaseEndToEnd) {
   EXPECT_GT(outcome.hits.front().alignment.percent_identity(), 0.95);
 }
 
+// ---------- vp-tree shape ----------
+
+// Encoded ranked hits of one query set, after the initial build and after
+// each of three add_sequences rounds, on a cluster whose nodes use the
+// given leaf size. Every node's audit must stay clean throughout.
+std::vector<std::vector<std::uint8_t>> ranked_hits_per_round(
+    seq::Alphabet alphabet, std::size_t bucket_capacity) {
+  workload::DatabaseSpec spec = database_spec();
+  spec.alphabet = alphabet;
+  const auto store = workload::generate_database(spec);
+  auto options = cluster_options();
+  options.bucket_capacity = bucket_capacity;
+  core::Client client(options);
+  client.index(store);
+
+  core::QueryParams params;
+  if (alphabet == seq::Alphabet::kDna) {
+    params.matrix = "DNA";
+    params.identity = 0.6;
+    params.gapped_trigger = 1.0;
+  }
+  std::vector<seq::Sequence> queries;
+  for (seq::SequenceId id : {1u, 9u, 22u, 30u}) {
+    queries.push_back(probe_of(store, id, 20, 120));
+  }
+  std::vector<std::vector<std::uint8_t>> rounds;
+  for (std::uint64_t round = 0;; ++round) {
+    for (net::NodeId id = 0; id < client.node_count(); ++id) {
+      const auto violations = client.node(id).audit();
+      EXPECT_TRUE(violations.empty())
+          << "leaf size " << bucket_capacity << " round " << round << ": "
+          << violations.front();
+    }
+    for (const auto& query : queries) {
+      core::QueryResultPayload payload;
+      payload.hits = client.query(query, params).hits;
+      rounds.push_back(core::encode_payload(payload));
+    }
+    if (round == 3) break;
+    workload::DatabaseSpec extra_spec = spec;
+    extra_spec.families = 1;
+    extra_spec.members_per_family = 3;
+    extra_spec.background_sequences = 2;
+    extra_spec.seed = 1000 + round;
+    const auto extra = workload::generate_database(extra_spec);
+    client.add_sequences(extra);
+    queries.push_back(probe_of(extra, 0, 10, 120));
+  }
+  return rounds;
+}
+
+// n-NN ties break on block identity (BlockRefMetric::tie_before), so the
+// hits must not depend on the vp-tree's shape: leaf sizes from 4 (deep
+// trees) to 1024 (one leaf per node) give byte-identical results.
+TEST(Pipeline, RankedHitsDoNotDependOnLeafSize) {
+  for (const auto alphabet : {seq::Alphabet::kProtein, seq::Alphabet::kDna}) {
+    const auto reference = ranked_hits_per_round(alphabet, 32);
+    std::size_t with_hits = 0;
+    for (const auto& bytes : reference) {
+      const auto payload =
+          core::decode_payload<core::QueryResultPayload>(bytes);
+      with_hits += payload.hits.empty() ? 0 : 1;
+    }
+    EXPECT_EQ(with_hits, reference.size()) << seq::name(alphabet);
+    for (const std::size_t leaf : {4UL, 256UL, 1024UL}) {
+      EXPECT_EQ(ranked_hits_per_round(alphabet, leaf), reference)
+          << seq::name(alphabet) << " leaf size " << leaf;
+    }
+  }
+}
+
 // ---------- persistence ----------
 
 TEST(Pipeline, SaveAndLoadIndexReproducesResults) {

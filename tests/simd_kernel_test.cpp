@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -364,6 +365,228 @@ TEST(SimdKernels, PackedBatchedScanMatchesUnpackedOracle) {
       }
     }
   }
+}
+
+// --- short-window kernels over a prepared QProbe ---------------------------
+//
+// The fuzz below calls the AVX2 short-window kernels directly and asserts
+// whether each one applies, so a fast path that is silently never taken
+// fails here rather than passing through the gather-kernel fallback.
+
+// A full first arena allocation: its last row sits right before the guard
+// tail, so whole-row and whole-word reads of that row probe the tail.
+constexpr std::size_t kArenaRows = 1024;
+
+bool avx2_runnable() {
+  const auto levels = simd::available_levels();
+  return std::find(levels.begin(), levels.end(), simd::Level::kAVX2) !=
+         levels.end();
+}
+
+// Scan slots: random rows plus the last arena row, at both ends of the
+// run and in the middle; the count is not a multiple of 8 or 32, so the
+// kernels' padded final passes run too.
+std::vector<std::uint32_t> scan_slots(Rng& rng) {
+  std::vector<std::uint32_t> slots(75);
+  for (auto& slot : slots) {
+    slot = static_cast<std::uint32_t>(rng.below(kArenaRows));
+  }
+  slots.front() = slots[37] = slots.back() = kArenaRows - 1;
+  return slots;
+}
+
+// Thresholds around the byte-lane limit plus random and unbounded ones.
+std::vector<std::int64_t> scan_thresholds(Rng& rng, std::int64_t span) {
+  return {-1,  0,   253, 254, 255, 256,
+          static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(
+              span + 1))),
+          std::numeric_limits<std::int64_t>::max()};
+}
+
+// Keep/abandon decisions and kept values of `got` match the scalar oracle.
+void expect_matches_oracle(const std::vector<std::int64_t>& got,
+                           const std::vector<std::int64_t>& want,
+                           std::int64_t qthresh, const std::string& what) {
+  for (std::size_t j = 0; j < want.size(); ++j) {
+    ASSERT_EQ(got[j] > qthresh, want[j] > qthresh) << what << " item " << j;
+    if (want[j] <= qthresh) {
+      ASSERT_EQ(got[j], want[j]) << what << " item " << j;
+    }
+  }
+}
+
+// A random exact matrix whose cells exceed a byte: the shuffle kernel must
+// decline and the gather fallback still answer exactly.
+DistanceMatrix wide_exact_matrix(Rng& rng) {
+  DistanceMatrix d(seq::Alphabet::kProtein);
+  const std::size_t n = seq::cardinality(seq::Alphabet::kProtein);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = a + 1; b < n; ++b) {
+      const double v = static_cast<double>(200 + rng.below(2000));
+      d.set(static_cast<seq::Code>(a), static_cast<seq::Code>(b), v);
+      d.set(static_cast<seq::Code>(b), static_cast<seq::Code>(a), v);
+    }
+  }
+  EXPECT_TRUE(d.requantize());
+  return d;
+}
+
+TEST(SimdKernels, ShuffleKernelMatchesScalarOracle) {
+  SimdLevelGuard guard;
+  Rng rng(0x51D0009);
+  const bool avx2 = avx2_runnable();
+  const auto& avx2_table =
+      score::qkernels_for(static_cast<int>(simd::Level::kAVX2));
+  const auto& scalar = score::qkernels_for(0);
+  std::vector<DistanceMatrix> matrices;
+  matrices.push_back(DistanceMatrix::metric_from_scores(score::blosum62()));
+  matrices.push_back(DistanceMatrix::paper_from_scores(score::pam250()));
+  matrices.push_back(random_exact_matrix(rng, seq::Alphabet::kProtein, 2));
+  matrices.push_back(DistanceMatrix::hamming(seq::Alphabet::kDna));
+  matrices.push_back(wide_exact_matrix(rng));
+  for (std::size_t m = 0; m < matrices.size(); ++m) {
+    const DistanceMatrix& d = matrices[m];
+    const QuantizedDistance* q = d.quantized();
+    ASSERT_NE(q, nullptr);
+    const bool wide = m + 1 == matrices.size();
+    const std::size_t card = seq::cardinality(d.alphabet());
+    for (std::size_t len = 1; len <= score::QProbe::kShortWindow; ++len) {
+      vpt::WindowArena arena;
+      for (std::size_t i = 0; i < kArenaRows; ++i) {
+        arena.append(seq::CodeSpan(random_window(rng, len, card)));
+      }
+      ASSERT_TRUE(arena.layout_ok());
+      const auto probe = random_window(rng, len, card);
+      const score::QProbe qp(*q, probe.data(), len);
+      // Shipped matrices fit byte lanes; the wide one must not.
+      ASSERT_EQ(qp.shuffle_ready(), !wide) << "matrix " << m << " len " << len;
+      const auto slots = scan_slots(rng);
+      const auto span = static_cast<std::int64_t>(len) * 2 * 255;
+      for (const std::int64_t qthresh : scan_thresholds(rng, span)) {
+        const std::string what = "matrix " + std::to_string(m) + " len " +
+                                 std::to_string(len) + " qthresh " +
+                                 std::to_string(qthresh);
+        std::vector<std::int64_t> want(slots.size());
+        scalar.distance_batch(*q, probe.data(), arena.base(), arena.stride(),
+                              slots.data(), slots.size(), len, qthresh,
+                              want.data());
+        if (avx2) {
+          std::vector<std::int64_t> got(slots.size(), -42);
+          const bool applied = avx2_table.probe_batch(
+              qp, arena.base(), arena.stride(), slots.data(), slots.size(),
+              qthresh, got.data());
+          ASSERT_EQ(applied, qp.shuffle_ready() && qthresh <= qp.lane_limit())
+              << what;
+          if (applied) expect_matches_oracle(got, want, qthresh, what);
+        }
+        for (simd::Level level : simd::available_levels()) {
+          simd::set_active_level(level);
+          std::vector<std::int64_t> got(slots.size(), -42);
+          qp.scan(arena.base(), arena.stride(), slots.data(), slots.size(),
+                  qthresh, got.data());
+          expect_matches_oracle(got, want, qthresh,
+                                what + " level " + simd::level_name(level));
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, XorKernelMatchesScalarOracle) {
+  SimdLevelGuard guard;
+  Rng rng(0x51D000A);
+  const bool avx2 = avx2_runnable();
+  const auto& avx2_table =
+      score::qkernels_for(static_cast<int>(simd::Level::kAVX2));
+  const auto& scalar = score::qkernels_for(0);
+  const DistanceMatrix hamming = DistanceMatrix::hamming(seq::Alphabet::kDna);
+  const DistanceMatrix weighted =
+      random_exact_matrix(rng, seq::Alphabet::kDna, 8);
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 1; len <= 16; ++len) lengths.push_back(len);
+  for (std::size_t len : {17UL, 31UL, 32UL, 33UL, 48UL, 63UL, 64UL, 65UL}) {
+    lengths.push_back(len);
+  }
+  // Cases: core probes on 2-bit rows (the fast path), probes containing N,
+  // 4-bit rows (an N in the arena widens it) and a non-indicator matrix;
+  // all but the first must decline.
+  enum Case { kCore, kProbeN, kFourBit, kWeighted };
+  for (const Case c : {kCore, kProbeN, kFourBit, kWeighted}) {
+    const DistanceMatrix& d = c == kWeighted ? weighted : hamming;
+    const QuantizedDistance* q = d.quantized();
+    ASSERT_NE(q, nullptr);
+    for (const std::size_t len : lengths) {
+      vpt::WindowArena packed;
+      packed.configure({.packed_bits = 2});
+      vpt::WindowArena plain;
+      for (std::size_t i = 0; i < kArenaRows; ++i) {
+        auto w = random_window(rng, len, 4);
+        if (c == kFourBit && i == kArenaRows / 2) w[0] = 4;  // N
+        packed.append(seq::CodeSpan(w));
+        plain.append(seq::CodeSpan(w));
+      }
+      ASSERT_EQ(packed.packed_bits(), c == kFourBit ? 4u : 2u);
+      ASSERT_TRUE(packed.layout_ok());
+      auto probe = random_window(rng, len, 4);
+      if (c == kProbeN) probe[rng.below(len)] = 4;
+      const score::QProbe qp(*q, probe.data(), len);
+      const bool short_window = len <= score::QProbe::kMaxXorWindow;
+      // The probe side is ready for 4-bit rows too; the kernel declines
+      // those by their width.
+      ASSERT_EQ(qp.xor_ready(), (c == kCore || c == kFourBit) && short_window)
+          << "case " << c << " len " << len;
+      const bool fast = c == kCore && short_window;
+      const auto slots = scan_slots(rng);
+      for (const std::int64_t qthresh :
+           scan_thresholds(rng, static_cast<std::int64_t>(len) * 200)) {
+        const std::string what = "case " + std::to_string(c) + " len " +
+                                 std::to_string(len) + " qthresh " +
+                                 std::to_string(qthresh);
+        std::vector<std::int64_t> want(slots.size());
+        scalar.distance_batch(*q, probe.data(), plain.base(), plain.stride(),
+                              slots.data(), slots.size(), len, qthresh,
+                              want.data());
+        if (avx2) {
+          std::vector<std::int64_t> got(slots.size(), -42);
+          const bool applied = avx2_table.probe_batch_packed(
+              qp, packed.base(), packed.stride(), packed.packed_bits(),
+              slots.data(), slots.size(), qthresh, got.data());
+          ASSERT_EQ(applied, fast) << what;
+          if (applied) expect_matches_oracle(got, want, qthresh, what);
+        }
+        for (simd::Level level : simd::available_levels()) {
+          simd::set_active_level(level);
+          std::vector<std::int64_t> got(slots.size(), -42);
+          qp.scan_packed(packed.base(), packed.stride(), packed.packed_bits(),
+                         slots.data(), slots.size(), qthresh, got.data());
+          expect_matches_oracle(got, want, qthresh,
+                                what + " level " + simd::level_name(level));
+        }
+      }
+    }
+  }
+}
+
+// Levels without the short-window kernels decline every call.
+TEST(SimdKernels, ShortWindowKernelsDeclineBelowAvx2) {
+  const DistanceMatrix d = DistanceMatrix::hamming(seq::Alphabet::kDna);
+  const std::vector<seq::Code> probe{0, 1, 2, 3, 0, 1, 2, 3};
+  const score::QProbe qp(*d.quantized(), probe.data(), probe.size());
+  ASSERT_TRUE(qp.shuffle_ready());
+  ASSERT_TRUE(qp.xor_ready());
+  vpt::WindowArena arena;
+  arena.append(seq::CodeSpan(probe));
+  const std::uint32_t slot = 0;
+  std::int64_t out = -42;
+  for (const simd::Level level :
+       {simd::Level::kScalar, simd::Level::kSSE2, simd::Level::kNEON}) {
+    const auto& k = score::qkernels_for(static_cast<int>(level));
+    EXPECT_FALSE(
+        k.probe_batch(qp, arena.base(), arena.stride(), &slot, 1, 8, &out));
+    EXPECT_FALSE(k.probe_batch_packed(qp, arena.base(), arena.stride(), 2,
+                                      &slot, 1, 8, &out));
+  }
+  EXPECT_EQ(out, -42);
 }
 
 // A 2-bit DNA arena must widen itself (2 -> 4 -> unpacked) the moment a
