@@ -1,48 +1,48 @@
 #include "src/mendel/client.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 
 #include "src/cluster/telemetry.h"
 #include "src/common/error.h"
-#include "src/common/stopwatch.h"
 #include "src/hash/sha1.h"
 #include "src/mendel/protocol.h"
 #include "src/scoring/matrix.h"
 
 namespace mendel::core {
 
-namespace {
-
-// MENDEL_ARENA_BUDGET=<bytes>[k|m|g] overrides every node's resident arena
-// budget; CI's spill job uses it to force out-of-core operation without
-// touching call sites. Malformed values are ignored.
-std::size_t arena_budget_from_env(std::size_t fallback) {
-  const char* env = std::getenv("MENDEL_ARENA_BUDGET");
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(env, &end, 10);
-  if (end == env) return fallback;
+std::size_t parse_arena_budget(std::string_view text, std::size_t fallback) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  // from_chars takes no sign or leading space for an unsigned type and
+  // reports overflow, so "-1" and oversized counts fall back here.
+  const auto [rest, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc()) return fallback;
   std::size_t scale = 1;
-  switch (*end) {
-    case '\0': break;
-    case 'k': case 'K': scale = 1024ull; break;
-    case 'm': case 'M': scale = 1024ull * 1024; break;
-    case 'g': case 'G': scale = 1024ull * 1024 * 1024; break;
-    default: return fallback;
+  if (rest != end) {
+    if (end - rest != 1) return fallback;  // "4mb", "4m junk"
+    switch (*rest) {
+      case 'k': case 'K': scale = std::size_t{1} << 10; break;
+      case 'm': case 'M': scale = std::size_t{1} << 20; break;
+      case 'g': case 'G': scale = std::size_t{1} << 30; break;
+      default: return fallback;
+    }
   }
-  return static_cast<std::size_t>(value) * scale;
+  if (value > std::numeric_limits<std::size_t>::max() / scale) return fallback;
+  return value * scale;
 }
-
-}  // namespace
 
 Client::Client(ClientOptions options)
     : options_(std::move(options)),
       client_spans_(options_.runtime.trace_buffer_capacity) {
-  options_.runtime.arena_resident_budget =
-      arena_budget_from_env(options_.runtime.arena_resident_budget);
+  if (const char* env = std::getenv("MENDEL_ARENA_BUDGET")) {
+    options_.runtime.arena_resident_budget =
+        parse_arena_budget(env, options_.runtime.arena_resident_budget);
+  }
   options_.runtime.socket.endpoints =
       net::endpoints_from_env(std::move(options_.runtime.socket.endpoints));
   net::TransportConfig transport_config;
@@ -50,11 +50,7 @@ Client::Client(ClientOptions options)
   transport_config.cost = options_.cost;
   transport_config.schedule_seed = options_.runtime.schedule_seed;
   transport_config.socket = options_.runtime.socket;
-  transport_owner_ = net::make_transport(transport_config);
-  transport_ = transport_owner_.get();
-  sim_ = dynamic_cast<net::SimTransport*>(transport_);
-  threaded_ = dynamic_cast<net::ThreadTransport*>(transport_);
-  socket_ = dynamic_cast<net::SocketTransport*>(transport_);
+  transport_ = net::make_transport(transport_config);
   if (options_.runtime.search_threads > 0) {
     search_pool_ =
         std::make_unique<ThreadPool>(options_.runtime.search_threads);
@@ -67,14 +63,6 @@ Client::Client(ClientOptions options)
   }
   client_actor_ = std::make_unique<net::FunctionActor>(
       [this](const net::Message& message, net::Context& ctx) {
-        if (message.type == kBarrierAck) {
-          std::lock_guard lock(barrier_mu_);
-          if (message.request_id == barrier_id_ &&
-              barrier_outstanding_ > 0 && --barrier_outstanding_ == 0) {
-            barrier_cv_.notify_all();
-          }
-          return;
-        }
         if (message.type == kTraceReport) {
           auto report = decode_payload<TraceReportPayload>(message.payload);
           std::lock_guard lock(trace_mu_);
@@ -112,11 +100,28 @@ Client::Client(ClientOptions options)
 }
 
 Client::~Client() {
-  // The threaded workers reference the storage nodes; stop them before the
-  // nodes_ vector is destroyed. The socket dispatch threads reference the
-  // client actor, so they too stop before members go away.
-  if (threaded_ && started_) threaded_->drain_and_stop();
-  if (socket_) socket_->stop();
+  // Dispatch threads reference the storage nodes and the client actor;
+  // stop them before those members go away.
+  transport_->stop();
+}
+
+StorageNodeConfig Client::node_config() {
+  StorageNodeConfig config;
+  config.topology = topology_.get();
+  config.prefix_tree = prefix_tree_.get();
+  config.distance = distance_.get();
+  config.alphabet = alphabet_;
+  config.bucket_capacity = options_.bucket_capacity;
+  config.database_residues = database_residues_;
+  config.search_pool = search_pool_.get();
+  config.nn_cache_capacity = options_.runtime.nn_cache_capacity;
+  config.metrics = options_.runtime.enable_metrics ? &registry_ : nullptr;
+  config.trace_buffer_capacity = options_.runtime.trace_buffer_capacity;
+  config.arena_resident_budget = options_.runtime.arena_resident_budget;
+  config.arena_packing = options_.runtime.arena_packing;
+  config.arena_segment_bytes = options_.runtime.arena_segment_bytes;
+  config.prune_extensions = options_.runtime.prune_extensions;
+  return config;
 }
 
 void Client::spawn_nodes(seq::Alphabet alphabet) {
@@ -125,110 +130,50 @@ void Client::spawn_nodes(seq::Alphabet alphabet) {
   // prefix tree captures its address; it must never be reallocated here.
   require(distance_ != nullptr, "spawn_nodes: distance matrix not set");
 
-  if (socket_) {
-    // The nodes live in mendel-node daemons: start the transport (binds
-    // nothing locally, dials every endpoint), broadcast the cluster
-    // description, and barrier so indexing only starts against
-    // fully-constructed remote nodes.
+  // The one place the mode matters: under kSocket the storage nodes live
+  // in mendel-node daemons, everywhere else in this process. Past this
+  // point in-process nodes are nodes_ and remote ones are the ids from
+  // nodes_.size() up.
+  if (options_.runtime.transport_mode == TransportMode::kSocket) {
     require(options_.runtime.socket.endpoints.size() >=
                 topology_->total_nodes(),
             "spawn_nodes: socket mode needs an endpoint per node "
             "(RuntimeOptions::socket.endpoints or MENDEL_ENDPOINTS)");
-    socket_->start();
-    started_ = true;
-    const auto payload = encode_payload(make_node_init());
+  } else {
+    nodes_.reserve(topology_->total_nodes());
     for (net::NodeId id = 0; id < topology_->total_nodes(); ++id) {
-      net::Message message;
-      message.from = net::kClientNode;
-      message.to = id;
-      message.type = kNodeInit;
-      message.request_id = 0;
-      message.payload = payload;
-      transport_->send(std::move(message));
+      nodes_.push_back(std::make_unique<StorageNode>(id, node_config()));
+      transport_->register_actor(id, nodes_.back().get());
     }
+  }
+  transport_->start();
+  // Remote nodes are built by message; settle so indexing only starts
+  // against fully-constructed nodes.
+  const auto first_remote = static_cast<net::NodeId>(nodes_.size());
+  if (first_remote < topology_->total_nodes()) {
+    broadcast(kNodeInit, 0, encode_payload(make_node_init()), first_remote);
     settle();
-    return;
-  }
-
-  StorageNodeConfig node_config;
-  node_config.topology = topology_.get();
-  node_config.prefix_tree = prefix_tree_.get();
-  node_config.distance = distance_.get();
-  node_config.alphabet = alphabet;
-  node_config.bucket_capacity = options_.bucket_capacity;
-  node_config.search_pool = search_pool_.get();
-  node_config.nn_cache_capacity = options_.runtime.nn_cache_capacity;
-  node_config.metrics =
-      options_.runtime.enable_metrics ? &registry_ : nullptr;
-  node_config.trace_buffer_capacity = options_.runtime.trace_buffer_capacity;
-  node_config.arena_resident_budget = options_.runtime.arena_resident_budget;
-  node_config.arena_packing = options_.runtime.arena_packing;
-  node_config.arena_segment_bytes = options_.runtime.arena_segment_bytes;
-  node_config.prune_extensions = options_.runtime.prune_extensions;
-
-  nodes_.reserve(topology_->total_nodes());
-  for (net::NodeId id = 0; id < topology_->total_nodes(); ++id) {
-    nodes_.push_back(std::make_unique<StorageNode>(id, node_config));
-    transport_->register_actor(id, nodes_.back().get());
-  }
-  if (threaded_) {
-    threaded_->start();
-    started_ = true;
   }
 }
 
-double Client::settle() {
-  if (sim_) return sim_->run_until_idle();
-  if (threaded_) {
-    threaded_->wait_idle();
-    return 0.0;
+void Client::settle() { transport_->settle(); }
+
+void Client::broadcast(std::uint32_t type, std::uint64_t request_id,
+                       const std::vector<std::uint8_t>& payload,
+                       net::NodeId first, net::NodeId skip) {
+  for (net::NodeId id = first; id < topology_->total_nodes(); ++id) {
+    if (id != skip && !transport_down(id)) send(id, type, request_id, payload);
   }
-  settle_socket();
-  return 0.0;
 }
 
-void Client::settle_socket() {
-  std::vector<net::NodeId> targets;
-  for (net::NodeId id = 0; id < topology_->total_nodes(); ++id) {
-    if (!transport_down(id)) targets.push_back(id);
-  }
-  if (targets.empty()) return;
-  const std::uint64_t barrier_id =
-      next_query_id_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard lock(barrier_mu_);
-    barrier_id_ = barrier_id;
-    barrier_outstanding_ = targets.size();
-  }
-  for (net::NodeId id : targets) {
-    net::Message message;
-    message.from = net::kClientNode;
-    message.to = id;
-    message.type = kBarrier;
-    message.request_id = barrier_id;
-    transport_->send(std::move(message));
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(
-              options_.runtime.socket.settle_timeout));
-  std::unique_lock lock(barrier_mu_);
-  while (barrier_outstanding_ > 0) {
-    if (barrier_cv_.wait_until(lock, deadline) ==
-        std::cv_status::timeout) {
-      // A node died (or dropped our barrier) mid-settle; give up rather
-      // than hang — the caller's own fault handling owns the follow-up.
-      barrier_outstanding_ = 0;
-      break;
-    }
-  }
-  barrier_id_ = 0;
-}
-
-double Client::now_seconds() const {
-  if (sim_) return sim_->external_time();
-  return monotonic_seconds();
+void Client::send(net::NodeId to, std::uint32_t type,
+                  std::uint64_t request_id,
+                  std::vector<std::uint8_t> payload) {
+  transport_->send({.from = net::kClientNode,
+                    .to = to,
+                    .type = type,
+                    .request_id = request_id,
+                    .payload = std::move(payload)});
 }
 
 bool Client::transport_down(net::NodeId id) const {
@@ -242,28 +187,17 @@ net::FaultInjector& Client::fault_injector() const {
   return *faults;
 }
 
+std::vector<std::uint8_t> Client::residues_payload() const {
+  SetResiduesPayload payload;
+  payload.residues = database_residues_;
+  return encode_payload(payload);
+}
+
 void Client::propagate_residues() {
-  if (socket_) {
-    // Remote nodes learn the E-value denominator by message.
-    SetResiduesPayload payload;
-    payload.residues = database_residues_;
-    const auto bytes = encode_payload(payload);
-    for (net::NodeId id = 0; id < topology_->total_nodes(); ++id) {
-      if (transport_down(id)) continue;
-      net::Message message;
-      message.from = net::kClientNode;
-      message.to = id;
-      message.type = kSetResidues;
-      message.request_id = 0;
-      message.payload = bytes;
-      transport_->send(std::move(message));
-    }
-    settle();
-    return;
-  }
-  for (auto& node : nodes_) {
-    node->set_database_residues(database_residues_);
-  }
+  // By message, in-process nodes too: their dispatch threads may be
+  // serving other queries, so nothing writes node state from outside.
+  broadcast(kSetResidues, 0, residues_payload());
+  settle();
 }
 
 NodeInitPayload Client::make_node_init() const {
@@ -343,40 +277,21 @@ seq::SequenceId Client::add_sequences(const seq::SequenceStore& more) {
 
 net::NodeId Client::add_node(std::uint32_t group) {
   require(indexed_, "Client::add_node before index()/load_index()");
-  require(sim_ != nullptr,
-          "Client::add_node: elastic scale-out requires TransportMode::kSim "
-          "(the threaded runtime pins its worker set at start())");
-  const net::NodeId id = topology_->add_node(group);
-
-  StorageNodeConfig node_config;
-  node_config.topology = topology_.get();
-  node_config.prefix_tree = prefix_tree_.get();
-  node_config.distance = distance_.get();
-  node_config.alphabet = alphabet_;
-  node_config.bucket_capacity = options_.bucket_capacity;
-  node_config.database_residues = database_residues_;
-  node_config.search_pool = search_pool_.get();
-  node_config.nn_cache_capacity = options_.runtime.nn_cache_capacity;
-  node_config.metrics =
-      options_.runtime.enable_metrics ? &registry_ : nullptr;
-  node_config.trace_buffer_capacity = options_.runtime.trace_buffer_capacity;
-  node_config.arena_resident_budget = options_.runtime.arena_resident_budget;
-  node_config.arena_packing = options_.runtime.arena_packing;
-  node_config.arena_segment_bytes = options_.runtime.arena_segment_bytes;
-  node_config.prune_extensions = options_.runtime.prune_extensions;
-  nodes_.push_back(std::make_unique<StorageNode>(id, node_config));
-  transport_->register_actor(id, nodes_.back().get());
+  require(group < options_.topology.num_groups,
+          "Client::add_node: group out of range");
+  // Register before touching the topology: the live transports pin their
+  // actor set at start() and reject the newcomer, leaving nothing changed.
+  const net::NodeId id = topology_->total_nodes();
+  auto node = std::make_unique<StorageNode>(id, node_config());
+  transport_->register_actor(id, node.get());
+  nodes_.push_back(std::move(node));
+  topology_->add_node(group);
 
   // Every pre-existing node re-evaluates ownership; blocks and sequences
   // the newcomer now owns flow to it (consistent hashing moves only the
   // remapped slice).
   for (net::NodeId existing = 0; existing < id; ++existing) {
-    net::Message message;
-    message.from = net::kClientNode;
-    message.to = existing;
-    message.type = kRebalance;
-    message.request_id = 0;
-    transport_->send(std::move(message));
+    send(existing, kRebalance);
   }
   settle();
   publish_load_gauges();
@@ -404,7 +319,7 @@ QueryTicket Client::submit(const seq::Sequence& query, QueryParams params) {
 
   QueryTicket ticket;
   ticket.id = query_id;
-  ticket.injected_at = now_seconds();
+  ticket.injected_at = transport_->now();
 
   if (options_.runtime.enable_tracing) {
     const std::uint64_t submit_span =
@@ -420,13 +335,7 @@ QueryTicket Client::submit(const seq::Sequence& query, QueryParams params) {
   transport_->begin_query_stats(query_id);
   if (c_submitted_ != nullptr) c_submitted_->add();
 
-  net::Message message;
-  message.from = net::kClientNode;
-  message.to = entry;
-  message.type = kQueryRequest;
-  message.request_id = query_id;
-  message.payload = encode_payload(request);
-  transport_->send(std::move(message));
+  send(entry, kQueryRequest, query_id, encode_payload(request));
   return ticket;
 }
 
@@ -448,12 +357,7 @@ void Client::broadcast_cancel(std::uint64_t query_id) {
       deferred_cancels_[id].push_back(query_id);
       continue;
     }
-    net::Message cancel;
-    cancel.from = net::kClientNode;
-    cancel.to = id;
-    cancel.type = kCancelQuery;
-    cancel.request_id = query_id;
-    transport_->send(std::move(cancel));
+    send(id, kCancelQuery, query_id);
   }
 }
 
@@ -466,12 +370,14 @@ QueryOutcome Client::finish_outcome(const QueryTicket& ticket,
   } else {
     // The dataflow stalled (a fan-in waits on a node whose messages were
     // dropped). Abort cluster-side pending state so nothing leaks, and
-    // report the incomplete outcome instead of hanging or throwing.
+    // report the incomplete outcome instead of hanging or throwing. The
+    // settle round is bounded even while other queries keep the cluster
+    // busy; a reply that raced the deadline is dropped with the query.
     outcome.completed = false;
     broadcast_cancel(ticket.id);
-    const double horizon = settle();
-    outcome.turnaround =
-        (sim_ ? horizon : now_seconds()) - ticket.injected_at;
+    settle();
+    take_reply(ticket.id);
+    outcome.turnaround = transport_->now() - ticket.injected_at;
     // No reply means no client.reply span consumed the submit-span link.
     std::lock_guard lock(trace_mu_);
     submit_spans_.erase(ticket.id);
@@ -519,85 +425,44 @@ std::uint64_t Client::record_client_span(const char* name,
   return span_id;
 }
 
-QueryOutcome Client::wait_sim(const QueryTicket& ticket) {
-  // Drains every in-flight event (this ticket's and any other admitted
-  // query's); replies land in the table and later waits find them
-  // immediately. run_until_idle also advances the external clock to the
-  // drained horizon, so future injections start there.
-  sim_->run_until_idle();
-  return finish_outcome(ticket, take_reply(ticket.id));
-}
-
-QueryOutcome Client::wait_threaded(const QueryTicket& ticket) {
-  std::optional<Reply> reply;
-  for (;;) {
-    {
-      // Explicit re-check after a bounded wait (not a predicate lambda) so
-      // the thread-safety analysis can see replies_ accessed under the
-      // lock; the outer loop absorbs spurious wakeups and timeouts.
-      std::unique_lock lock(reply_mu_);
-      auto it = replies_.find(ticket.id);
-      if (it == replies_.end()) {
-        reply_cv_.wait_for(lock, std::chrono::milliseconds(2));
-        it = replies_.find(ticket.id);
-      }
-      if (it != replies_.end()) {
-        reply = std::move(it->second);
-        replies_.erase(it);
-        break;
-      }
-    }
-    // No reply yet. If the whole cluster is quiescent the dataflow cannot
-    // make further progress: the query stalled. (A reply may have raced in
-    // between the two checks; take_reply in finish_outcome would still
-    // miss it, so re-check under the lock first.)
-    if (threaded_->idle()) {
-      reply = take_reply(ticket.id);
-      break;
-    }
-  }
-  return finish_outcome(ticket, std::move(reply));
-}
-
-QueryOutcome Client::wait_socket(const QueryTicket& ticket) {
-  // No cluster-wide idle signal exists across processes, so the stall
-  // detector is a deadline: a reply missing past query_timeout means the
-  // dataflow lost a message (node death, dropped frame) and will not
-  // complete. finish_outcome then cancels cluster-side pending state.
+QueryOutcome Client::wait(const QueryTicket& ticket) {
+  // One loop for every transport. idle() means nothing runs unless this
+  // thread settles — the simulator, which drains its whole event queue
+  // here, or a drained threaded runtime — so after that one settle a
+  // missing reply is a stall. Busy clusters and sockets, which never
+  // report idle, fall back on the per-query deadline.
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(
-              options_.runtime.socket.query_timeout));
+          std::chrono::duration<double>(options_.runtime.query_timeout));
   std::optional<Reply> reply;
-  {
-    std::unique_lock lock(reply_mu_);
-    for (;;) {
+  for (;;) {
+    if (transport_->idle()) {
+      settle();
+      reply = take_reply(ticket.id);
+      break;
+    }
+    {
+      // Explicit re-check after a bounded wait (not a predicate lambda) so
+      // the thread-safety analysis sees replies_ accessed under the lock.
+      // The slice bounds how stale the idle() reading gets.
+      std::unique_lock lock(reply_mu_);
       auto it = replies_.find(ticket.id);
+      if (it == replies_.end()) {
+        reply_cv_.wait_until(
+            lock, std::min(deadline, std::chrono::steady_clock::now() +
+                                         std::chrono::milliseconds(2)));
+        it = replies_.find(ticket.id);
+      }
       if (it != replies_.end()) {
         reply = std::move(it->second);
         replies_.erase(it);
         break;
       }
-      if (reply_cv_.wait_until(lock, deadline) ==
-          std::cv_status::timeout) {
-        // One final re-check: the reply may have raced the timeout.
-        it = replies_.find(ticket.id);
-        if (it != replies_.end()) {
-          reply = std::move(it->second);
-          replies_.erase(it);
-        }
-        break;
-      }
     }
+    if (std::chrono::steady_clock::now() >= deadline) break;
   }
   return finish_outcome(ticket, std::move(reply));
-}
-
-QueryOutcome Client::wait(const QueryTicket& ticket) {
-  if (sim_) return wait_sim(ticket);
-  if (threaded_) return wait_threaded(ticket);
-  return wait_socket(ticket);
 }
 
 QueryOutcome Client::query(const seq::Sequence& query, QueryParams params) {
@@ -645,30 +510,23 @@ obs::MetricsSnapshot Client::metrics() const {
   const net::NetworkStats traffic = transport_->stats();
   add_counter("net.messages", traffic.messages);
   add_counter("net.bytes", traffic.bytes);
-  if (sim_ != nullptr) {
-    add_counter("net.dropped_messages", sim_->dropped_messages());
-  } else if (threaded_ != nullptr) {
-    add_counter("net.dropped_messages", threaded_->dropped_messages());
-    add_counter("net.handler_errors", threaded_->handler_errors().size());
-    // Node-side rejected frames already flow through the registry's
-    // net.decode_errors counter; fold in the transport backstop (frames a
-    // non-node actor failed to decode) so the exported total covers every
-    // layer.
-    for (auto& counter : snap.counters) {
-      if (counter.name == "net.decode_errors") {
-        counter.value += threaded_->decode_errors();
-      }
-    }
+  // The same net.* keys in every mode: zero where a transport has no such
+  // mechanism. In socket mode these cover this coordinator process only.
+  const net::TransportHealth health = transport_->health();
+  add_counter("net.dropped_messages", health.dropped_messages);
+  add_counter("net.handler_errors", health.handler_errors);
+  add_counter("net.frame_errors", health.frame_errors);
+  add_counter("net.reconnects", health.reconnects);
+  add_counter("net.heartbeats_missed", health.heartbeats_missed);
+  // In-process nodes count the frames they reject in the registry's
+  // net.decode_errors; fold the transport's backstop into that total.
+  const auto decode = std::find_if(
+      snap.counters.begin(), snap.counters.end(),
+      [](const auto& counter) { return counter.name == "net.decode_errors"; });
+  if (decode != snap.counters.end()) {
+    decode->value += health.decode_errors;
   } else {
-    // Socket mode: these cover only this coordinator process — each
-    // daemon's transport keeps its own (the nodes are remote, so the
-    // registry holds no node.*/net.decode_errors entries to fold into).
-    add_counter("net.dropped_messages", socket_->dropped_messages());
-    add_counter("net.handler_errors", socket_->handler_errors().size());
-    add_counter("net.decode_errors", socket_->decode_errors());
-    add_counter("net.frame_errors", socket_->frame_errors());
-    add_counter("net.reconnects", socket_->reconnects());
-    add_counter("net.heartbeats_missed", socket_->heartbeats_missed());
+    add_counter("net.decode_errors", health.decode_errors);
   }
 
   std::uint64_t buffered = client_spans_.size();
@@ -713,15 +571,8 @@ obs::MetricsSnapshot Client::metrics() const {
 
 obs::QueryTrace Client::collect_trace(std::uint64_t query_id) {
   require(indexed_, "Client::collect_trace before index()/load_index()");
-  for (net::NodeId id = 0; id < topology_->total_nodes(); ++id) {
-    if (transport_down(id)) continue;
-    net::Message collect;
-    collect.from = net::kClientNode;
-    collect.to = id;
-    collect.type = kCollectTrace;
-    collect.request_id = query_id;
-    transport_->send(std::move(collect));
-  }
+  broadcast(kCollectTrace, query_id, {});
+  // The round files every kTraceReport that answered the broadcast.
   settle();
 
   obs::QueryTrace trace;
@@ -778,18 +629,6 @@ NodeCounters Client::total_counters() const {
   return total;
 }
 
-net::ThreadTransport& Client::thread_transport() {
-  require(threaded_ != nullptr,
-          "Client::thread_transport: not in TransportMode::kThreaded");
-  return *threaded_;
-}
-
-net::SocketTransport& Client::socket_transport() {
-  require(socket_ != nullptr,
-          "Client::socket_transport: not in TransportMode::kSocket");
-  return *socket_;
-}
-
 StorageNode& Client::node(net::NodeId id) {
   require(id < nodes_.size(), "Client::node: id out of range");
   return *nodes_[id];
@@ -809,54 +648,44 @@ void Client::broadcast_membership(net::NodeId changed, bool down) {
   SetNodeDownPayload payload;
   payload.node = changed;
   payload.down = down;
-  const auto bytes = encode_payload(payload);
-  for (net::NodeId id = 0; id < topology_->total_nodes(); ++id) {
-    // On heal the changed node hears it too: a daemon that stayed alive
-    // ignores the same-generation re-init, so this message is what clears
-    // its own membership view. On fail its traffic is dropped anyway.
-    if ((down && id == changed) || transport_down(id)) continue;
-    net::Message message;
-    message.from = net::kClientNode;
-    message.to = id;
-    message.type = kSetNodeDown;
-    message.request_id = 0;
-    message.payload = bytes;
-    transport_->send(std::move(message));
-  }
+  // On heal the changed node hears it too; on fail its traffic is dropped
+  // anyway.
+  broadcast(kSetNodeDown, 0, encode_payload(payload), 0,
+            down ? changed : net::kClientNode);
 }
 
 void Client::fail_node(net::NodeId id) {
   require(topology_ != nullptr && id < topology_->total_nodes(),
           "Client::fail_node: id out of range");
   fault_injector().fail_node(id);
-  for (auto& node : nodes_) node->set_down(id, true);
-  if (socket_) {
-    // Remote daemons update their membership view by message; settle so
-    // the exclusion is in force before the caller's next query.
-    broadcast_membership(id, /*down=*/true);
-    settle();
-  }
+  // Every node updates its membership view by message; settle so the
+  // exclusion is in force before the caller's next query.
+  broadcast_membership(id, /*down=*/true);
+  settle();
 }
 
 void Client::heal_node(net::NodeId id) {
   require(topology_ != nullptr && id < topology_->total_nodes(),
           "Client::heal_node: id out of range");
   fault_injector().heal_node(id);
-  for (auto& node : nodes_) node->set_down(id, false);
-  if (socket_ && indexed_) {
-    // Re-initialize the healed node at the original generation: a daemon
-    // that stayed alive through the (injected) outage ignores it and
-    // keeps its shard; a restarted daemon rebuilds empty and rejoins.
+  if (indexed_ && id >= nodes_.size()) {
+    // Re-initialize a healed remote node at the original generation: a
+    // daemon that stayed alive through the (injected) outage ignores it
+    // and keeps its shard; a restarted daemon rebuilds empty and rejoins.
     // FIFO per connection orders the init before everything below.
-    net::Message init;
-    init.from = net::kClientNode;
-    init.to = id;
-    init.type = kNodeInit;
-    init.request_id = 0;
-    init.payload = encode_payload(make_node_init());
-    transport_->send(std::move(init));
-    broadcast_membership(id, /*down=*/false);
+    send(id, kNodeInit, 0, encode_payload(make_node_init()));
   }
+  // The node missed every update while its traffic was dropped: resync
+  // its residue total and its view of every other node.
+  send(id, kSetResidues, 0, residues_payload());
+  for (net::NodeId other = 0; other < topology_->total_nodes(); ++other) {
+    if (other == id) continue;
+    SetNodeDownPayload view;
+    view.node = other;
+    view.down = transport_down(other);
+    send(id, kSetNodeDown, 0, encode_payload(view));
+  }
+  broadcast_membership(id, /*down=*/false);
 
   // Scrub the healed node: deliver every cancel that was deferred while
   // its traffic was being dropped, so no aborted query's pending state
@@ -870,22 +699,15 @@ void Client::heal_node(net::NodeId id) {
       deferred_cancels_.erase(it);
     }
   }
-  for (std::uint64_t query_id : flush) {
-    net::Message cancel;
-    cancel.from = net::kClientNode;
-    cancel.to = id;
-    cancel.type = kCancelQuery;
-    cancel.request_id = query_id;
-    transport_->send(std::move(cancel));
-  }
-  if (!flush.empty() || socket_) settle();
+  for (std::uint64_t query_id : flush) send(id, kCancelQuery, query_id);
+  settle();
 }
 
 // --- persistence ------------------------------------------------------------
 
 void Client::save_index(const std::string& path) const {
   require(indexed_, "Client::save_index before index()");
-  require(socket_ == nullptr,
+  require(nodes_.size() == topology_->total_nodes(),
           "Client::save_index: not available in TransportMode::kSocket "
           "(the shards live in the daemon processes)");
   CodecWriter writer;
@@ -933,9 +755,6 @@ void Client::save_index(const std::string& path) const {
 
 void Client::load_index(const std::string& path) {
   require(!indexed_, "Client::load_index: already indexed");
-  require(socket_ == nullptr,
-          "Client::load_index: not available in TransportMode::kSocket "
-          "(daemons build their shards from the indexing stream)");
   std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError("load_index: cannot open " + path);
   std::vector<std::uint8_t> bytes(
@@ -967,6 +786,9 @@ void Client::load_index(const std::string& path) {
   topology_->bind_prefixes(prefix_tree_->leaf_prefixes());
 
   spawn_nodes(alphabet);
+  require(nodes_.size() == topology_->total_nodes(),
+          "Client::load_index: not available in TransportMode::kSocket "
+          "(daemons build their shards from the indexing stream)");
   const std::uint32_t group_count = reader.u32();
   require(group_count == options_.topology.num_groups,
           "load_index: group section count mismatch");
@@ -991,9 +813,6 @@ void Client::load_index(const std::string& path) {
                             std::to_string(group));
   }
   require(shards == nodes_.size(), "load_index: node shard count mismatch");
-  for (auto& node : nodes_) {
-    node->set_database_residues(database_residues_);
-  }
   // Recover the id watermark from the restored shards so add_sequences()
   // keeps allocating fresh ids after a load.
   seq::SequenceId watermark = 0;

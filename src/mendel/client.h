@@ -24,19 +24,24 @@
 //     subquery searches additionally fan out over `search_threads`.
 //   * TransportMode::kSocket — real sockets between processes. The Client
 //     hosts no StorageNodes; mendel-node daemons (tools/mendel_node) serve
-//     them at the endpoints in RuntimeOptions::socket, and the Client
-//     drives their lifecycle with the kNodeInit/kBarrier control messages.
-//     Queries time out (RuntimeOptions::socket.query_timeout) instead of
-//     using cluster-idle stall detection, and node liveness comes from
-//     heartbeats mapped onto the same node_down/cancel/heal machinery the
-//     in-process runtimes use for injected faults.
+//     them at the endpoints in RuntimeOptions::socket, built by kNodeInit
+//     messages. Node liveness comes from heartbeats mapped onto the same
+//     node_down/cancel/heal machinery the in-process runtimes use for
+//     injected faults.
+// The Client drives all three through the one net::Transport contract:
+// start() when the nodes exist, settle() between phases, idle() and now()
+// in wait(), stop() at destruction. The only mode fact it reads is where
+// the storage nodes live (spawn_nodes).
 //
 // Concurrent admission: submit() injects a query and returns a ticket;
 // wait() blocks for that query's result. query() is submit+wait, and
 // query_batch() admits a whole set before collecting any result — under
 // the simulator that batches the virtual-time dataflow, under threads the
 // queries genuinely overlap. Replies land in a per-query_id reply table,
-// so any number of queries can be in flight simultaneously.
+// so any number of queries can be in flight simultaneously. A query stalls
+// when its reply is missing once the transport is idle, or past
+// RuntimeOptions::query_timeout on a cluster that never goes idle (always
+// the case across processes); a stalled query is cancelled cluster-wide.
 //
 // The Client also exposes the paper's future-work features implemented
 // here: index persistence (save_index/load_index) and fault injection with
@@ -50,6 +55,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -98,9 +104,9 @@ struct RuntimeOptions {
   // mmap'd block store: rows past the budget spill to an unlinked temp
   // file and fault back in on access, LRU-evicted around pinned leaf
   // scans. Ranked results are byte-identical either way. The
-  // MENDEL_ARENA_BUDGET environment variable (integer bytes, optional
-  // k/m/g suffix) overrides this at Client construction — CI uses it to
-  // force spilling without touching call sites.
+  // MENDEL_ARENA_BUDGET environment variable (see parse_arena_budget)
+  // overrides this at Client construction — CI uses it to force spilling
+  // without touching call sites.
   std::size_t arena_resident_budget = 0;
   // Store arena rows bit-packed (2-bit DNA, 4-bit small alphabets) with
   // the decode fused into the SIMD scan kernels — ~4x less window memory
@@ -120,14 +126,23 @@ struct RuntimeOptions {
   // message arrivals land in a seed-dependent order. Ranked results must
   // not depend on the seed — the parity suite sweeps seeds to prove it.
   // 0 (default) keeps the historical FIFO-tie-break schedule. See
-  // net::SimTransport::set_schedule_seed.
+  // set_schedule_seed in src/net/sim_transport.h.
   std::uint64_t schedule_seed = 0;
+  // Live transports (kThreaded, kSocket): seconds wait() allows a query's
+  // reply before declaring the query stalled and cancelling it. The
+  // simulator never needs it: its stalls show as an idle, reply-less run.
+  double query_timeout = 30.0;
   // Socket deployment (TransportMode::kSocket only): the cluster endpoint
   // table and timeouts. The MENDEL_ENDPOINTS environment variable
   // (comma-separated endpoint list) overrides `socket.endpoints` at Client
   // construction, mirroring the daemon side.
   net::SocketOptions socket;
 };
+
+// Parses a MENDEL_ARENA_BUDGET value: a decimal byte count with at most one
+// k/m/g suffix (binary multiples), nothing else. A sign, any other
+// trailing character, or a count that overflows returns `fallback`.
+std::size_t parse_arena_budget(std::string_view text, std::size_t fallback);
 
 struct ClientOptions {
   cluster::TopologyConfig topology;
@@ -142,7 +157,7 @@ struct QueryOutcome {
   std::vector<align::AlignmentHit> hits;
   // Turnaround from the query's injection to the client's receipt of the
   // ranked result: virtual time under TransportMode::kSim (what Figures
-  // 6a–6c measure), wall time under kThreaded.
+  // 6a–6c measure), wall time under every live transport.
   double turnaround = 0.0;
   // Exactly this query's network traffic, even with other queries in
   // flight: the transport tags every message whose request_id equals the
@@ -186,8 +201,8 @@ class Client {
   // rebalance protocol — consistent hashing moves ~1/n of the group's
   // blocks (and a slice of the sequence repository) onto the newcomer.
   // Returns the new node's id. Queries work unchanged afterwards.
-  // Simulator mode only (the threaded runtime pins its worker set at
-  // start()).
+  // Simulator mode only: the live transports pin their actor set at
+  // start() and reject the new node (InvalidArgument, nothing changed).
   net::NodeId add_node(std::uint32_t group);
 
   bool indexed() const { return indexed_; }
@@ -197,11 +212,11 @@ class Client {
   // in TransportMode::kThreaded; in kSim the caller must stay on the one
   // driving thread (the simulator itself is single-threaded).
   QueryTicket submit(const seq::Sequence& query, QueryParams params = {});
-  // Blocks until the ticket's query completed or provably stalled (the
-  // transport went idle without its reply). On a stall, broadcasts
-  // kCancelQuery to every alive node — nodes the transport knows are down
-  // get their cancel deferred until heal_node() — and reports
-  // completed = false.
+  // Blocks until the ticket's query completed or stalled: the transport
+  // went idle without its reply, or runtime.query_timeout passed. On a
+  // stall, broadcasts kCancelQuery to every alive node — nodes the
+  // transport knows are down get their cancel deferred until heal_node() —
+  // settles, and reports completed = false.
   QueryOutcome wait(const QueryTicket& ticket);
   // submit() + wait().
   QueryOutcome query(const seq::Sequence& query, QueryParams params = {});
@@ -214,7 +229,8 @@ class Client {
   // One coherent reading of every stat the cluster keeps: the registry's
   // own instruments (pipeline-stage latency histograms, client counters)
   // plus synthetic entries folding in the per-node NodeCounters totals
-  // (node.*), transport traffic (net.*) and span-buffer health (trace.*).
+  // (node.*), transport traffic and health (net.*, the same keys in every
+  // mode) and span-buffer health (trace.*).
   // Serialize with MetricsSnapshot::to_json()/to_prometheus().
   obs::MetricsSnapshot metrics() const;
   // The registry behind metrics(); for attaching extra instruments.
@@ -233,15 +249,15 @@ class Client {
   // includes these totals as node.* counters next to everything else. Kept
   // so existing callers build.
   NodeCounters total_counters() const;
-  // Deprecated concrete-transport accessors over the factory-owned
-  // transport, for the runtime-specific surface (wait_idle, handler_errors,
-  // heartbeats_missed). Prefer fault_injector() for failure injection.
-  // The threaded instance (TransportMode::kThreaded only).
-  net::ThreadTransport& thread_transport();
-  // The socket instance (TransportMode::kSocket only).
-  net::SocketTransport& socket_transport();
-  // The transport's fault-injection capability (all modes).
+  // The transport's fault-injection capability and membership view (all
+  // modes; node_down() includes heartbeat verdicts over sockets).
   net::FaultInjector& fault_injector() const;
+  // Returns once every message sent before the call has been handled
+  // (net::Transport::settle): the simulator runs dry, threads and sockets
+  // run a settle round, sockets bounded by socket.settle_timeout. Call it
+  // before inspecting node state after wait(), whose reply can land while
+  // the coordinator is still finishing its handler.
+  void settle();
   StorageNode& node(net::NodeId id);
   const StorageNode& node(net::NodeId id) const;
   std::size_t node_count() const { return nodes_.size(); }
@@ -276,37 +292,29 @@ class Client {
   };
 
   void spawn_nodes(seq::Alphabet alphabet);
-  // Runs the cluster to quiescence: run_until_idle (sim) / wait_idle
-  // (threaded) / barrier broadcast with acks (socket). Returns the virtual
-  // horizon (sim) or 0.
-  double settle();
-  // Socket-mode settle: kBarrier to every alive node, wait for the acks
-  // up to socket.settle_timeout (a node dying mid-settle must not hang the
-  // coordinator forever).
-  void settle_socket() MENDEL_EXCLUDES(barrier_mu_);
-  // The kNodeInit payload describing the current cluster (socket mode).
+  StorageNodeConfig node_config();
+  void send(net::NodeId to, std::uint32_t type, std::uint64_t request_id = 0,
+            std::vector<std::uint8_t> payload = {});
+  // Sends one message to every alive node from id `first` up but `skip`.
+  void broadcast(std::uint32_t type, std::uint64_t request_id,
+                 const std::vector<std::uint8_t>& payload,
+                 net::NodeId first = 0, net::NodeId skip = net::kClientNode);
+  // The kNodeInit payload describing the current cluster (remote nodes).
   NodeInitPayload make_node_init() const;
-  // Pushes database_residues_ to every node: direct call in-process,
-  // kSetResidues broadcast + settle over sockets.
+  std::vector<std::uint8_t> residues_payload() const;
+  // kSetResidues to every alive node, then settle. In-process nodes hear
+  // control changes by message too, so no client thread writes node state
+  // under a running dispatch thread.
   void propagate_residues();
-  // Socket mode: kSetNodeDown{changed,down} to every alive node but
-  // `changed` itself (the caller settles).
+  // kSetNodeDown{changed,down} to every alive node (but `changed` itself
+  // when it went down); the caller settles.
   void broadcast_membership(net::NodeId changed, bool down);
-  // Injection/arrival clock: virtual external time (sim), wall time
-  // (threaded).
-  double now_seconds() const;
   bool transport_down(net::NodeId id) const;
   // kCancelQuery to every node, deferring nodes the transport knows are
   // down (flushed on heal_node).
   void broadcast_cancel(std::uint64_t query_id) MENDEL_EXCLUDES(cancel_mu_);
   std::optional<Reply> take_reply(std::uint64_t query_id)
       MENDEL_EXCLUDES(reply_mu_);
-  QueryOutcome wait_sim(const QueryTicket& ticket);
-  QueryOutcome wait_threaded(const QueryTicket& ticket);
-  // Socket mode: no cluster-wide idle exists across processes, so a reply
-  // missing past socket.query_timeout is declared a stall (then cancelled
-  // like the other runtimes' stalls).
-  QueryOutcome wait_socket(const QueryTicket& ticket);
   QueryOutcome finish_outcome(const QueryTicket& ticket,
                               std::optional<Reply> reply);
   // Records a client-side span (node = net::kClientNode) and returns its id
@@ -322,20 +330,11 @@ class Client {
   std::unique_ptr<cluster::Topology> topology_;
   std::unique_ptr<score::DistanceMatrix> distance_;
   std::unique_ptr<vpt::VpPrefixTree> prefix_tree_;
-  // The factory-owned transport; exactly one of the typed observer
-  // pointers below is non-null (they exist for the runtime-specific calls
-  // — run_until_idle, wait_idle, start/stop — the Transport interface
-  // deliberately doesn't carry).
-  std::unique_ptr<net::Transport> transport_owner_;
-  net::SimTransport* sim_ = nullptr;
-  net::ThreadTransport* threaded_ = nullptr;
-  net::SocketTransport* socket_ = nullptr;
-  net::Transport* transport_ = nullptr;
+  std::unique_ptr<net::Transport> transport_;
   std::unique_ptr<ThreadPool> search_pool_;
   std::vector<std::unique_ptr<StorageNode>> nodes_;
   std::unique_ptr<net::Actor> client_actor_;
   bool indexed_ = false;
-  bool started_ = false;  // threaded workers running
   std::atomic<std::uint64_t> next_query_id_{1};
   seq::SequenceId next_sequence_id_ = 0;
   std::uint64_t database_residues_ = 0;
@@ -353,13 +352,6 @@ class Client {
   std::mutex cancel_mu_;
   std::map<net::NodeId, std::vector<std::uint64_t>> deferred_cancels_
       MENDEL_GUARDED_BY(cancel_mu_);
-
-  // Socket-mode settle barrier: the client actor decrements
-  // barrier_outstanding_ as kBarrierAck frames land.
-  std::mutex barrier_mu_;
-  std::condition_variable barrier_cv_;
-  std::uint64_t barrier_id_ MENDEL_GUARDED_BY(barrier_mu_) = 0;
-  std::size_t barrier_outstanding_ MENDEL_GUARDED_BY(barrier_mu_) = 0;
 
   // --- observability state ------------------------------------------------
   obs::MetricsRegistry registry_;

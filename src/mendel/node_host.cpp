@@ -52,18 +52,11 @@ void NodeHost::handle(net::NodeId id, const net::Message& message,
     return;
   }
   std::shared_lock lock(mu_);
+  // Before init everything else is dropped: the init broadcast precedes
+  // all data over the coordinator's FIFO connection, so this only catches
+  // cross-connection races.
   auto it = nodes_.find(id);
-  if (it == nodes_.end()) {
-    // Not initialized yet. Ack barriers so a coordinator settling against
-    // a half-initialized cluster cannot deadlock; drop everything else
-    // (the init broadcast precedes all data over the coordinator's FIFO
-    // connection, so this only catches cross-connection races).
-    if (message.type == kBarrier) {
-      ctx.send(message.from, kBarrierAck, message.request_id, {});
-    }
-    return;
-  }
-  it->second->handle(message, ctx);
+  if (it != nodes_.end()) it->second->handle(message, ctx);
 }
 
 void NodeHost::apply_init(const NodeInitPayload& payload) {

@@ -13,9 +13,9 @@
 // built that generation ignores the re-send (heal_node re-inits a possibly
 // restarted daemon; one that never died must keep its data), while a fresh
 // process — first start or post-SIGKILL restart — builds from the payload.
-// Pre-init, every message except kNodeInit and kBarrier is dropped;
-// kBarrier is acked even then so a coordinator settling against a
-// half-initialized cluster cannot deadlock.
+// Pre-init, every message except kNodeInit is dropped. Settle probes never
+// reach the host (the transport's runtime answers them), so a coordinator
+// settling against a half-initialized cluster still completes.
 //
 // The same class backs the in-process socket parity tests (several
 // NodeHosts on loopback transports in one test binary) and the mendel-node

@@ -72,17 +72,11 @@ enum MessageType : std::uint32_t {
   //   kSetNodeDown  — membership change (StorageNode::set_down).
   //   kSetResidues  — database residue total after (incremental) indexing
   //                   (StorageNode::set_database_residues).
-  //   kBarrier      — flush marker: the receiver replies kBarrierAck to the
-  //                   sender. Acked over the same FIFO connection the
-  //                   sender's earlier messages used, so collecting every
-  //                   alive node's ack proves those messages were handled —
-  //                   the socket runtime's stand-in for run_until_idle /
-  //                   wait_idle. Both carry empty payloads.
+  // Settling is not an application message: the transports' own settle
+  // round (net::kSettleProbe, message.h) flushes every mode alike.
   kNodeInit = 50,
   kSetNodeDown = 51,
   kSetResidues = 52,
-  kBarrier = 53,
-  kBarrierAck = 54,
 };
 
 // --- Indexing ---------------------------------------------------------

@@ -243,15 +243,6 @@ void StorageNode::dispatch(const net::Message& message, net::Context& ctx) {
       set_database_residues(
           decode_payload<SetResiduesPayload>(message.payload).residues);
       return;
-    case kBarrier: {
-      // Flush marker (socket deployments): ack so the sender can prove its
-      // earlier messages over the same FIFO connection were handled.
-      if (!message.payload.empty()) {
-        throw DecodeError("barrier: unexpected payload");
-      }
-      ctx.send(message.from, kBarrierAck, message.request_id, {});
-      return;
-    }
     default:
       // Unknown type is a bad frame, not an internal bug: a hostile or
       // version-skewed peer can send any type value, so this must land in

@@ -1,9 +1,17 @@
 #include "src/net/local_runtime.h"
 
+#include <chrono>
+#include <cmath>
+
 #include "src/common/error.h"
 #include "src/common/stopwatch.h"
 
 namespace mendel::net {
+
+// Settle rounds number from the top half of the id space, so a probe's
+// request_id never matches a query id tracked by the traffic ledger.
+LocalRuntime::LocalRuntime(Transport* owner)
+    : owner_(owner), next_settle_round_(std::uint64_t{1} << 63) {}
 
 void LocalRuntime::add(NodeId id, Actor* actor) {
   require(actor != nullptr, "LocalRuntime: null actor");
@@ -60,7 +68,9 @@ void LocalRuntime::dispatch_loop(Mailbox& mailbox) {
     }
     Context ctx(owner_, mailbox.id, monotonic_seconds());
     try {
-      mailbox.actor->handle(message, ctx);
+      if (!consume_settle(mailbox, message)) {
+        mailbox.actor->handle(message, ctx);
+      }
     } catch (const DecodeError& e) {
       // A malformed frame an actor did not swallow itself (StorageNode
       // counts and drops its own; this backstop covers every other actor,
@@ -77,6 +87,67 @@ void LocalRuntime::dispatch_loop(Mailbox& mailbox) {
       idle_cv_.notify_all();
     }
   }
+}
+
+bool LocalRuntime::consume_settle(const Mailbox& mailbox,
+                                  const Message& message) {
+  if (message.type == kSettleProbe) {
+    owner_->send({.from = mailbox.id,
+                  .to = message.from,
+                  .type = kSettleAck,
+                  .request_id = message.request_id,
+                  .payload = {}});
+    return true;
+  }
+  if (message.type != kSettleAck) return false;
+  std::lock_guard lock(settle_mu_);
+  auto it = settle_rounds_.find(message.request_id);
+  if (it != settle_rounds_.end() && it->second.erase(message.from) == 1 &&
+      it->second.empty()) {
+    settle_cv_.notify_all();
+  }
+  return true;
+}
+
+void LocalRuntime::settle(const std::vector<NodeId>& remote,
+                          const FaultInjector& faults, double timeout) {
+  require(running(), "LocalRuntime: settle while not running");
+  if (mailboxes_.empty()) return;  // no mailbox to take the acks
+  std::set<NodeId> targets(remote.begin(), remote.end());
+  for (const auto& [id, mailbox] : mailboxes_) targets.insert(id);
+  std::erase_if(targets, [&](NodeId id) { return faults.node_down(id); });
+  if (targets.empty()) return;
+  const NodeId from =
+      hosts(kClientNode) ? kClientNode : mailboxes_.begin()->first;
+  std::uint64_t round = 0;
+  {
+    std::lock_guard lock(settle_mu_);
+    round = next_settle_round_++;
+    settle_rounds_[round] = targets;
+  }
+  for (const NodeId to : targets) {
+    owner_->send({.from = from,
+                  .to = to,
+                  .type = kSettleProbe,
+                  .request_id = round,
+                  .payload = {}});
+  }
+  const bool bounded = std::isfinite(timeout);
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(bounded ? timeout : 0.0));
+  std::unique_lock lock(settle_mu_);
+  const auto it = settle_rounds_.find(round);  // std::map: stays valid
+  while (!it->second.empty()) {
+    if (!bounded) {
+      settle_cv_.wait(lock);
+    } else if (settle_cv_.wait_until(lock, deadline) ==
+               std::cv_status::timeout) {
+      break;
+    }
+  }
+  settle_rounds_.erase(it);
 }
 
 void LocalRuntime::record_error(const Mailbox& mailbox, const Message& message,

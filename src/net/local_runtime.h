@@ -5,9 +5,10 @@
 // actor's handlers never run concurrently while different actors run in
 // parallel. An in-flight count (raised by deliver(), lowered after the
 // handler returns) gives the quiescence barrier behind wait_idle()/idle()
-// and drain-then-stop. Handlers receive a Context that sends through the
-// owning transport, so replies take the owner's accounting, faults and
-// routing. Context::now() is wall time.
+// and drain-then-stop; settle() runs the bounded settle round both owners
+// implement Transport::settle() with. Handlers receive a Context that
+// sends through the owning transport, so replies take the owner's
+// accounting, faults and routing. Context::now() is wall time.
 #pragma once
 
 #include <atomic>
@@ -17,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,7 +30,7 @@ namespace mendel::net {
 
 class LocalRuntime {
  public:
-  explicit LocalRuntime(Transport* owner) : owner_(owner) {}
+  explicit LocalRuntime(Transport* owner);
   ~LocalRuntime() {
     if (running()) drain_and_stop();
   }
@@ -59,6 +61,18 @@ class LocalRuntime {
   bool idle() const { return inflight_.load(std::memory_order_acquire) == 0; }
   // wait_idle(), then stop(). Safe to call once.
   void drain_and_stop();
+
+  // One settle round over every hosted id plus `remote`, skipping ids
+  // `faults` reports down: a kSettleProbe through the owner to each,
+  // answered by its mailbox in order with a kSettleAck to kClientNode (if
+  // hosted here, else the lowest hosted id), whose mailbox consumes it in
+  // order too. A finished round proves every message sent to a target
+  // before the call was handled, and so were the replies those handlers
+  // sent to the ack mailbox. Gives up after `timeout` seconds (infinity:
+  // no bound), and at once when no mailbox here can take acks. Stale acks
+  // are ignored. Call after start(), from outside the dispatch threads.
+  void settle(const std::vector<NodeId>& remote, const FaultInjector& faults,
+              double timeout) MENDEL_EXCLUDES(settle_mu_);
   // Lets each dispatch thread finish what is already queued, then joins
   // them. Idempotent.
   void stop();
@@ -87,6 +101,9 @@ class LocalRuntime {
   };
 
   void dispatch_loop(Mailbox& mailbox);
+  // Answers a probe or files an ack; false for every other message.
+  bool consume_settle(const Mailbox& mailbox, const Message& message)
+      MENDEL_EXCLUDES(settle_mu_);
   void record_error(const Mailbox& mailbox, const Message& message,
                     const char* what) MENDEL_EXCLUDES(errors_mu_);
 
@@ -102,6 +119,13 @@ class LocalRuntime {
   std::atomic<std::uint64_t> decode_errors_{0};
   mutable std::mutex errors_mu_;
   std::vector<std::string> errors_ MENDEL_GUARDED_BY(errors_mu_);
+
+  // Open settle rounds: round id -> targets whose ack is still due.
+  std::mutex settle_mu_;
+  std::condition_variable settle_cv_;
+  std::map<std::uint64_t, std::set<NodeId>> settle_rounds_
+      MENDEL_GUARDED_BY(settle_mu_);
+  std::uint64_t next_settle_round_ MENDEL_GUARDED_BY(settle_mu_);
 
   std::vector<std::thread> workers_;
 };

@@ -1,5 +1,7 @@
 #include "src/net/message.h"
 
+#include "src/common/stopwatch.h"
+
 namespace mendel::net {
 
 std::string describe(const Message& message) {
@@ -19,5 +21,7 @@ void Context::send(NodeId to, std::uint32_t type, std::uint64_t request_id,
   message.payload = std::move(payload);
   transport_->send(std::move(message));
 }
+
+double Transport::now() const { return monotonic_seconds(); }
 
 }  // namespace mendel::net

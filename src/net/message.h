@@ -20,6 +20,8 @@
 // They share one traffic account (TrafficLedger, ledger.h) and one fault
 // table (FaultInjector, fault.h); the threaded and socket transports also
 // share one in-process mailbox runtime (LocalRuntime, local_runtime.h).
+// The owner drives every one of them through the same Transport lifecycle
+// (start, settle, idle, now, stop), so no caller names a concrete class.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +37,13 @@ namespace mendel::net {
 // Reserved id for client endpoints (a client is just an actor that lives
 // outside the storage keyspace).
 inline constexpr NodeId kClientNode = 0xfffffff0u;
+
+// Net-reserved message types, far above any application type. They carry
+// the settle round of the live transports (Transport::settle): LocalRuntime
+// answers a probe with an ack and consumes the ack, both in mailbox order,
+// so neither ever reaches an actor. Empty payloads.
+inline constexpr std::uint32_t kSettleProbe = 0xffffff00u;
+inline constexpr std::uint32_t kSettleAck = 0xffffff01u;
 
 struct Message {
   NodeId from = 0;
@@ -116,12 +125,51 @@ struct NetworkStats {
   std::uint64_t bytes = 0;
 };
 
+// Transport health counters, exported as the net.* metrics. A transport
+// without some mechanism (the simulator has no wire) reports zero for it;
+// the socket transport documents each one next to its own accessor.
+struct TransportHealth {
+  std::uint64_t dropped_messages = 0;  // FaultInjector::dropped_messages
+  std::uint64_t decode_errors = 0;     // framing + dispatch backstop
+  std::uint64_t handler_errors = 0;    // exceptions caught at dispatch
+  std::uint64_t frame_errors = 0;
+  std::uint64_t reconnects = 0;
+  std::uint64_t heartbeats_missed = 0;
+};
+
+// The one contract every owner (Client, tools, tests) drives a transport
+// through. The lifecycle virtuals have defaults, so a thin forwarding
+// Transport only has to implement registration, send and stats.
 class Transport {
  public:
   virtual ~Transport() = default;
 
-  // Must be called before any traffic involving `id` flows.
+  // Must be called before any traffic involving `id` flows. The live
+  // transports take registrations only before start().
   virtual void register_actor(NodeId id, Actor* actor) = 0;
+
+  // --- lifecycle ---------------------------------------------------------
+  // Starts delivery (dispatch threads; sockets also bind and dial).
+  virtual void start() {}
+  // Handles what is queued locally, then stops. Idempotent.
+  virtual void stop() {}
+  // Returns once every message sent before the call has been handled,
+  // including the replies those handlers sent back to this process. The
+  // simulator runs its queue dry; the live transports run a settle round
+  // (kSettleProbe/kSettleAck) through every alive node's mailbox, which
+  // the socket transport bounds by SocketOptions::settle_timeout because
+  // a daemon can die mid-round.
+  virtual void settle() {}
+  // True when nothing runs unless the caller settles: a drained threaded
+  // runtime, or the simulator, which only runs inside settle(). Once a
+  // waiter sees idle() and settles, every reply the cluster can still
+  // produce has arrived. False means no such guarantee (always, across
+  // processes).
+  virtual bool idle() const { return false; }
+  // Clock for injection and arrival times: external virtual time under
+  // the simulator, monotonic wall time otherwise.
+  virtual double now() const;
+  virtual TransportHealth health() const { return {}; }
 
   // Enqueues a message for delivery (called by Context::send and by
   // external injectors).

@@ -62,13 +62,22 @@ class SimTransport final : public Transport, public FaultInjector {
   void send(Message message) override;
 
   // Processes events until the queue drains; returns the final virtual
-  // time (max over node clocks and deliveries).
+  // time (max over node clocks and deliveries). The external clock
+  // advances to it, so later injections start there.
   double run_until_idle();
 
-  // Advances the external injection clock (used between queries so each
-  // query's turnaround is measured from its own injection time).
+  // Transport lifecycle: settle() is run_until_idle(); idle() is always
+  // true, because nothing runs between the caller's settle() calls; now()
+  // is the external injection clock.
+  void settle() override { run_until_idle(); }
+  bool idle() const override { return true; }
+  double now() const override { return external_now_; }
+  TransportHealth health() const override {
+    return {.dropped_messages = dropped_messages()};
+  }
+
+  // Moves the external injection clock (tests that space injections).
   void set_external_time(double now) { external_now_ = now; }
-  double external_time() const { return external_now_; }
 
   double node_clock(NodeId id) const;
   NetworkStats stats() const override { return ledger_.totals(); }

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <numeric>
 #include <set>
 #include <utility>
 
@@ -342,6 +343,23 @@ void SocketTransport::stop() {
     readers.swap(reader_threads_);
   }
   for (auto& t : readers) t.join();
+}
+
+void SocketTransport::settle() {
+  if (!runtime_.running()) return;
+  std::vector<NodeId> endpoint_ids(options_.endpoints.size());
+  std::iota(endpoint_ids.begin(), endpoint_ids.end(), NodeId{0});
+  runtime_.settle(endpoint_ids, *this, options_.settle_timeout);
+}
+
+TransportHealth SocketTransport::health() const {
+  return {.dropped_messages = dropped_messages(),
+          .decode_errors = decode_errors(),
+          .handler_errors = runtime_.handler_errors().size(),
+          .frame_errors = frame_errors(),
+          .reconnects = reconnects(),
+          .heartbeats_missed =
+              heartbeats_missed_.load(std::memory_order_relaxed)};
 }
 
 void SocketTransport::send(Message message) {

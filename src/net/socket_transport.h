@@ -29,11 +29,16 @@
 //     peer; a peer whose traffic stays silent past heartbeat_timeout is
 //     reported node_down() — the same membership view the Client's
 //     cancel/heal machinery consumes for simulated failures.
+//   * settle() runs a settle round (LocalRuntime::settle) through every
+//     alive node, local or remote. Each connection is FIFO and each
+//     mailbox answers in order, so the round proves every earlier message
+//     was handled. A daemon that dies mid-round cannot hang it: the round
+//     gives up after settle_timeout.
 //
-// What this transport does NOT give: global quiescence detection (there is
-// no cluster-wide idle() across processes — the client uses reply timeouts
-// and explicit barrier messages instead) and virtual time (Context::now()
-// is wall time, like ThreadTransport).
+// What this transport does NOT give: a quiescence signal (idle() is always
+// false, since in-flight frames and other processes' mailboxes are
+// invisible here, so the Client detects stalls by its per-query deadline)
+// and virtual time (now() and Context::now() are wall time).
 #pragma once
 
 #include <atomic>
@@ -76,11 +81,8 @@ struct SocketOptions {
   // order; start retries within this window before giving up and leaving
   // the peer to the backoff/heartbeat machinery).
   double connect_timeout = 10.0;
-  // Client-side deadlines (consumed by core::Client, carried here so all
-  // socket deployment knobs travel together): how long wait() waits for a
-  // query reply before declaring the query stalled, and how long settle()
-  // waits for barrier acks.
-  double query_timeout = 30.0;
+  // Bound on one settle() round: how long it waits for settle acks before
+  // giving up on a daemon that died or lost the probe.
   double settle_timeout = 10.0;
   // Frame-length acceptance bound (see frame.h).
   std::size_t max_frame_bytes = kMaxFrameBytes;
@@ -112,11 +114,14 @@ class SocketTransport final : public Transport, public FaultInjector {
   // Binds the local listeners, dials every remote endpoint (retrying up to
   // connect_timeout per peer), and spawns the dispatch / accept / monitor
   // threads. Throws IoError when a local endpoint cannot be bound.
-  void start();
+  void start() override;
 
   // Drains local mailboxes, closes every socket, joins every thread.
   // Idempotent; also run by the destructor.
-  void stop();
+  void stop() override;
+
+  // See the header comment; a no-op before start().
+  void settle() override;
 
   // Thread-safe. Local destinations enqueue; remote destinations frame and
   // write (redialing through backoff when the connection died). Messages
@@ -163,14 +168,13 @@ class SocketTransport final : public Transport, public FaultInjector {
   std::uint64_t reconnects() const {
     return reconnects_.load(std::memory_order_relaxed);
   }
-  // Peers declared down by the heartbeat monitor (transition count).
-  std::uint64_t heartbeats_missed() const {
-    return heartbeats_missed_.load(std::memory_order_relaxed);
-  }
   // See LocalRuntime::handler_errors().
   std::vector<std::string> handler_errors() const {
     return runtime_.handler_errors();
   }
+  // All of the above plus heartbeats_missed: peers declared down by the
+  // heartbeat monitor (transition count).
+  TransportHealth health() const override;
 
  private:
   // One live stream socket. The fd is fixed for the connection's lifetime

@@ -16,4 +16,10 @@ void ThreadTransport::send(Message message) {
   }
 }
 
+TransportHealth ThreadTransport::health() const {
+  return {.dropped_messages = dropped_messages(),
+          .decode_errors = runtime_.decode_errors(),
+          .handler_errors = runtime_.handler_errors().size()};
+}
+
 }  // namespace mendel::net

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -36,17 +37,28 @@ class ThreadTransport final : public Transport, public FaultInjector {
     runtime_.add(id, actor);
   }
   // Spawns one worker thread per registered actor.
-  void start() { runtime_.start(); }
+  void start() override { runtime_.start(); }
+  // Drains every mailbox, then joins the workers. Idempotent.
+  void stop() override {
+    if (runtime_.running()) runtime_.drain_and_stop();
+  }
 
   // Thread-safe; may be called from handlers or from outside. Messages to
   // failed nodes are dropped (counted in dropped_messages()).
   void send(Message message) override;
 
-  // The quiescence barrier between pipeline phases (indexing, query
-  // batches); the workers keep running.
+  // A settle round through every alive mailbox (LocalRuntime::settle);
+  // returns at once when already idle. Unlike wait_idle() it does not wait
+  // for work other senders keep adding, so it stays bounded under load,
+  // and in-process FIFO mailboxes need no timeout.
+  void settle() override {
+    if (!runtime_.idle()) {
+      runtime_.settle({}, *this, std::numeric_limits<double>::infinity());
+    }
+  }
+  bool idle() const override { return runtime_.idle(); }
+  // Full quiescence: every mailbox empty and no handler running.
   void wait_idle() { runtime_.wait_idle(); }
-  bool idle() const { return runtime_.idle(); }
-  void drain_and_stop() { runtime_.drain_and_stop(); }
 
   NetworkStats stats() const override { return ledger_.totals(); }
   void begin_query_stats(std::uint64_t query_id) override {
@@ -57,7 +69,8 @@ class ThreadTransport final : public Transport, public FaultInjector {
   }
 
   FaultInjector* fault_injector() override { return this; }
-  std::uint64_t decode_errors() const { return runtime_.decode_errors(); }
+  TransportHealth health() const override;
+  // See LocalRuntime::handler_errors().
   std::vector<std::string> handler_errors() const {
     return runtime_.handler_errors();
   }

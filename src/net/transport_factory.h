@@ -4,14 +4,11 @@
 // selects its transport through TransportMode + TransportConfig instead of
 // naming a concrete class, so adding a transport — as the socket transport
 // was — touches this file and nothing upstream. The returned Transport
-// exposes the capabilities callers need: fault_injector() for failure
-// injection and the stats/per-query attribution surface, both backed by the
-// same FaultInjector table and TrafficLedger in every transport.
-// Runtime-specific control (SimTransport::run_until_idle,
-// ThreadTransport::wait_idle, SocketTransport::start) stays behind a
-// dynamic_cast by the owner that selected the mode — the factory
-// deliberately does not wrap those, since their semantics differ per
-// runtime.
+// carries everything an owner needs: the lifecycle (start, settle, idle,
+// now, stop), fault_injector() for failure injection, health() and the
+// stats/per-query attribution surface, backed by the same FaultInjector
+// table and TrafficLedger in every transport. No owner casts to a concrete
+// class.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +36,8 @@ struct TransportConfig {
   SocketOptions socket;
 };
 
-// Constructs the transport for `config.mode`. The concrete lifecycle calls
-// (start/run/stop) remain the owner's job.
+// Constructs the transport for `config.mode`; the owner then drives it
+// through Transport::start/settle/stop.
 std::unique_ptr<Transport> make_transport(const TransportConfig& config);
 
 }  // namespace mendel::net

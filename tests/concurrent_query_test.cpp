@@ -4,8 +4,14 @@
 // stall -> cancel -> heal -> retry protocol's no-leak guarantee.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/mendel/client.h"
@@ -326,9 +332,76 @@ TEST(ConcurrentQuery, ThreadedStallHealRetryLeavesNoLeakedPending) {
   // wait() returns the instant the reply lands at the client actor; the
   // coordinator may still be inside the handler that erases its pending
   // entry. Quiesce before inspecting node state.
-  client.thread_transport().wait_idle();
+  client.settle();
   expect_no_leaked_pending(client);
-  EXPECT_EQ(client.thread_transport().handler_errors().size(), 0u);
+  EXPECT_EQ(client.metrics().counter("net.handler_errors"), 0u);
+}
+
+// Stall detection on a live transport that never goes idle: one query's
+// dataflow is cut (its fan-in waits on a node whose traffic is dropped,
+// with no Client::fail_node to exclude it) while a second thread keeps
+// the cluster busy with fresh queries for far longer than the deadline,
+// so idle() never fires. wait() must still give up at query_timeout and
+// cancel within one settle round, not when the load happens to stop.
+TEST(ConcurrentQuery, ThreadedStallUnderLoadEndsAtTheDeadline) {
+  constexpr double kQueryTimeout = 0.3;
+  constexpr double kSettleBound = 8.0;  // generous: sanitizer builds
+  // Longer than that bound, so a wait() that ignores its deadline and
+  // returns only once the load stops fails the check below.
+  constexpr auto kLoadFor = std::chrono::seconds(10);
+  auto options = cluster_options();
+  options.runtime.transport_mode = core::TransportMode::kThreaded;
+  options.runtime.query_timeout = kQueryTimeout;
+  const auto store = workload::generate_database(database_spec());
+  core::Client client(options);
+  client.index(store);
+  const auto query = probe_of(store, 3, 10, 120);
+
+  client.fault_injector().fail_node(2);
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> submitted{0};
+  std::vector<core::QueryTicket> background;
+  const auto start = std::chrono::steady_clock::now();
+  std::thread load([&] {
+    // Offered faster than the cluster drains, so a backlog is always
+    // queued: the cluster stays busy until the stalled wait returns.
+    for (std::size_t i = 0;
+         !done.load() && std::chrono::steady_clock::now() - start < kLoadFor;
+         ++i) {
+      for (std::size_t j = 0; j < 4; ++j) {
+        background.push_back(client.submit(probe_of(store, j, 5, 140)));
+      }
+      submitted.store(i + 1);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  while (submitted.load() < 25) std::this_thread::yield();
+
+  // Watchdog: a wait() that hangs fails the test instead of the CI job.
+  auto stalled = std::async(std::launch::async,
+                            [&] { return client.wait(client.submit(query)); });
+  if (stalled.wait_for(std::chrono::seconds(120)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr, "wait() hung on a stalled query under load\n");
+    std::abort();  // the hung waiter cannot be joined
+  }
+  const auto outcome = stalled.get();
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  done.store(true);
+  load.join();
+
+  EXPECT_FALSE(outcome.completed);
+  EXPECT_TRUE(outcome.hits.empty());
+  EXPECT_LT(elapsed, kQueryTimeout + kSettleBound);
+  RecordProperty("stalled_wait_ms", static_cast<int>(elapsed * 1e3));
+
+  client.heal_node(2);
+  for (const auto& ticket : background) client.wait(ticket);
+  client.settle();
+  expect_no_leaked_pending(client);
+  EXPECT_EQ(client.metrics().counter("net.handler_errors"), 0u);
 }
 
 // A node that served ranged fetches for `trace`'s query — a victim for
@@ -411,9 +484,9 @@ TEST(ConcurrentQuery, ThreadedHomeFailedMidFetchCancelsThenHealsAndCompletes) {
   const auto retried = client.query(query);
   EXPECT_TRUE(retried.completed);
   expect_same_hits(healthy.hits, retried.hits);
-  client.thread_transport().wait_idle();
+  client.settle();
   expect_no_leaked_pending(client);
-  EXPECT_EQ(client.thread_transport().handler_errors().size(), 0u);
+  EXPECT_EQ(client.metrics().counter("net.handler_errors"), 0u);
 }
 
 }  // namespace

@@ -156,7 +156,7 @@ TEST(DeploySmoke, TwoDaemonClusterParityKillRestartHeal) {
   options.runtime.socket.endpoints = endpoints;
   options.runtime.socket.heartbeat_interval = 0.1;
   options.runtime.socket.heartbeat_timeout = 0.6;
-  options.runtime.socket.query_timeout = 5.0;
+  options.runtime.query_timeout = 5.0;
   options.runtime.socket.settle_timeout = 10.0;
   options.runtime.socket.connect_timeout = 15.0;
   core::Client client(options);
@@ -196,14 +196,14 @@ TEST(DeploySmoke, TwoDaemonClusterParityKillRestartHeal) {
   // The heartbeat monitor notices the silent peer without any manual
   // fail_node (both of daemon B's nodes share its connection).
   const auto hb_deadline = std::chrono::steady_clock::now() + 10s;
-  while ((!client.socket_transport().node_down(2) ||
-          !client.socket_transport().node_down(3)) &&
+  const net::FaultInjector& membership = client.fault_injector();
+  while ((!membership.node_down(2) || !membership.node_down(3)) &&
          std::chrono::steady_clock::now() < hb_deadline) {
     std::this_thread::sleep_for(10ms);
   }
-  EXPECT_TRUE(client.socket_transport().node_down(2));
-  EXPECT_TRUE(client.socket_transport().node_down(3));
-  EXPECT_GE(client.socket_transport().heartbeats_missed(), 1u);
+  EXPECT_TRUE(membership.node_down(2));
+  EXPECT_TRUE(membership.node_down(3));
+  EXPECT_GE(client.metrics().counter("net.heartbeats_missed"), 1u);
 
   // Make the down state explicit membership (mirrors the operator flow:
   // monitor alerts, operator or supervisor confirms the failure).
@@ -235,7 +235,7 @@ TEST(DeploySmoke, TwoDaemonClusterParityKillRestartHeal) {
   }
   RecordProperty("queries_with_full_recall_after_restart",
                  static_cast<int>(intact));
-  EXPECT_EQ(client.socket_transport().handler_errors().size(), 0u);
+  EXPECT_EQ(client.metrics().counter("net.handler_errors"), 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "src/common/error.h"
 #include "src/mendel/anchors.h"
 #include "src/mendel/block.h"
+#include "src/mendel/client.h"
 #include "src/mendel/params.h"
 #include "src/mendel/protocol.h"
 
@@ -303,6 +304,27 @@ TEST(MergeAnchors, OutputSorted) {
   EXPECT_EQ(merged[0].q_begin, 0u);
   EXPECT_EQ(merged[1].q_begin, 50u);
   EXPECT_EQ(merged[2].sequence, 2u);
+}
+
+// MENDEL_ARENA_BUDGET: a byte count with one optional k/m/g suffix.
+// Everything else keeps the configured budget, so a typo cannot silently
+// disable spilling or wrap into a huge budget.
+TEST(ArenaBudget, ParsesCountsAndBinarySuffixes) {
+  constexpr std::size_t kFallback = 7;
+  EXPECT_EQ(core::parse_arena_budget("0", kFallback), 0u);
+  EXPECT_EQ(core::parse_arena_budget("4096", kFallback), 4096u);
+  EXPECT_EQ(core::parse_arena_budget("3k", kFallback), 3u << 10);
+  EXPECT_EQ(core::parse_arena_budget("4m", kFallback), 4u << 20);
+  EXPECT_EQ(core::parse_arena_budget("4M", kFallback), 4u << 20);
+  EXPECT_EQ(core::parse_arena_budget("2G", kFallback), std::size_t{2} << 30);
+}
+
+TEST(ArenaBudget, MalformedValuesKeepTheFallback) {
+  constexpr std::size_t kFallback = 7;
+  for (const char* bad : {"", "-1", "+4", " 4", "4mb", "4m junk", "4 ", "m",
+                          "4x", "20000000000g", "99999999999999999999"}) {
+    EXPECT_EQ(core::parse_arena_budget(bad, kFallback), kFallback) << bad;
+  }
 }
 
 }  // namespace

@@ -239,7 +239,7 @@ TEST(ThreadTransport, EchoAcrossThreads) {
   transport.register_actor(2, &client);
   transport.start();
   for (int i = 0; i < 20; ++i) transport.send(make(2, 1, 5, i));
-  transport.drain_and_stop();
+  transport.stop();
   EXPECT_EQ(replies.load(), 20);
 }
 
@@ -260,7 +260,7 @@ TEST(ThreadTransport, CascadeDrainsCompletely) {
   transport.register_actor(2, &hop2);
   transport.start();
   for (int i = 0; i < 50; ++i) transport.send(make(0xff, 0, 1));
-  transport.drain_and_stop();
+  transport.stop();
   EXPECT_EQ(terminal.load(), 50);
 }
 
@@ -276,7 +276,7 @@ TEST(ThreadTransport, RegisterAfterStartThrows) {
   transport.start();
   FunctionActor late([](const Message&, Context&) {});
   EXPECT_THROW(transport.register_actor(1, &late), InvalidArgument);
-  transport.drain_and_stop();
+  transport.stop();
 }
 
 TEST(ThreadTransport, ThrowingHandlerRecordsErrorAndStillDrains) {
@@ -292,7 +292,7 @@ TEST(ThreadTransport, ThrowingHandlerRecordsErrorAndStillDrains) {
   transport.register_actor(3, &flaky);
   transport.start();
   for (int i = 0; i < 10; ++i) transport.send(make(0xff, 3, 1, i));
-  transport.drain_and_stop();
+  transport.stop();
 
   EXPECT_EQ(survived.load(), 5);
   const auto errors = transport.handler_errors();
@@ -322,7 +322,7 @@ TEST(ThreadTransport, FailedNodeDropsMessagesUntilHealed) {
   transport.heal_node(1);
   EXPECT_FALSE(transport.node_down(1));
   transport.send(make(0xff, 1, 1));
-  transport.drain_and_stop();
+  transport.stop();
   EXPECT_EQ(received.load(), 1);
   EXPECT_EQ(transport.dropped_messages(), 4u);
 }
@@ -339,7 +339,7 @@ TEST(ThreadTransport, StatsAreThreadSafe) {
   transport.register_actor(1, &pong);
   transport.start();
   transport.send(make(0xff, 0, 1, 100));  // 100-hop ping-pong
-  transport.drain_and_stop();
+  transport.stop();
   EXPECT_EQ(transport.stats().messages, 101u);
 }
 

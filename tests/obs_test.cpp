@@ -413,6 +413,33 @@ TEST(Metrics, ConsistentUnderConcurrentBatch) {
             static_cast<double>(queries.size()));
 }
 
+// Dashboards and the schema check see one key set whatever the runtime:
+// the net.* health counters exist (as zero) even where a transport has no
+// such mechanism.
+TEST(Metrics, SimAndThreadedExportTheSameCounterNames) {
+  const auto store = workload::generate_database(obs_spec());
+  std::vector<std::vector<std::string>> names;
+  for (const auto mode :
+       {core::TransportMode::kSim, core::TransportMode::kThreaded}) {
+    core::Client client(obs_options(mode));
+    client.index(store);
+    EXPECT_TRUE(client.query(probe_of(store, 2)).completed);
+    std::vector<std::string> counters;
+    for (const auto& counter : client.metrics().counters) {
+      counters.push_back(counter.name);
+    }
+    names.push_back(std::move(counters));
+  }
+  EXPECT_EQ(names[0], names[1]);
+  for (const char* name : {"net.frame_errors", "net.handler_errors",
+                           "net.heartbeats_missed", "net.reconnects",
+                           "net.decode_errors", "net.dropped_messages"}) {
+    EXPECT_NE(std::find(names[0].begin(), names[0].end(), name),
+              names[0].end())
+        << name;
+  }
+}
+
 TEST(Metrics, ExtensionPipelineCountersAndHistograms) {
   // Long homologous sequences plus short unrelated ones: a long query's
   // top hit is certain to outscore anything a short subject can offer, so

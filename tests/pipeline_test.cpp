@@ -551,7 +551,7 @@ TEST(Pipeline, ThreadTransportEndToEnd) {
       << "query did not complete under ThreadTransport";
   const auto result = future.get();
   EXPECT_TRUE(hits_contain(result.hits, 1));
-  transport.drain_and_stop();
+  transport.stop();
 }
 
 }  // namespace

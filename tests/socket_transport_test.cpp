@@ -1,7 +1,7 @@
 // Socket transport: frame layer, live Unix-domain/TCP loopback wiring,
-// reconnect/heartbeat machinery, the FaultInjector and traffic-attribution
-// contracts shared by all three transports, and the local dispatch contract
-// shared by the threaded and socket transports.
+// reconnect/heartbeat machinery, the FaultInjector, traffic-attribution and
+// settle contracts shared by all three transports, and the local dispatch
+// contract shared by the threaded and socket transports.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/common/error.h"
+#include "src/mendel/node_host.h"
 #include "src/net/frame.h"
 #include "src/net/sim_transport.h"
 #include "src/net/socket_transport.h"
@@ -253,14 +254,13 @@ TEST(SocketTransport, TcpEchoRoundtrip) {
 
 // ------------------------------------------ shared transport contracts
 
-// The chaos and accounting surfaces are written once against
+// The chaos, accounting and settle surfaces are written once against
 // net::FaultInjector and net::Transport; these harnesses pin the shared
-// semantics on every transport. `pump` drives the transport toward
-// quiescence (sim: drain; threaded and socket: wait for local idle).
+// semantics on every transport. Transport::settle() is the only barrier
+// the contracts use.
 struct FaultHarness {
   net::Transport* transport = nullptr;
   net::FaultInjector* fault = nullptr;
-  std::function<void()> pump;
   std::function<std::vector<std::uint32_t>()> received_types;
 };
 
@@ -289,7 +289,6 @@ void run_on_sim(Contract contract) {
   TypeRecorder recorder;
   transport.register_actor(1, &recorder);
   contract({&transport, transport.fault_injector(),
-            [&] { transport.run_until_idle(); },
             [&] { return recorder.types(); }});
 }
 
@@ -299,9 +298,8 @@ void run_on_threads(Contract contract) {
   transport.register_actor(1, &recorder);
   transport.start();
   contract({&transport, transport.fault_injector(),
-            [&] { transport.wait_idle(); },
             [&] { return recorder.types(); }});
-  transport.drain_and_stop();
+  transport.stop();
 }
 
 void run_on_socket(const std::string& tag, Contract contract) {
@@ -315,7 +313,6 @@ void run_on_socket(const std::string& tag, Contract contract) {
   transport.register_actor(1, &recorder);
   transport.start();
   contract({&transport, transport.fault_injector(),
-            [&] { transport.wait_local_idle(); },
             [&] { return recorder.types(); }});
   transport.stop();
 }
@@ -336,7 +333,7 @@ void exercise_fault_contract(const FaultHarness& h) {
     h.transport->send(to_node_1(type, 1));
   };
   auto delivered = [&](std::vector<std::uint32_t> expected) {
-    h.pump();
+    h.transport->settle();
     EXPECT_TRUE(poll_until([&] { return h.received_types() == expected; }))
         << "delivered types diverged";
   };
@@ -350,7 +347,7 @@ void exercise_fault_contract(const FaultHarness& h) {
   h.fault->fail_node(1);
   EXPECT_TRUE(h.fault->node_down(1));
   send(7);
-  h.pump();
+  h.transport->settle();
   EXPECT_TRUE(poll_until([&] { return h.fault->dropped_messages() == 1u; }));
   delivered({7});
 
@@ -375,7 +372,7 @@ void exercise_fault_contract(const FaultHarness& h) {
 }
 
 // Per-query attribution is counted inside send(), so every expectation
-// holds as soon as the sends return; the pump only settles delivery.
+// holds as soon as the sends return; the settle only finishes delivery.
 void exercise_attribution_contract(const FaultHarness& h) {
   net::Transport& t = *h.transport;
   auto send = [&](std::uint64_t id, std::size_t bytes) {
@@ -425,7 +422,131 @@ void exercise_attribution_contract(const FaultHarness& h) {
   for (std::uint64_t id = kFirst; id < kFirst + kIds; ++id) {
     expect_bucket(id, 1 + id % 3, (1 + id % 3) * (id % 7));
   }
-  h.pump();
+  h.transport->settle();
+}
+
+// settle() is a barrier: no polling after it. The recorder runs behind
+// the sends (a burst queues in its mailbox), so a settle that returned
+// early would see a short list.
+void exercise_settle_contract(const FaultHarness& h) {
+  constexpr std::size_t kBurst = 2000;
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    h.transport->send(to_node_1(static_cast<std::uint32_t>(i % 5), 1));
+  }
+  h.transport->settle();
+  EXPECT_EQ(h.received_types().size(), kBurst);
+  h.transport->settle();  // a settle with nothing in flight returns too
+  EXPECT_EQ(h.received_types().size(), kBurst);
+
+  // A failed node is left out of the round instead of stalling it.
+  h.fault->fail_node(1);
+  h.transport->send(to_node_1(7, 1));
+  h.transport->settle();
+  h.fault->heal_node(1);
+  h.transport->send(to_node_1(8, 1));
+  h.transport->settle();
+  const auto types = h.received_types();
+  ASSERT_EQ(types.size(), kBurst + 1);
+  EXPECT_EQ(types.back(), 8u);
+}
+
+TEST(Settle, ContractHoldsOnSimTransport) {
+  run_on_sim(exercise_settle_contract);
+}
+
+TEST(Settle, ContractHoldsOnThreadTransport) {
+  run_on_threads(exercise_settle_contract);
+}
+
+TEST(Settle, ContractHoldsOnSocketTransport) {
+  run_on_socket("settle", exercise_settle_contract);
+}
+
+// Across processes: the node's replies to the client ride the same
+// connection ahead of its settle ack, and the client's mailbox consumes
+// the ack in order, so every reply is handled before settle() returns
+// (Client::collect_trace relies on this for trace reports).
+TEST(Settle, RemoteRepliesAreHandledBeforeSettleReturns) {
+  const std::string ep = uds_endpoint("settle_remote", 0);
+  net::SocketTransport server(socket_options({ep}));
+  net::FunctionActor echo([](const net::Message& m, net::Context& ctx) {
+    ctx.send(m.from, m.type, m.request_id, m.payload);
+  });
+  server.register_actor(0, &echo);
+  server.start();
+
+  net::SocketTransport client(socket_options({ep}));
+  TypeRecorder replies;
+  client.register_actor(net::kClientNode, &replies);
+  client.start();
+
+  constexpr std::size_t kBurst = 500;
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    net::Message m;
+    m.from = net::kClientNode;
+    m.to = 0;
+    m.type = 3;
+    m.request_id = i + 1;
+    m.payload.assign(64, 1);
+    client.send(std::move(m));
+  }
+  client.settle();
+  EXPECT_EQ(replies.types().size(), kBurst);
+  client.stop();
+  server.stop();
+}
+
+// A daemon that died cannot hang the round: settle() gives up after
+// settle_timeout.
+TEST(Settle, SocketSettleWithGoneDaemonReturnsWithinTimeout) {
+  const std::string ep = uds_endpoint("settle_gone", 0);
+  auto server = std::make_unique<net::SocketTransport>(socket_options({ep}));
+  TypeRecorder recorder;
+  server->register_actor(0, &recorder);
+  server->start();
+
+  auto options = socket_options({ep});
+  options.settle_timeout = 0.3;
+  net::SocketTransport client(options);
+  net::FunctionActor sink([](const net::Message&, net::Context&) {});
+  client.register_actor(net::kClientNode, &sink);
+  client.start();
+  server->stop();
+  server.reset();
+
+  const auto start = std::chrono::steady_clock::now();
+  client.settle();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(elapsed, 250ms);  // it waited for the missing ack...
+  EXPECT_LT(elapsed, 5s);     // ...but only about settle_timeout
+  client.stop();
+}
+
+// The runtime answers probes itself, so a NodeHost that never received
+// kNodeInit (it drops everything else) still lets a settle complete.
+TEST(Settle, UninitializedNodeHostStillSettles) {
+  const std::string ep = uds_endpoint("settle_host", 0);
+  net::SocketTransport daemon(socket_options({ep}));
+  core::NodeHostOptions host_options;
+  host_options.node_ids = {0};
+  core::NodeHost host(&daemon, host_options);
+  daemon.start();
+
+  auto options = socket_options({ep});
+  options.settle_timeout = 30.0;
+  net::SocketTransport client(options);
+  net::FunctionActor sink([](const net::Message&, net::Context&) {});
+  client.register_actor(net::kClientNode, &sink);
+  client.start();
+
+  const auto start = std::chrono::steady_clock::now();
+  client.settle();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 10s)
+      << "settle waited out its timeout: the pre-init host never acked";
+  EXPECT_EQ(host.generation(), 0u);
+  EXPECT_EQ(daemon.handler_errors().size(), 0u);
+  client.stop();
+  daemon.stop();
 }
 
 TEST(FaultInjector, ContractHoldsOnSimTransport) {
@@ -455,9 +576,7 @@ TEST(TrafficAttribution, ContractHoldsOnSocketTransport) {
 // ThreadTransport and SocketTransport share one local actor runtime: pin
 // its registration and handler-error semantics on both.
 template <typename LocalTransport>
-void exercise_dispatch_contract(LocalTransport& transport,
-                                const std::function<void()>& start,
-                                const std::function<void()>& quiesce) {
+void exercise_dispatch_contract(LocalTransport& transport) {
   net::FunctionActor picky([](const net::Message& m, net::Context&) {
     // Grow the payload before failing. The recorded identity must show the
     // grown size, which proves the error string is formed after the
@@ -468,13 +587,17 @@ void exercise_dispatch_contract(LocalTransport& transport,
   net::FunctionActor other([](const net::Message&, net::Context&) {});
   transport.register_actor(1, &picky);
   EXPECT_THROW(transport.register_actor(1, &other), InvalidArgument);
-  start();
+  transport.start();
 
+  // A stale settle ack is consumed by the runtime: it never reaches the
+  // (always throwing) actor, so it adds no handler error.
+  transport.send(to_node_1(net::kSettleAck, 12345));
   net::Message grown = to_node_1(5, 77, 3);
   grown.payload.push_back(0);
   transport.send(to_node_1(5, 77, 3));
-  quiesce();
-  EXPECT_EQ(transport.decode_errors(), 1u);
+  transport.settle();
+  EXPECT_EQ(transport.health().decode_errors, 1u);
+  EXPECT_EQ(transport.health().handler_errors, 1u);
   const auto errors = transport.handler_errors();
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_EQ(errors[0],
@@ -483,18 +606,14 @@ void exercise_dispatch_contract(LocalTransport& transport,
 
 TEST(LocalDispatch, ContractHoldsOnThreadTransport) {
   net::ThreadTransport transport;
-  exercise_dispatch_contract(
-      transport, [&] { transport.start(); },
-      [&] { transport.wait_idle(); });
-  transport.drain_and_stop();
+  exercise_dispatch_contract(transport);
+  transport.stop();
 }
 
 TEST(LocalDispatch, ContractHoldsOnSocketTransport) {
   // No endpoints: node 1 is local only, nothing listens or dials.
   net::SocketTransport transport(socket_options({}));
-  exercise_dispatch_contract(
-      transport, [&] { transport.start(); },
-      [&] { transport.wait_local_idle(); });
+  exercise_dispatch_contract(transport);
   transport.stop();
 }
 
@@ -568,7 +687,7 @@ TEST(SocketTransport, HeartbeatMarksSilentPeerDownThenRecovers) {
   server.reset();
   EXPECT_TRUE(poll_until([&] { return client.node_down(0); }))
       << "silent peer never marked down";
-  EXPECT_GE(client.heartbeats_missed(), 1u);
+  EXPECT_GE(client.health().heartbeats_missed, 1u);
 
   // The monitor keeps redialing: once the peer is back and a pong lands,
   // the down verdict clears without any manual heal.

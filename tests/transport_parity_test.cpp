@@ -90,7 +90,7 @@ core::QueryResultPayload run_threaded(const seq::SequenceStore& store,
   EXPECT_EQ(future.wait_for(std::chrono::seconds(60)),
             std::future_status::ready);
   auto result = future.get();
-  transport.drain_and_stop();
+  transport.stop();
   return result;
 }
 
@@ -184,7 +184,7 @@ TEST(TransportParity, ConcurrentBatchMatchesSimBatch) {
     EXPECT_TRUE(threaded_outcomes[i].completed);
     expect_same_hits(sim_outcomes[i], threaded_outcomes[i]);
   }
-  EXPECT_EQ(threaded_client.thread_transport().handler_errors().size(), 0u);
+  EXPECT_EQ(threaded_client.metrics().counter("net.handler_errors"), 0u);
 }
 
 TEST(TransportParity, ManyThreadsDrivingSubmitWaitAgreeWithSim) {
@@ -256,7 +256,7 @@ TEST(TransportParity, DnaBatchMatchesAcrossTransports) {
     ASSERT_FALSE(sim_outcomes[i].hits.empty()) << "query " << i;
     expect_same_hits(sim_outcomes[i], threaded_outcomes[i]);
   }
-  EXPECT_EQ(threaded_client.thread_transport().handler_errors().size(), 0u);
+  EXPECT_EQ(threaded_client.metrics().counter("net.handler_errors"), 0u);
 }
 
 // In-process socket cluster: "daemon" transports hosting the storage
@@ -332,7 +332,7 @@ void run_socket_parity(seq::Alphabet alphabet, const std::string& tag) {
     ASSERT_FALSE(sim_outcomes[i].hits.empty()) << "query " << i;
     expect_same_hits(sim_outcomes[i], socket_outcomes[i]);
   }
-  EXPECT_EQ(socket_client.socket_transport().handler_errors().size(), 0u);
+  EXPECT_EQ(socket_client.metrics().counter("net.handler_errors"), 0u);
   for (const auto& transport : cluster.transports) {
     EXPECT_EQ(transport->handler_errors().size(), 0u);
     EXPECT_EQ(transport->decode_errors(), 0u);
