@@ -15,6 +15,7 @@
 #include "src/common/error.h"
 #include "src/mendel/protocol.h"
 #include "tests/fuzz/fuzz_util.h"
+#include "tests/fuzz/wire_selectors.h"
 
 namespace {
 
@@ -51,21 +52,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size == 0) return 0;
   const std::span<const std::uint8_t> payload(data + 1, size - 1);
-  switch (data[0] % 14) {
-    case 0: fuzz_one<mendel::core::StoreSequencePayload>(payload); break;
-    case 1: fuzz_one<mendel::core::InsertBlocksPayload>(payload); break;
-    case 2: fuzz_one<mendel::core::QueryRequestPayload>(payload); break;
-    case 3: fuzz_one<mendel::core::GroupQueryPayload>(payload); break;
-    case 4: fuzz_one<mendel::core::NodeSearchPayload>(payload); break;
-    case 5: fuzz_one<mendel::core::NodeSearchResultPayload>(payload); break;
-    case 6: fuzz_one<mendel::core::GroupResultPayload>(payload); break;
-    case 7: fuzz_one<mendel::core::FetchRangePayload>(payload); break;
-    case 8: fuzz_one<mendel::core::FetchRangeResultPayload>(payload); break;
-    case 9: fuzz_one<mendel::core::QueryResultPayload>(payload); break;
-    case 10: fuzz_one<mendel::core::TraceReportPayload>(payload); break;
-    case 11: fuzz_one<mendel::core::NodeInitPayload>(payload); break;
-    case 12: fuzz_one<mendel::core::SetNodeDownPayload>(payload); break;
-    case 13: fuzz_one<mendel::core::SetResiduesPayload>(payload); break;
-  }
+  mendel::fuzz::with_wire_payload(
+      data[0], [&]<typename Payload>() { fuzz_one<Payload>(payload); });
   return 0;
 }

@@ -184,6 +184,30 @@ void gen_wire(const fs::path& dir) {
   span.value = 12;
   report.spans = {span, span};
   write_seed(dir, "trace_report", tagged(10, core::encode_payload(report)));
+
+  core::NodeInitPayload init;
+  init.generation = 2;
+  init.alphabet = 0;
+  init.num_groups = 2;
+  init.nodes_per_group = 3;
+  init.ring_virtual_nodes = 16;
+  init.replication = 2;
+  init.sequence_replication = 1;
+  init.extra_node_groups = {1, 0};
+  init.bucket_capacity = 256;
+  init.database_residues = 12345;
+  init.down_nodes = {4};
+  init.prefix_tree = {1, 2, 3, 4};
+  write_seed(dir, "node_init", tagged(11, core::encode_payload(init)));
+
+  core::SetNodeDownPayload node_down;
+  node_down.node = 5;
+  node_down.down = true;
+  write_seed(dir, "set_node_down", tagged(12, core::encode_payload(node_down)));
+
+  core::SetResiduesPayload residues;
+  residues.residues = 987654321;
+  write_seed(dir, "set_residues", tagged(13, core::encode_payload(residues)));
 }
 
 // --- snapshot_fuzz / json_fuzz ------------------------------------------
