@@ -57,12 +57,12 @@ Outcome run(core::Client& client, const Workload& w,
   RunningStats turnaround, seeds, messages;
   std::size_t found = 0;
   for (std::size_t i = 0; i < w.probes.size(); ++i) {
-    const auto before = client.total_counters();
+    const auto before = client.metrics();
     const auto result = client.query(w.probes[i], params);
-    const auto after = client.total_counters();
+    const auto after = client.metrics();
     turnaround.add(result.turnaround);
-    seeds.add(static_cast<double>(after.seeds_emitted -
-                                  before.seeds_emitted));
+    seeds.add(static_cast<double>(after.counter("node.seeds_emitted") -
+                                  before.counter("node.seeds_emitted")));
     messages.add(static_cast<double>(result.traffic.messages));
     for (const auto& hit : result.hits) {
       if (hit.subject_id == w.origins[i]) {

@@ -63,6 +63,17 @@ struct AlignmentHit {
   // when the query ran with QueryParams::include_subject_segment (clients
   // need it to render pairwise alignments without holding the database).
   std::vector<seq::Code> subject_segment;
+
+  // Wire layout (src/common/codec.h), as carried in kQueryResult replies;
+  // the size_t offsets and counts travel as u64.
+  static_assert(sizeof(std::size_t) == 8);
+  template <class Io>
+  void fields(Io& io) {
+    io(subject_id, subject_name, alignment.hsp.q_begin, alignment.hsp.q_end,
+       alignment.hsp.s_begin, alignment.hsp.s_end, alignment.hsp.score,
+       alignment.columns, alignment.identities, alignment.gap_columns,
+       alignment.cigar, bit_score, evalue, subject_segment);
+  }
 };
 
 }  // namespace mendel::align

@@ -1,5 +1,12 @@
-// codec.h is header-only; this translation unit exists so the library has a
-// stable archive member and to host any future out-of-line codec helpers.
+// Out-of-line codec helpers (the cold error paths) for codec.h.
 #include "src/common/codec.h"
 
-namespace mendel {}  // namespace mendel
+namespace mendel {
+
+void CodecReader::truncated(std::size_t n) const {
+  throw DecodeError("CodecReader: truncated buffer (need " +
+                    std::to_string(n) + " bytes, have " +
+                    std::to_string(remaining()) + ")");
+}
+
+}  // namespace mendel

@@ -33,18 +33,9 @@ struct Block {
 
   bool operator==(const Block&) const = default;
 
-  void encode(CodecWriter& writer) const {
-    writer.u32(sequence);
-    writer.u32(start);
-    writer.bytes(std::span<const std::uint8_t>(window.data(), window.size()));
-  }
-
-  static Block decode(CodecReader& reader) {
-    Block block;
-    block.sequence = reader.u32();
-    block.start = reader.u32();
-    block.window = reader.bytes();
-    return block;
+  template <class Io>
+  void fields(Io& io) {
+    io(sequence, start, window);
   }
 };
 

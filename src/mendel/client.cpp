@@ -490,22 +490,31 @@ obs::MetricsSnapshot Client::metrics() const {
 
   // NodeCounters stay plain per-node structs (no atomics on the node hot
   // paths); fold their cluster totals in as synthetic node.* entries.
-  const NodeCounters totals = total_counters();
-  add_counter("node.blocks_inserted", totals.blocks_inserted);
-  add_counter("node.sequences_stored", totals.sequences_stored);
-  add_counter("node.blocks_restored", totals.blocks_restored);
-  add_counter("node.sequences_restored", totals.sequences_restored);
-  add_counter("node.nn_searches", totals.nn_searches);
-  add_counter("node.nn_cache_hits", totals.nn_cache_hits);
-  add_counter("node.nn_cache_misses", totals.nn_cache_misses);
-  add_counter("node.seeds_emitted", totals.seeds_emitted);
-  add_counter("node.fetches_served", totals.fetches_served);
-  add_counter("node.group_queries", totals.group_queries);
-  add_counter("node.queries_coordinated", totals.queries_coordinated);
-  add_counter("node.anchors_extended", totals.anchors_extended);
-  add_counter("node.gapped_extensions", totals.gapped_extensions);
-  add_counter("node.fetch_ranges_coalesced", totals.fetch_ranges_coalesced);
-  add_counter("node.anchors_pruned", totals.anchors_pruned);
+  const auto add_node_counter = [&](const char* name,
+                                    std::uint64_t NodeCounters::*field) {
+    std::uint64_t total = 0;
+    for (const auto& node : nodes_) total += node->counters().*field;
+    add_counter(name, total);
+  };
+  add_node_counter("node.blocks_inserted", &NodeCounters::blocks_inserted);
+  add_node_counter("node.sequences_stored", &NodeCounters::sequences_stored);
+  add_node_counter("node.blocks_restored", &NodeCounters::blocks_restored);
+  add_node_counter("node.sequences_restored",
+                   &NodeCounters::sequences_restored);
+  add_node_counter("node.nn_searches", &NodeCounters::nn_searches);
+  add_node_counter("node.nn_cache_hits", &NodeCounters::nn_cache_hits);
+  add_node_counter("node.nn_cache_misses", &NodeCounters::nn_cache_misses);
+  add_node_counter("node.seeds_emitted", &NodeCounters::seeds_emitted);
+  add_node_counter("node.fetches_served", &NodeCounters::fetches_served);
+  add_node_counter("node.group_queries", &NodeCounters::group_queries);
+  add_node_counter("node.queries_coordinated",
+                   &NodeCounters::queries_coordinated);
+  add_node_counter("node.anchors_extended", &NodeCounters::anchors_extended);
+  add_node_counter("node.gapped_extensions",
+                   &NodeCounters::gapped_extensions);
+  add_node_counter("node.fetch_ranges_coalesced",
+                   &NodeCounters::fetch_ranges_coalesced);
+  add_node_counter("node.anchors_pruned", &NodeCounters::anchors_pruned);
 
   const net::NetworkStats traffic = transport_->stats();
   add_counter("net.messages", traffic.messages);
@@ -606,29 +615,6 @@ std::vector<std::uint64_t> Client::block_counts() const {
   return counts;
 }
 
-NodeCounters Client::total_counters() const {
-  NodeCounters total;
-  for (const auto& node : nodes_) {
-    const NodeCounters& c = node->counters();
-    total.blocks_inserted += c.blocks_inserted;
-    total.sequences_stored += c.sequences_stored;
-    total.blocks_restored += c.blocks_restored;
-    total.sequences_restored += c.sequences_restored;
-    total.nn_searches += c.nn_searches;
-    total.nn_cache_hits += c.nn_cache_hits;
-    total.nn_cache_misses += c.nn_cache_misses;
-    total.seeds_emitted += c.seeds_emitted;
-    total.fetches_served += c.fetches_served;
-    total.group_queries += c.group_queries;
-    total.queries_coordinated += c.queries_coordinated;
-    total.anchors_extended += c.anchors_extended;
-    total.gapped_extensions += c.gapped_extensions;
-    total.fetch_ranges_coalesced += c.fetch_ranges_coalesced;
-    total.anchors_pruned += c.anchors_pruned;
-  }
-  return total;
-}
-
 StorageNode& Client::node(net::NodeId id) {
   require(id < nodes_.size(), "Client::node: id out of range");
   return *nodes_[id];
@@ -710,46 +696,24 @@ void Client::save_index(const std::string& path) const {
   require(nodes_.size() == topology_->total_nodes(),
           "Client::save_index: not available in TransportMode::kSocket "
           "(the shards live in the daemon processes)");
-  CodecWriter writer;
-  writer.str("mendel-index-v3");
-  writer.u8(static_cast<std::uint8_t>(alphabet_));
-  writer.u64(database_residues_);
-  writer.u32(options_.topology.num_groups);
-  writer.u32(options_.topology.nodes_per_group);
+  Snapshot snapshot;
+  snapshot.alphabet = alphabet_;
+  snapshot.database_residues = database_residues_;
+  snapshot.num_groups = options_.topology.num_groups;
+  snapshot.nodes_per_group = options_.topology.nodes_per_group;
   // Nodes added after the initial dense layout, in id order.
-  const std::uint32_t dense =
-      options_.topology.num_groups * options_.topology.nodes_per_group;
-  writer.u32(topology_->total_nodes() - dense);
-  for (net::NodeId id = dense; id < topology_->total_nodes(); ++id) {
-    writer.u32(topology_->address(id).group);
+  for (net::NodeId id = snapshot.num_groups * snapshot.nodes_per_group;
+       id < topology_->total_nodes(); ++id) {
+    snapshot.extra_groups.push_back(topology_->address(id).group);
   }
-  prefix_tree_->encode(writer);
-  // v3: one length-framed section per group (ascending group id), each
-  // holding its member nodes' shards with packed arena rows dumped
-  // verbatim. The framing makes group sections independently skippable,
-  // so incremental tooling can rewrite one group without decoding the
-  // whole cluster.
-  writer.u32(options_.topology.num_groups);
-  for (std::uint32_t group = 0; group < options_.topology.num_groups;
-       ++group) {
-    writer.u32(group);
-    CodecWriter section;
-    std::vector<net::NodeId> members;
-    for (net::NodeId id = 0; id < topology_->total_nodes(); ++id) {
-      if (topology_->address(id).group == group) members.push_back(id);
-    }
-    section.u32(static_cast<std::uint32_t>(members.size()));
-    for (net::NodeId id : members) {
-      section.u32(id);
-      nodes_[id]->save(section);
-    }
-    writer.bytes(section.data());
-  }
+  snapshot.prefix_tree = prefix_tree_.get();
+  for (const auto& node : nodes_) snapshot.shards.push_back(node->save());
+  const std::vector<std::uint8_t> bytes = write_snapshot(snapshot);
 
   std::ofstream out(path, std::ios::binary);
   if (!out) throw IoError("save_index: cannot open " + path);
-  out.write(reinterpret_cast<const char*>(writer.data().data()),
-            static_cast<std::streamsize>(writer.size()));
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
   if (!out) throw IoError("save_index: write failed for " + path);
 }
 
@@ -757,62 +721,34 @@ void Client::load_index(const std::string& path) {
   require(!indexed_, "Client::load_index: already indexed");
   std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError("load_index: cannot open " + path);
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  CodecReader reader(bytes);
+  Snapshot snapshot = read_snapshot(
+      {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()});
 
-  const std::string magic = reader.str();
-  require(magic == "mendel-index-v3",
-          "load_index: unsupported snapshot magic '" + magic +
-              "' (re-index and save with this version)");
-  const auto alphabet = static_cast<seq::Alphabet>(reader.u8());
-  database_residues_ = reader.u64();
+  database_residues_ = snapshot.database_residues;
   // Adopt the snapshot's topology: an index is only meaningful on the
   // cluster shape it was built for.
-  options_.topology.num_groups = reader.u32();
-  options_.topology.nodes_per_group = reader.u32();
-  const std::uint32_t extra_nodes = reader.u32();
-  std::vector<std::uint32_t> extra_groups;
-  for (std::uint32_t i = 0; i < extra_nodes; ++i) {
-    extra_groups.push_back(reader.u32());
-  }
-
+  options_.topology.num_groups = snapshot.num_groups;
+  options_.topology.nodes_per_group = snapshot.nodes_per_group;
   topology_ = std::make_unique<cluster::Topology>(options_.topology);
-  for (std::uint32_t group : extra_groups) topology_->add_node(group);
-  distance_ = std::make_unique<score::DistanceMatrix>(
-      score::default_distance(alphabet));
-  prefix_tree_ = std::make_unique<vpt::VpPrefixTree>(
-      vpt::VpPrefixTree::decode(reader, distance_.get()));
+  for (std::uint32_t group : snapshot.extra_groups) topology_->add_node(group);
+  distance_ = std::move(snapshot.distance);
+  prefix_tree_ = std::move(snapshot.tree);
   topology_->bind_prefixes(prefix_tree_->leaf_prefixes());
 
-  spawn_nodes(alphabet);
+  spawn_nodes(snapshot.alphabet);
   require(nodes_.size() == topology_->total_nodes(),
           "Client::load_index: not available in TransportMode::kSocket "
           "(daemons build their shards from the indexing stream)");
-  const std::uint32_t group_count = reader.u32();
-  require(group_count == options_.topology.num_groups,
-          "load_index: group section count mismatch");
-  std::size_t shards = 0;
-  for (std::uint32_t i = 0; i < group_count; ++i) {
-    const std::uint32_t group = reader.u32();
-    require(group == i, "load_index: group sections out of order");
-    const auto section = reader.bytes();
-    CodecReader sub(section);
-    const std::uint32_t members = sub.u32();
-    for (std::uint32_t m = 0; m < members; ++m) {
-      const std::uint32_t id = sub.u32();
-      require(id < nodes_.size(), "load_index: shard for unknown node " +
-                                      std::to_string(id));
-      require(topology_->address(id).group == group,
-              "load_index: node " + std::to_string(id) +
-                  " filed under the wrong group section");
-      nodes_[id]->load(sub);
-      ++shards;
-    }
-    require(sub.done(), "load_index: trailing bytes in group section " +
-                            std::to_string(group));
+  require(snapshot.shards.size() == nodes_.size(),
+          "load_index: node shard count mismatch");
+  for (const SnapshotShard& shard : snapshot.shards) {
+    require(shard.id < nodes_.size(),
+            "load_index: shard for unknown node " + std::to_string(shard.id));
+    require(topology_->address(shard.id).group == shard.group,
+            "load_index: node " + std::to_string(shard.id) +
+                " filed under the wrong group section");
+    nodes_[shard.id]->load(shard);
   }
-  require(shards == nodes_.size(), "load_index: node shard count mismatch");
   // Recover the id watermark from the restored shards so add_sequences()
   // keeps allocating fresh ids after a load.
   seq::SequenceId watermark = 0;

@@ -245,10 +245,6 @@ class Client {
   // --- telemetry ---------------------------------------------------------
   const cluster::Topology& topology() const;
   std::vector<std::uint64_t> block_counts() const;
-  // Deprecated: summed NodeCounters across nodes. Prefer metrics(), which
-  // includes these totals as node.* counters next to everything else. Kept
-  // so existing callers build.
-  NodeCounters total_counters() const;
   // The transport's fault-injection capability and membership view (all
   // modes; node_down() includes heartbeat verdicts over sockets).
   net::FaultInjector& fault_injector() const;

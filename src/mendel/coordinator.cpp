@@ -78,10 +78,11 @@ void StorageNode::on_query_request(const net::Message& message,
   pending.created = ctx.now();
 
   // Dispatch one GroupQuery per selected group to an alive entry node.
-  // The params+trace+query prefix is serialized once; only each group's
-  // subquery set differs per message.
-  const auto prefix =
-      encode_group_query_prefix(request.params, pending.trace, request.query);
+  // The params+trace+query prefix is serialized once (as the request
+  // re-parented under the routing span); only each group's subquery set
+  // differs per message.
+  request.trace = pending.trace;
+  const auto prefix = encode_payload(request);
   // Each group's entry is one of its own members, so entries are distinct.
   for (auto& [group, subs] : per_group) {
     const auto alive = alive_group_members(group);

@@ -6,8 +6,6 @@
 #include <cstdint>
 #include <string>
 
-#include "src/common/codec.h"
-
 namespace mendel::core {
 
 // Leaf (bucket) capacity of every storage node's vp-tree: the one default
@@ -64,42 +62,11 @@ struct QueryParams {
   // low-similarity sensitivity for a large cut in fetch/extension work.
   std::uint32_t min_anchor_span = 0;
 
-  void encode(CodecWriter& writer) const {
-    writer.u32(k);
-    writer.u32(n);
-    writer.f64(identity);
-    writer.f64(c_score);
-    writer.str(matrix);
-    writer.f64(gapped_trigger);
-    writer.u32(band);
-    writer.f64(evalue);
-    writer.f64(branch_epsilon);
-    writer.i32(x_drop);
-    writer.u32(extension_margin);
-    writer.u32(max_hits);
-    writer.u32(max_gapped_per_bin);
-    writer.u32(min_anchor_span);
-    writer.boolean(include_subject_segment);
-  }
-
-  static QueryParams decode(CodecReader& reader) {
-    QueryParams p;
-    p.k = reader.u32();
-    p.n = reader.u32();
-    p.identity = reader.f64();
-    p.c_score = reader.f64();
-    p.matrix = reader.str();
-    p.gapped_trigger = reader.f64();
-    p.band = reader.u32();
-    p.evalue = reader.f64();
-    p.branch_epsilon = reader.f64();
-    p.x_drop = reader.i32();
-    p.extension_margin = reader.u32();
-    p.max_hits = reader.u32();
-    p.max_gapped_per_bin = reader.u32();
-    p.min_anchor_span = reader.u32();
-    p.include_subject_segment = reader.boolean();
-    return p;
+  template <class Io>
+  void fields(Io& io) {
+    io(k, n, identity, c_score, matrix, gapped_trigger, band, evalue,
+       branch_epsilon, x_drop, extension_margin, max_hits, max_gapped_per_bin,
+       min_anchor_span, include_subject_segment);
   }
 };
 

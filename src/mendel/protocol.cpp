@@ -2,337 +2,13 @@
 
 namespace mendel::core {
 
-namespace {
-
-void encode_codes(CodecWriter& w, const std::vector<seq::Code>& codes) {
-  w.bytes(std::span<const std::uint8_t>(codes.data(), codes.size()));
-}
-
-std::vector<seq::Code> decode_codes(CodecReader& r) { return r.bytes(); }
-
-}  // namespace
-
-void StoreSequencePayload::encode(CodecWriter& w) const {
-  w.u32(sequence);
-  w.str(name);
-  w.u8(alphabet);
-  encode_codes(w, codes);
-}
-
-StoreSequencePayload StoreSequencePayload::decode(CodecReader& r) {
-  StoreSequencePayload p;
-  p.sequence = r.u32();
-  p.name = r.str();
-  p.alphabet = r.u8();
-  p.codes = decode_codes(r);
-  return p;
-}
-
-void InsertBlocksPayload::encode(CodecWriter& w) const {
-  w.vec(blocks, [](CodecWriter& ww, const Block& b) { b.encode(ww); });
-}
-
-InsertBlocksPayload InsertBlocksPayload::decode(CodecReader& r) {
-  InsertBlocksPayload p;
-  p.blocks = r.vec<Block>([](CodecReader& rr) { return Block::decode(rr); });
-  return p;
-}
-
-void Subquery::encode(CodecWriter& w) const {
-  w.u32(query_offset);
-  encode_codes(w, window);
-}
-
-Subquery Subquery::decode(CodecReader& r) {
-  Subquery s;
-  s.query_offset = r.u32();
-  s.window = decode_codes(r);
-  return s;
-}
-
-void QueryRequestPayload::encode(CodecWriter& w) const {
-  params.encode(w);
-  trace.encode(w);
-  encode_codes(w, query);
-}
-
-QueryRequestPayload QueryRequestPayload::decode(CodecReader& r) {
-  QueryRequestPayload p;
-  p.params = QueryParams::decode(r);
-  p.trace = obs::TraceContext::decode(r);
-  p.query = decode_codes(r);
-  return p;
-}
-
-void GroupQueryPayload::encode(CodecWriter& w) const {
-  params.encode(w);
-  trace.encode(w);
-  encode_codes(w, query);
-  w.vec(subqueries,
-        [](CodecWriter& ww, const Subquery& s) { s.encode(ww); });
-}
-
-GroupQueryPayload GroupQueryPayload::decode(CodecReader& r) {
-  GroupQueryPayload p;
-  p.params = QueryParams::decode(r);
-  p.trace = obs::TraceContext::decode(r);
-  p.query = decode_codes(r);
-  p.subqueries =
-      r.vec<Subquery>([](CodecReader& rr) { return Subquery::decode(rr); });
-  return p;
-}
-
-std::vector<std::uint8_t> encode_group_query_prefix(
-    const QueryParams& params, const obs::TraceContext& trace,
-    const std::vector<seq::Code>& query) {
-  CodecWriter w;
-  params.encode(w);
-  trace.encode(w);
-  encode_codes(w, query);
-  return w.take();
-}
-
 std::vector<std::uint8_t> encode_group_query(
     const std::vector<std::uint8_t>& prefix,
     const std::vector<Subquery>& subqueries) {
   CodecWriter w;
   w.raw(prefix);
-  w.vec(subqueries,
-        [](CodecWriter& ww, const Subquery& s) { s.encode(ww); });
+  w(subqueries);
   return w.take();
-}
-
-void NodeSearchPayload::encode(CodecWriter& w) const {
-  params.encode(w);
-  trace.encode(w);
-  w.vec(subqueries,
-        [](CodecWriter& ww, const Subquery& s) { s.encode(ww); });
-}
-
-NodeSearchPayload NodeSearchPayload::decode(CodecReader& r) {
-  NodeSearchPayload p;
-  p.params = QueryParams::decode(r);
-  p.trace = obs::TraceContext::decode(r);
-  p.subqueries =
-      r.vec<Subquery>([](CodecReader& rr) { return Subquery::decode(rr); });
-  return p;
-}
-
-void Seed::encode(CodecWriter& w) const {
-  w.u32(sequence);
-  w.u32(subject_start);
-  w.u32(query_offset);
-  w.u32(length);
-  w.f64(identity);
-  w.f64(c_score);
-}
-
-Seed Seed::decode(CodecReader& r) {
-  Seed s;
-  s.sequence = r.u32();
-  s.subject_start = r.u32();
-  s.query_offset = r.u32();
-  s.length = r.u32();
-  s.identity = r.f64();
-  s.c_score = r.f64();
-  return s;
-}
-
-void NodeSearchResultPayload::encode(CodecWriter& w) const {
-  w.vec(seeds, [](CodecWriter& ww, const Seed& s) { s.encode(ww); });
-}
-
-NodeSearchResultPayload NodeSearchResultPayload::decode(CodecReader& r) {
-  NodeSearchResultPayload p;
-  p.seeds = r.vec<Seed>([](CodecReader& rr) { return Seed::decode(rr); });
-  return p;
-}
-
-void Anchor::encode(CodecWriter& w) const {
-  w.u32(sequence);
-  w.u32(q_begin);
-  w.u32(q_end);
-  w.u32(s_begin);
-  w.u32(s_end);
-  w.i32(score);
-  w.i32(cert);
-  w.u32(subject_len);
-}
-
-Anchor Anchor::decode(CodecReader& r) {
-  Anchor a;
-  a.sequence = r.u32();
-  a.q_begin = r.u32();
-  a.q_end = r.u32();
-  a.s_begin = r.u32();
-  a.s_end = r.u32();
-  a.score = r.i32();
-  a.cert = r.i32();
-  a.subject_len = r.u32();
-  return a;
-}
-
-void GroupResultPayload::encode(CodecWriter& w) const {
-  w.vec(anchors, [](CodecWriter& ww, const Anchor& a) { a.encode(ww); });
-}
-
-GroupResultPayload GroupResultPayload::decode(CodecReader& r) {
-  GroupResultPayload p;
-  p.anchors =
-      r.vec<Anchor>([](CodecReader& rr) { return Anchor::decode(rr); });
-  return p;
-}
-
-void FetchRangePayload::encode(CodecWriter& w) const {
-  w.u8(purpose);
-  w.u32(token);
-  w.u32(sequence);
-  w.u32(start);
-  w.u32(length);
-  trace.encode(w);
-}
-
-FetchRangePayload FetchRangePayload::decode(CodecReader& r) {
-  FetchRangePayload p;
-  p.purpose = r.u8();
-  p.token = r.u32();
-  p.sequence = r.u32();
-  p.start = r.u32();
-  p.length = r.u32();
-  p.trace = obs::TraceContext::decode(r);
-  return p;
-}
-
-void FetchRangeResultPayload::encode(CodecWriter& w) const {
-  w.u8(purpose);
-  w.u32(token);
-  w.u32(sequence);
-  w.u32(start);
-  w.u32(sequence_length);
-  w.str(sequence_name);
-  encode_codes(w, codes);
-}
-
-FetchRangeResultPayload FetchRangeResultPayload::decode(CodecReader& r) {
-  FetchRangeResultPayload p;
-  p.purpose = r.u8();
-  p.token = r.u32();
-  p.sequence = r.u32();
-  p.start = r.u32();
-  p.sequence_length = r.u32();
-  p.sequence_name = r.str();
-  p.codes = decode_codes(r);
-  return p;
-}
-
-void QueryResultPayload::encode(CodecWriter& w) const {
-  w.vec(hits, [](CodecWriter& ww, const align::AlignmentHit& h) {
-    ww.u32(h.subject_id);
-    ww.str(h.subject_name);
-    ww.u64(h.alignment.hsp.q_begin);
-    ww.u64(h.alignment.hsp.q_end);
-    ww.u64(h.alignment.hsp.s_begin);
-    ww.u64(h.alignment.hsp.s_end);
-    ww.i32(h.alignment.hsp.score);
-    ww.u64(h.alignment.columns);
-    ww.u64(h.alignment.identities);
-    ww.u64(h.alignment.gap_columns);
-    ww.str(h.alignment.cigar);
-    ww.f64(h.bit_score);
-    ww.f64(h.evalue);
-    ww.bytes(std::span<const std::uint8_t>(h.subject_segment.data(),
-                                           h.subject_segment.size()));
-  });
-}
-
-QueryResultPayload QueryResultPayload::decode(CodecReader& r) {
-  QueryResultPayload p;
-  p.hits = r.vec<align::AlignmentHit>([](CodecReader& rr) {
-    align::AlignmentHit h;
-    h.subject_id = rr.u32();
-    h.subject_name = rr.str();
-    h.alignment.hsp.q_begin = rr.u64();
-    h.alignment.hsp.q_end = rr.u64();
-    h.alignment.hsp.s_begin = rr.u64();
-    h.alignment.hsp.s_end = rr.u64();
-    h.alignment.hsp.score = rr.i32();
-    h.alignment.columns = rr.u64();
-    h.alignment.identities = rr.u64();
-    h.alignment.gap_columns = rr.u64();
-    h.alignment.cigar = rr.str();
-    h.bit_score = rr.f64();
-    h.evalue = rr.f64();
-    h.subject_segment = rr.bytes();
-    return h;
-  });
-  return p;
-}
-
-void TraceReportPayload::encode(CodecWriter& w) const {
-  w.vec(spans,
-        [](CodecWriter& ww, const obs::SpanRecord& s) { s.encode(ww); });
-}
-
-TraceReportPayload TraceReportPayload::decode(CodecReader& r) {
-  TraceReportPayload p;
-  p.spans = r.vec<obs::SpanRecord>(
-      [](CodecReader& rr) { return obs::SpanRecord::decode(rr); });
-  return p;
-}
-
-void NodeInitPayload::encode(CodecWriter& w) const {
-  w.u64(generation);
-  w.u8(alphabet);
-  w.u32(num_groups);
-  w.u32(nodes_per_group);
-  w.u64(ring_virtual_nodes);
-  w.u32(replication);
-  w.u32(sequence_replication);
-  w.vec(extra_node_groups,
-        [](CodecWriter& ww, std::uint32_t g) { ww.u32(g); });
-  w.u64(bucket_capacity);
-  w.u64(database_residues);
-  w.vec(down_nodes, [](CodecWriter& ww, std::uint32_t n) { ww.u32(n); });
-  w.bytes(prefix_tree);
-}
-
-NodeInitPayload NodeInitPayload::decode(CodecReader& r) {
-  NodeInitPayload p;
-  p.generation = r.u64();
-  p.alphabet = r.u8();
-  p.num_groups = r.u32();
-  p.nodes_per_group = r.u32();
-  p.ring_virtual_nodes = r.u64();
-  p.replication = r.u32();
-  p.sequence_replication = r.u32();
-  p.extra_node_groups =
-      r.vec<std::uint32_t>([](CodecReader& rr) { return rr.u32(); });
-  p.bucket_capacity = r.u64();
-  p.database_residues = r.u64();
-  p.down_nodes =
-      r.vec<std::uint32_t>([](CodecReader& rr) { return rr.u32(); });
-  p.prefix_tree = r.bytes();
-  return p;
-}
-
-void SetNodeDownPayload::encode(CodecWriter& w) const {
-  w.u32(node);
-  w.boolean(down);
-}
-
-SetNodeDownPayload SetNodeDownPayload::decode(CodecReader& r) {
-  SetNodeDownPayload p;
-  p.node = r.u32();
-  p.down = r.boolean();
-  return p;
-}
-
-void SetResiduesPayload::encode(CodecWriter& w) const { w.u64(residues); }
-
-SetResiduesPayload SetResiduesPayload::decode(CodecReader& r) {
-  SetResiduesPayload p;
-  p.residues = r.u64();
-  return p;
 }
 
 void validate_codes(std::span<const seq::Code> codes, std::size_t cardinality,

@@ -21,6 +21,14 @@
 // Indexing dataflow (paper §V-A): the indexer ships each sequence to its
 // home node (kStoreSequence) and each inverted-index block batch to its
 // tier-1 group / tier-2 ring owner (kInsertBlocks).
+//
+// Byte format: every payload below (and the records it nests — QueryParams,
+// Block, obs::TraceContext, obs::SpanRecord, align::AlignmentHit) states its
+// layout once, in its fields() list; encode_payload and decode_payload run
+// that list through CodecWriter / CodecReader (src/common/codec.h has the
+// per-type rules). To add a field to a message, add the member and name it
+// in fields() — nothing else encodes or decodes it — then regenerate the
+// fuzz corpus (tools/fuzz_seed_gen tests/fuzz/corpus).
 #pragma once
 
 #include <cstdint>
@@ -87,15 +95,15 @@ struct StoreSequencePayload {
   std::uint8_t alphabet = 1;
   std::vector<seq::Code> codes;
 
-  void encode(CodecWriter& w) const;
-  static StoreSequencePayload decode(CodecReader& r);
+  template <class Io>
+  void fields(Io& io) { io(sequence, name, alphabet, codes); }
 };
 
 struct InsertBlocksPayload {
   std::vector<Block> blocks;
 
-  void encode(CodecWriter& w) const;
-  static InsertBlocksPayload decode(CodecReader& r);
+  template <class Io>
+  void fields(Io& io) { io(blocks); }
 };
 
 // --- Query ------------------------------------------------------------
@@ -104,8 +112,8 @@ struct Subquery {
   std::uint32_t query_offset = 0;
   vpt::Window window;
 
-  void encode(CodecWriter& w) const;
-  static Subquery decode(CodecReader& r);
+  template <class Io>
+  void fields(Io& io) { io(query_offset, window); }
 };
 
 // The query-dataflow payloads below carry an obs::TraceContext so every
@@ -119,8 +127,8 @@ struct QueryRequestPayload {
   obs::TraceContext trace;
   std::vector<seq::Code> query;
 
-  void encode(CodecWriter& w) const;
-  static QueryRequestPayload decode(CodecReader& r);
+  template <class Io>
+  void fields(Io& io) { io(params, trace, query); }
 };
 
 struct GroupQueryPayload {
@@ -129,18 +137,18 @@ struct GroupQueryPayload {
   std::vector<seq::Code> query;
   std::vector<Subquery> subqueries;
 
-  void encode(CodecWriter& w) const;
-  static GroupQueryPayload decode(CodecReader& r);
+  template <class Io>
+  void fields(Io& io) { io(params, trace, query, subqueries); }
 };
 
-// Split GroupQueryPayload encoding: the coordinator serializes the
-// params+trace+query prefix once and appends each group's subquery set,
-// instead of copying the full query into a payload struct per selected
-// group. encode_group_query(prefix, subs) yields byte-identical output to
-// GroupQueryPayload{params, trace, query, subs}.encode().
-std::vector<std::uint8_t> encode_group_query_prefix(
-    const QueryParams& params, const obs::TraceContext& trace,
-    const std::vector<seq::Code>& query);
+// Split GroupQueryPayload encoding: a GroupQuery's fields start with
+// exactly a QueryRequest's (params, trace, query), so the coordinator
+// encodes that prefix once as a QueryRequestPayload and appends each
+// group's subquery set, instead of copying the full query into a payload
+// struct per selected group. encode_group_query(
+// encode_payload(QueryRequestPayload{params, trace, query}), subs) is
+// byte-identical to encode_payload(GroupQueryPayload{params, trace, query,
+// subs}).
 std::vector<std::uint8_t> encode_group_query(
     const std::vector<std::uint8_t>& prefix,
     const std::vector<Subquery>& subqueries);
@@ -150,8 +158,8 @@ struct NodeSearchPayload {
   obs::TraceContext trace;
   std::vector<Subquery> subqueries;
 
-  void encode(CodecWriter& w) const;
-  static NodeSearchPayload decode(CodecReader& r);
+  template <class Io>
+  void fields(Io& io) { io(params, trace, subqueries); }
 };
 
 // A filtered n-NN candidate: block-sized match between query and subject.
@@ -168,15 +176,17 @@ struct Seed {
            static_cast<std::ptrdiff_t>(query_offset);
   }
 
-  void encode(CodecWriter& w) const;
-  static Seed decode(CodecReader& r);
+  template <class Io>
+  void fields(Io& io) {
+    io(sequence, subject_start, query_offset, length, identity, c_score);
+  }
 };
 
 struct NodeSearchResultPayload {
   std::vector<Seed> seeds;
 
-  void encode(CodecWriter& w) const;
-  static NodeSearchResultPayload decode(CodecReader& r);
+  template <class Io>
+  void fields(Io& io) { io(seeds); }
 };
 
 // An ungapped-extended anchor (group entry output / coordinator input).
@@ -215,15 +225,17 @@ struct Anchor {
                                static_cast<double>(length());
   }
 
-  void encode(CodecWriter& w) const;
-  static Anchor decode(CodecReader& r);
+  template <class Io>
+  void fields(Io& io) {
+    io(sequence, q_begin, q_end, s_begin, s_end, score, cert, subject_len);
+  }
 };
 
 struct GroupResultPayload {
   std::vector<Anchor> anchors;
 
-  void encode(CodecWriter& w) const;
-  static GroupResultPayload decode(CodecReader& r);
+  template <class Io>
+  void fields(Io& io) { io(anchors); }
 };
 
 // --- Sequence repository ------------------------------------------------
@@ -244,8 +256,8 @@ struct FetchRangePayload {
   std::uint32_t length = 0;
   obs::TraceContext trace;
 
-  void encode(CodecWriter& w) const;
-  static FetchRangePayload decode(CodecReader& r);
+  template <class Io>
+  void fields(Io& io) { io(purpose, token, sequence, start, length, trace); }
 };
 
 struct FetchRangeResultPayload {
@@ -257,8 +269,10 @@ struct FetchRangeResultPayload {
   std::string sequence_name;
   std::vector<seq::Code> codes;
 
-  void encode(CodecWriter& w) const;
-  static FetchRangeResultPayload decode(CodecReader& r);
+  template <class Io>
+  void fields(Io& io) {
+    io(purpose, token, sequence, start, sequence_length, sequence_name, codes);
+  }
 };
 
 // --- Results ------------------------------------------------------------
@@ -266,8 +280,8 @@ struct FetchRangeResultPayload {
 struct QueryResultPayload {
   std::vector<align::AlignmentHit> hits;
 
-  void encode(CodecWriter& w) const;
-  static QueryResultPayload decode(CodecReader& r);
+  template <class Io>
+  void fields(Io& io) { io(hits); }
 };
 
 // --- Observability ------------------------------------------------------
@@ -276,8 +290,8 @@ struct QueryResultPayload {
 struct TraceReportPayload {
   std::vector<obs::SpanRecord> spans;
 
-  void encode(CodecWriter& w) const;
-  static TraceReportPayload decode(CodecReader& r);
+  template <class Io>
+  void fields(Io& io) { io(spans); }
 };
 
 // --- Cluster control (socket deployment) --------------------------------
@@ -305,37 +319,42 @@ struct NodeInitPayload {
   std::vector<std::uint32_t> down_nodes;
   std::vector<std::uint8_t> prefix_tree;
 
-  void encode(CodecWriter& w) const;
-  static NodeInitPayload decode(CodecReader& r);
+  template <class Io>
+  void fields(Io& io) {
+    io(generation, alphabet, num_groups, nodes_per_group, ring_virtual_nodes,
+       replication, sequence_replication, extra_node_groups, bucket_capacity,
+       database_residues, down_nodes, prefix_tree);
+  }
 };
 
 struct SetNodeDownPayload {
   std::uint32_t node = 0;
   bool down = false;
 
-  void encode(CodecWriter& w) const;
-  static SetNodeDownPayload decode(CodecReader& r);
+  template <class Io>
+  void fields(Io& io) { io(node, down); }
 };
 
 struct SetResiduesPayload {
   std::uint64_t residues = 0;
 
-  void encode(CodecWriter& w) const;
-  static SetResiduesPayload decode(CodecReader& r);
+  template <class Io>
+  void fields(Io& io) { io(residues); }
 };
 
 // Helper: serialize any payload struct into message bytes.
 template <typename Payload>
 std::vector<std::uint8_t> encode_payload(const Payload& payload) {
   CodecWriter writer;
-  payload.encode(writer);
+  writer(payload);
   return writer.take();
 }
 
 template <typename Payload>
 Payload decode_payload(std::span<const std::uint8_t> bytes) {
   CodecReader reader(bytes);
-  Payload payload = Payload::decode(reader);
+  Payload payload;
+  reader(payload);
   // Strict framing: a payload must consume its buffer exactly. Trailing
   // bytes mean a mis-framed or forged message, and tolerating them would
   // let two different byte strings decode to the same value — breaking the

@@ -1,6 +1,7 @@
 #include "src/mendel/storage_node.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/common/check.h"
 #include "src/common/error.h"
@@ -629,101 +630,58 @@ void StorageNode::on_rebalance(net::Context& ctx) {
 
 // --- persistence ------------------------------------------------------------
 
-void StorageNode::save(CodecWriter& writer) const {
-  writer.str("mendel-node-v2");
-  writer.u32(id_);
-  // v2 dumps arena rows in their stored (possibly bit-packed) form — no
-  // inflate/deflate round trip — preceded by the geometry needed to decode
-  // them: block identities in slot order, then one contiguous blob of
-  // row_bytes()-sized payloads (stride padding is not persisted).
+SnapshotShard StorageNode::save() const {
+  SnapshotShard shard;
+  shard.id = id_;
+  shard.group = config_.topology->address(id_).group;
+  // Arena rows go out in their stored (possibly bit-packed) form — no
+  // inflate/deflate round trip — in slot order, stride padding stripped.
   auto refs = tree_.collect_all();
   std::sort(refs.begin(), refs.end(),
             [](const BlockRef& a, const BlockRef& b) {
               return a.slot < b.slot;
             });
-  writer.u32(static_cast<std::uint32_t>(arena_.window_length()));
-  writer.u8(static_cast<std::uint8_t>(arena_.packed_bits()));
-  writer.u32(static_cast<std::uint32_t>(refs.size()));
-  for (const BlockRef& ref : refs) {
-    writer.u32(ref.sequence);
-    writer.u32(ref.start);
-  }
+  shard.window_length = static_cast<std::uint32_t>(arena_.window_length());
+  shard.packed_bits = static_cast<std::uint8_t>(arena_.packed_bits());
   const std::size_t row_bytes = arena_.row_bytes();
-  writer.u64(static_cast<std::uint64_t>(refs.size()) * row_bytes);
+  shard.row_storage.resize(refs.size() * row_bytes);
+  shard.blocks.reserve(refs.size());
   std::vector<std::uint8_t> row(arena_.stride());
-  for (const BlockRef& ref : refs) {
-    arena_.copy_row_bytes(ref.slot, row.data());
-    writer.raw(std::span<const std::uint8_t>(row.data(), row_bytes));
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    arena_.copy_row_bytes(refs[i].slot, row.data());
+    std::uint8_t* dst = shard.row_storage.data() + i * row_bytes;
+    std::memcpy(dst, row.data(), row_bytes);
+    shard.blocks.push_back({refs[i].sequence, refs[i].start, {dst, row_bytes}});
   }
-  writer.u32(static_cast<std::uint32_t>(sequences_.size()));
-  // Deterministic order for byte-stable snapshots.
+  // Ascending ids: byte-stable snapshots.
   std::vector<std::uint32_t> ids;
   ids.reserve(sequences_.size());
   for (const auto& [sid, stored] : sequences_) ids.push_back(sid);
   std::sort(ids.begin(), ids.end());
   for (std::uint32_t sid : ids) {
     const auto& stored = sequences_.at(sid);
-    writer.u32(sid);
-    writer.str(stored.name);
-    writer.bytes(std::span<const std::uint8_t>(stored.codes.data(),
-                                               stored.codes.size()));
+    shard.sequences.push_back({sid, stored.name, stored.codes});
   }
+  return shard;
 }
 
-void StorageNode::load(CodecReader& reader) {
-  const std::string magic = reader.str();
-  require(magic == "mendel-node-v2",
-          "StorageNode::load: unsupported node snapshot magic '" + magic +
-              "' (re-index and save with this version)");
-  const std::uint32_t saved_id = reader.u32();
-  require(saved_id == id_, "StorageNode::load: snapshot is for node " +
-                               std::to_string(saved_id));
-  const std::size_t window_len = reader.u32();
-  const unsigned bits = reader.u8();
-  require(bits == 0 || bits == 2 || bits == 4,
-          "StorageNode::load: bad packed row width " + std::to_string(bits));
-  const std::uint32_t block_count = reader.u32();
-  // window_length 0 is how an empty arena saves itself; with blocks
-  // present it would make append_row below reject caller error.
-  if (window_len == 0 && block_count != 0) {
-    throw DecodeError("StorageNode::load: zero window length with " +
-                      std::to_string(block_count) + " blocks");
-  }
-  // Snapshot bytes come off disk: bound every count by the bytes that must
-  // back it before sizing containers (a corrupt count must not become a
-  // multi-GB allocation).
-  if (block_count > reader.remaining() / 8) {
-    throw DecodeError("StorageNode::load: block count " +
-                      std::to_string(block_count) +
-                      " exceeds the remaining bytes");
-  }
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> idents(block_count);
-  for (auto& [sequence, start] : idents) {
-    sequence = reader.u32();
-    start = reader.u32();
-  }
-  const std::size_t row_bytes =
-      vpt::WindowArena::payload_bytes(window_len, bits);
-  const std::uint64_t blob = reader.u64();
-  require(blob == static_cast<std::uint64_t>(block_count) * row_bytes,
-          "StorageNode::load: row blob length mismatch");
-  if (blob > reader.remaining()) {
-    throw DecodeError("StorageNode::load: row blob overruns the buffer");
-  }
+void StorageNode::load(const SnapshotShard& shard) {
+  require(shard.id == id_, "StorageNode::load: snapshot is for node " +
+                               std::to_string(shard.id));
   // Rows go straight from the snapshot into the arena; when the stored
   // width matches the arena's encoding this is a verbatim copy, otherwise
   // append_row transcodes (e.g. a 4-bit snapshot loaded into a fresh
   // 2-bit arena widens it on the first ambiguity code).
   std::vector<BlockRef> fresh;
-  fresh.reserve(block_count);
-  for (const auto& [sequence, start] : idents) {
-    const auto row = reader.raw(row_bytes);
+  fresh.reserve(shard.blocks.size());
+  for (const auto& block : shard.blocks) {
     const std::uint64_t key =
-        (static_cast<std::uint64_t>(sequence) << 32) | start;
+        (static_cast<std::uint64_t>(block.sequence) << 32) | block.start;
     if (!block_keys_.insert(key).second) continue;  // idempotent re-delivery
     const std::uint32_t slot =
-        arena_.append_row(row.data(), row_bytes, window_len, bits);
-    fresh.push_back({sequence, start, slot});
+        arena_.append_row(block.row.data(), block.row.size(),
+                          shard.window_length, shard.packed_bits);
+    fresh.push_back({block.sequence, block.start, slot});
   }
   // Restored items count separately from this session's insertions (the
   // inserted/stored counters track work done since startup).
@@ -732,13 +690,11 @@ void StorageNode::load(CodecReader& reader) {
     invalidate_nn_cache();
     tree_.insert_batch(std::move(fresh));
   }
-  const std::uint32_t count = reader.u32();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t sid = reader.u32();
+  for (const auto& sequence : shard.sequences) {
     StoredSequence stored;
-    stored.name = reader.str();
-    stored.codes = reader.bytes();
-    sequences_[sid] = std::move(stored);
+    stored.name = sequence.name;
+    stored.codes.assign(sequence.codes.begin(), sequence.codes.end());
+    sequences_[sequence.id] = std::move(stored);
     ++counters_.sequences_restored;
   }
 #ifdef MENDEL_CHECKED

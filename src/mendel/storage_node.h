@@ -47,6 +47,7 @@
 #include "src/common/thread_pool.h"
 #include "src/mendel/fetch_plan.h"
 #include "src/mendel/protocol.h"
+#include "src/mendel/snapshot.h"
 #include "src/net/message.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -194,8 +195,11 @@ class StorageNode final : public net::Actor {
   }
 
   // --- persistence (paper §VII-B future work: save pre-indexed data) ----
-  void save(CodecWriter& writer) const;
-  void load(CodecReader& reader);
+  // This node's snapshot shard (format: src/mendel/snapshot.h); its views
+  // point into the node, so write it before the node changes.
+  SnapshotShard save() const;
+  // Restores a shard saved for this node id (InvalidArgument otherwise).
+  void load(const SnapshotShard& shard);
 
   // --- invariant verification (src/verify, tools/mendel_verify) ---------
   // Materialized copies of every stored block, tree iteration order.

@@ -9,30 +9,6 @@
 
 namespace mendel::obs {
 
-void SpanRecord::encode(CodecWriter& w) const {
-  w.str(name);
-  w.u32(node);
-  w.u64(query_id);
-  w.u64(span_id);
-  w.u64(parent_span);
-  w.f64(start);
-  w.u64(duration_ns);
-  w.u64(value);
-}
-
-SpanRecord SpanRecord::decode(CodecReader& r) {
-  SpanRecord s;
-  s.name = r.str();
-  s.node = r.u32();
-  s.query_id = r.u64();
-  s.span_id = r.u64();
-  s.parent_span = r.u64();
-  s.start = r.f64();
-  s.duration_ns = r.u64();
-  s.value = r.u64();
-  return s;
-}
-
 void SpanBuffer::add(SpanRecord span) {
   std::lock_guard<std::mutex> lock(mu_);
   if (spans_.size() >= capacity_) {

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/codec.h"
 #include "src/common/thread_annotations.h"
 
 namespace mendel::obs {
@@ -33,15 +32,9 @@ struct TraceContext {
   std::uint8_t enabled = 0;      // 0 = tracing off, spans are not recorded
   std::uint64_t parent_span = 0; // span id of the upstream cause, 0 at root
 
-  void encode(CodecWriter& w) const {
-    w.u8(enabled);
-    w.u64(parent_span);
-  }
-  static TraceContext decode(CodecReader& r) {
-    TraceContext t;
-    t.enabled = r.u8();
-    t.parent_span = r.u64();
-    return t;
+  template <class Io>
+  void fields(Io& io) {
+    io(enabled, parent_span);
   }
 
   bool on() const { return enabled != 0; }
@@ -62,8 +55,10 @@ struct SpanRecord {
   std::uint64_t duration_ns = 0; // 0 under virtual time
   std::uint64_t value = 0;       // stage-specific count (subqueries, hits…)
 
-  void encode(CodecWriter& w) const;
-  static SpanRecord decode(CodecReader& r);
+  template <class Io>
+  void fields(Io& io) {
+    io(name, node, query_id, span_id, parent_span, start, duration_ns, value);
+  }
 };
 
 // Per-node accumulation of spans, drained by query id when the client's

@@ -5,7 +5,6 @@
 #include <set>
 #include <utility>
 
-#include "src/common/codec.h"
 #include "src/common/error.h"
 #include "src/mendel/protocol.h"
 #include "src/vptree/window_arena.h"
@@ -141,211 +140,7 @@ AuditReport audit_client(const core::Client& client) {
 
 // --- snapshots --------------------------------------------------------
 
-std::vector<core::Block> NodeShardView::materialize_blocks() const {
-  std::vector<core::Block> out;
-  out.reserve(blocks.size());
-  for (const BlockRowView& row : blocks) {
-    core::Block block;
-    block.sequence = row.sequence;
-    block.start = row.start;
-    block.window.resize(window_length);
-    vpt::WindowArena::decode_row(row.row.data(), block.window.data(),
-                                 window_length, packed_bits);
-    out.push_back(std::move(block));
-  }
-  return out;
-}
-
-namespace {
-
-// Snapshot bytes come off disk — a decode surface, not an API boundary —
-// so malformed framing raises DecodeError like the wire decoders do.
-void snap_require(bool cond, const std::string& what) {
-  if (!cond) throw DecodeError(what);
-}
-
-// Mirrors StorageNode::load's parse of one mendel-node-v2 shard.
-NodeShardView read_node_shard(CodecReader& reader, std::uint32_t group) {
-  NodeShardView shard;
-  shard.group = group;
-  const std::string node_magic = reader.str();
-  snap_require(node_magic == "mendel-node-v2",
-               "read_snapshot: bad node shard magic '" + node_magic + "'");
-  shard.id = reader.u32();
-  shard.window_length = reader.u32();
-  shard.packed_bits = reader.u8();
-  snap_require(
-      shard.packed_bits == 0 || shard.packed_bits == 2 ||
-          shard.packed_bits == 4,
-      "read_snapshot: node " + std::to_string(shard.id) +
-          ": bad packed row width " + std::to_string(shard.packed_bits));
-  const std::uint32_t block_count = reader.u32();
-  // window_length 0 is how an empty arena saves itself; with blocks
-  // present every row would be zero bytes and decode_row nonsensical.
-  snap_require(shard.window_length > 0 || block_count == 0,
-               "read_snapshot: node " + std::to_string(shard.id) +
-                   ": zero window length with blocks");
-  // Bound counts by the bytes that must back them BEFORE sizing any
-  // container: a forged count must not become a multi-GB allocation.
-  snap_require(block_count <= reader.remaining() / 8,
-               "read_snapshot: node " + std::to_string(shard.id) +
-                   ": block count " + std::to_string(block_count) +
-                   " exceeds the remaining bytes");
-  shard.blocks.resize(block_count);
-  for (auto& block : shard.blocks) {
-    block.sequence = reader.u32();
-    block.start = reader.u32();
-  }
-  const std::size_t row_bytes =
-      vpt::WindowArena::payload_bytes(shard.window_length, shard.packed_bits);
-  const std::uint64_t blob = reader.u64();
-  snap_require(blob == static_cast<std::uint64_t>(block_count) * row_bytes,
-               "read_snapshot: node " + std::to_string(shard.id) +
-                   ": row blob length mismatch");
-  snap_require(blob <= reader.remaining(),
-               "read_snapshot: node " + std::to_string(shard.id) +
-                   ": row blob overruns the buffer");
-  for (auto& block : shard.blocks) {
-    const auto row = reader.raw(row_bytes);
-    block.row.assign(row.begin(), row.end());
-  }
-  const std::uint32_t sequence_count = reader.u32();
-  snap_require(sequence_count <= reader.remaining() / 12,
-               "read_snapshot: node " + std::to_string(shard.id) +
-                   ": sequence count " + std::to_string(sequence_count) +
-                   " exceeds the remaining bytes");
-  shard.sequences.reserve(sequence_count);
-  for (std::uint32_t s = 0; s < sequence_count; ++s) {
-    NodeShardView::SequenceView sequence;
-    sequence.id = reader.u32();
-    sequence.name = reader.str();
-    sequence.codes = reader.bytes();
-    shard.sequences.push_back(std::move(sequence));
-  }
-  return shard;
-}
-
-// Mirrors StorageNode::save for one shard.
-void encode_node_shard(CodecWriter& writer, const NodeShardView& shard) {
-  writer.str("mendel-node-v2");
-  writer.u32(shard.id);
-  writer.u32(shard.window_length);
-  writer.u8(shard.packed_bits);
-  writer.u32(static_cast<std::uint32_t>(shard.blocks.size()));
-  for (const auto& block : shard.blocks) {
-    writer.u32(block.sequence);
-    writer.u32(block.start);
-  }
-  const std::size_t row_bytes =
-      vpt::WindowArena::payload_bytes(shard.window_length, shard.packed_bits);
-  writer.u64(static_cast<std::uint64_t>(shard.blocks.size()) * row_bytes);
-  for (const auto& block : shard.blocks) {
-    writer.raw(std::span<const std::uint8_t>(block.row.data(),
-                                             block.row.size()));
-  }
-  writer.u32(static_cast<std::uint32_t>(shard.sequences.size()));
-  for (const auto& sequence : shard.sequences) {
-    writer.u32(sequence.id);
-    writer.str(sequence.name);
-    writer.bytes(std::span<const std::uint8_t>(sequence.codes.data(),
-                                               sequence.codes.size()));
-  }
-}
-
-}  // namespace
-
-SnapshotView read_snapshot(const std::vector<std::uint8_t>& bytes) {
-  CodecReader reader(bytes);
-  SnapshotView view;
-
-  const std::string magic = reader.str();
-  snap_require(magic == "mendel-index-v3",
-               "read_snapshot: bad snapshot magic '" + magic + "'");
-  const std::uint8_t alphabet_byte = reader.u8();
-  snap_require(alphabet_byte <= static_cast<std::uint8_t>(
-                                    seq::Alphabet::kProtein),
-               "read_snapshot: unknown alphabet " +
-                   std::to_string(alphabet_byte));
-  view.alphabet = static_cast<seq::Alphabet>(alphabet_byte);
-  view.database_residues = reader.u64();
-  view.num_groups = reader.u32();
-  view.nodes_per_group = reader.u32();
-  const std::uint32_t extra_nodes = reader.u32();
-  snap_require(extra_nodes <= reader.remaining() / 4,
-               "read_snapshot: extra node count " +
-                   std::to_string(extra_nodes) +
-                   " exceeds the remaining bytes");
-  view.extra_groups.reserve(extra_nodes);
-  for (std::uint32_t i = 0; i < extra_nodes; ++i) {
-    view.extra_groups.push_back(reader.u32());
-  }
-
-  view.distance = std::make_unique<score::DistanceMatrix>(
-      score::default_distance(view.alphabet));
-  view.prefix_tree = std::make_unique<vpt::VpPrefixTree>(
-      vpt::VpPrefixTree::decode(reader, view.distance.get()));
-
-  // v3: one length-framed section per group, ascending, each holding its
-  // member node shards.
-  const std::uint32_t group_count = reader.u32();
-  snap_require(group_count == view.num_groups,
-               "read_snapshot: group section count mismatch");
-  for (std::uint32_t g = 0; g < group_count; ++g) {
-    const std::uint32_t group = reader.u32();
-    snap_require(group == g, "read_snapshot: group sections out of order");
-    const auto section = reader.bytes();
-    CodecReader sub(section);
-    const std::uint32_t members = sub.u32();
-    for (std::uint32_t m = 0; m < members; ++m) {
-      const std::uint32_t id = sub.u32();
-      NodeShardView shard = read_node_shard(sub, group);
-      snap_require(shard.id == id,
-                   "read_snapshot: shard id " + std::to_string(shard.id) +
-                       " filed under member id " + std::to_string(id));
-      view.shards.push_back(std::move(shard));
-    }
-    snap_require(sub.done(),
-                 "read_snapshot: trailing bytes in group section " +
-                     std::to_string(group));
-  }
-  snap_require(reader.done(), "read_snapshot: " +
-                                  std::to_string(reader.remaining()) +
-                                  " trailing byte(s) after the last section");
-  return view;
-}
-
-std::vector<std::uint8_t> encode_snapshot(const SnapshotView& view) {
-  require(view.prefix_tree != nullptr,
-          "encode_snapshot: view has no prefix tree");
-  CodecWriter writer;
-  writer.str("mendel-index-v3");
-  writer.u8(static_cast<std::uint8_t>(view.alphabet));
-  writer.u64(view.database_residues);
-  writer.u32(view.num_groups);
-  writer.u32(view.nodes_per_group);
-  writer.u32(static_cast<std::uint32_t>(view.extra_groups.size()));
-  for (std::uint32_t group : view.extra_groups) writer.u32(group);
-  view.prefix_tree->encode(writer);
-  writer.u32(view.num_groups);
-  for (std::uint32_t group = 0; group < view.num_groups; ++group) {
-    writer.u32(group);
-    CodecWriter section;
-    std::uint32_t members = 0;
-    for (const NodeShardView& shard : view.shards) {
-      if (shard.group == group) ++members;
-    }
-    section.u32(members);
-    for (const NodeShardView& shard : view.shards) {
-      if (shard.group != group) continue;
-      section.u32(shard.id);
-      encode_node_shard(section, shard);
-    }
-    writer.bytes(section.data());
-  }
-  return writer.take();
-}
-
-AuditReport audit_snapshot(const SnapshotView& view,
+AuditReport audit_snapshot(const core::Snapshot& view,
                            const cluster::TopologyConfig& base) {
   AuditReport report;
   if (view.prefix_tree == nullptr) {
@@ -382,7 +177,7 @@ AuditReport audit_snapshot(const SnapshotView& view,
   const std::size_t cardinality = seq::cardinality(view.alphabet);
   std::vector<ShardFacts> shards;
   shards.reserve(view.shards.size());
-  for (const NodeShardView& shard : view.shards) {
+  for (const core::SnapshotShard& shard : view.shards) {
     if (shard.id >= topology->total_nodes()) {
       add(report, "shard claims node id " + std::to_string(shard.id) +
                       " outside the topology");
@@ -405,11 +200,13 @@ AuditReport audit_snapshot(const SnapshotView& view,
     for (std::size_t b = 0; b < materialized.size(); ++b) {
       if (capped(report)) return report;
       const core::Block& block = materialized[b];
-      std::vector<std::uint8_t> reenc(shard.blocks[b].row.size(), 0);
+      const auto stored = shard.blocks[b].row;
+      std::vector<std::uint8_t> reenc(stored.size(), 0);
       vpt::WindowArena::encode_row_to(
           reenc.data(), {block.window.data(), block.window.size()},
           shard.packed_bits);
-      if (reenc != shard.blocks[b].row) {
+      if (!std::equal(reenc.begin(), reenc.end(), stored.begin(),
+                      stored.end())) {
         add(report, block_ident(shard.id, block) +
                         " has a malformed packed row (stray bits above the " +
                         std::to_string(unsigned{shard.packed_bits}) +
@@ -451,8 +248,7 @@ AuditReport audit_snapshot_file(const std::string& path,
   std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
                                   std::istreambuf_iterator<char>());
   try {
-    const SnapshotView view = read_snapshot(bytes);
-    return audit_snapshot(view, base);
+    return audit_snapshot(core::read_snapshot(std::move(bytes)), base);
   } catch (const std::exception& e) {
     AuditReport report;
     report.violations.push_back("snapshot " + path +
@@ -469,20 +265,10 @@ template <typename Payload>
 void roundtrip(const char* name, const Payload& payload,
                std::vector<std::string>& out) {
   try {
-    CodecWriter first;
-    payload.encode(first);
-    const std::vector<std::uint8_t> original = first.data();
-    CodecReader reader(original);
-    const Payload decoded = Payload::decode(reader);
-    if (!reader.done()) {
-      out.push_back(std::string(name) + ": decode left " +
-                    std::to_string(reader.remaining()) +
-                    " trailing byte(s)");
-      return;
-    }
-    CodecWriter second;
-    decoded.encode(second);
-    if (second.data() != original) {
+    // decode_payload's strict framing reports a partially consumed buffer.
+    const std::vector<std::uint8_t> original = core::encode_payload(payload);
+    const auto decoded = core::decode_payload<Payload>(original);
+    if (core::encode_payload(decoded) != original) {
       out.push_back(std::string(name) +
                     ": re-encoding the decoded payload changed the bytes");
     }
@@ -598,17 +384,16 @@ std::vector<std::string> protocol_roundtrip_check() {
   group_query.subqueries = {subquery};
   roundtrip("GroupQueryPayload", group_query, out);
 
-  // The coordinator serializes GroupQuery through the split prefix+subs
-  // path; it must stay byte-identical to the struct codec.
+  // The coordinator serializes GroupQuery as an encoded QueryRequest
+  // prefix plus the subqueries; it must stay byte-identical to the
+  // GroupQuery field list.
   {
-    const auto prefix = core::encode_group_query_prefix(
-        group_query.params, group_query.trace, group_query.query);
-    const auto split =
-        core::encode_group_query(prefix, group_query.subqueries);
+    const auto split = core::encode_group_query(
+        core::encode_payload(request), group_query.subqueries);
     if (split != core::encode_payload(group_query)) {
       out.push_back(
           "encode_group_query: split encoding differs from "
-          "GroupQueryPayload::encode");
+          "GroupQueryPayload's field list");
     }
   }
 
@@ -665,6 +450,30 @@ std::vector<std::string> protocol_roundtrip_check() {
   span.value = 12;
   trace_report.spans = {span, span};
   roundtrip("TraceReportPayload", trace_report, out);
+
+  core::NodeInitPayload init;
+  init.generation = 2;
+  init.alphabet = 0;
+  init.num_groups = 2;
+  init.nodes_per_group = 3;
+  init.ring_virtual_nodes = 16;
+  init.replication = 2;
+  init.sequence_replication = 1;
+  init.extra_node_groups = {1, 0};
+  init.bucket_capacity = 256;
+  init.database_residues = 12345;
+  init.down_nodes = {4};
+  init.prefix_tree = {1, 2, 3, 4};
+  roundtrip("NodeInitPayload", init, out);
+
+  core::SetNodeDownPayload node_down;
+  node_down.node = 5;
+  node_down.down = true;
+  roundtrip("SetNodeDownPayload", node_down, out);
+
+  core::SetResiduesPayload residues;
+  residues.residues = 987654321;
+  roundtrip("SetResiduesPayload", residues, out);
 
   return out;
 }

@@ -8,9 +8,11 @@
 //                         (StorageNode::audit), plus the cluster-wide
 //                         orphan check (every inverted-index block must
 //                         reference a sequence some shard stores).
-//   * audit_snapshot*() — the same audit over a mendel-index-v3 snapshot
-//                         file, without instantiating storage nodes. A
-//                         corrupt or truncated snapshot is reported as a
+//   * audit_snapshot*() — the same audit over an index snapshot, without
+//                         instantiating storage nodes. The snapshot is
+//                         parsed by core::read_snapshot, the reader
+//                         Client::load_index uses (src/mendel/snapshot.h);
+//                         a corrupt or truncated file is reported as a
 //                         violation, never thrown out of the audit.
 //   * protocol_roundtrip_check() — encode→decode→re-encode byte-equality
 //                         self-check for every wire payload type (and the
@@ -23,16 +25,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/cluster/topology.h"
-#include "src/mendel/block.h"
 #include "src/mendel/client.h"
-#include "src/scoring/distance.h"
-#include "src/sequence/sequence.h"
-#include "src/vptree/prefix_tree.h"
+#include "src/mendel/snapshot.h"
 
 namespace mendel::verify {
 
@@ -55,66 +53,11 @@ AuditReport audit_client(const core::Client& client);
 
 // --- snapshots --------------------------------------------------------
 
-// Structural view of one node's shard inside a snapshot. v3 shards carry
-// arena rows in their stored (possibly bit-packed) form; `blocks` keeps
-// those raw payload rows so re-encoding is verbatim, and
-// materialize_blocks() decodes them into full windows for audits.
-struct NodeShardView {
-  std::uint32_t id = 0;
-  // Group section the shard is filed under (v3 groups shards by group).
-  std::uint32_t group = 0;
-  std::uint32_t window_length = 0;
-  // 0 = one code per byte; 2/4 = bit-packed rows (see vpt::WindowArena).
-  std::uint8_t packed_bits = 0;
-  struct BlockRowView {
-    seq::SequenceId sequence = 0;
-    std::uint32_t start = 0;
-    // payload_bytes(window_length, packed_bits) raw row bytes.
-    std::vector<std::uint8_t> row;
-  };
-  std::vector<BlockRowView> blocks;
-  struct SequenceView {
-    seq::SequenceId id = 0;
-    std::string name;
-    std::vector<seq::Code> codes;
-  };
-  std::vector<SequenceView> sequences;
-
-  // Decodes every stored row into a full-window core::Block.
-  std::vector<core::Block> materialize_blocks() const;
-};
-
-// Decoded mendel-index-v3 snapshot. The distance matrix and prefix tree
-// are heap-held so the view stays movable while the tree's internal
-// matrix pointer stays valid.
-struct SnapshotView {
-  seq::Alphabet alphabet = seq::Alphabet::kProtein;
-  std::uint64_t database_residues = 0;
-  std::uint32_t num_groups = 0;
-  std::uint32_t nodes_per_group = 0;
-  // Groups of nodes added after the dense initial layout, in id order.
-  std::vector<std::uint32_t> extra_groups;
-  std::unique_ptr<score::DistanceMatrix> distance;
-  std::unique_ptr<vpt::VpPrefixTree> prefix_tree;
-  // Shards in file order (group sections ascending, members ascending).
-  std::vector<NodeShardView> shards;
-};
-
-// Parses a snapshot byte stream. Throws mendel::Error (ParseError on a
-// truncated stream, InvalidArgument on a bad magic) — audit_snapshot_file
-// catches and reports instead.
-SnapshotView read_snapshot(const std::vector<std::uint8_t>& bytes);
-
-// Re-encodes a view byte-identically to Client::save_index (guarded by a
-// round-trip test); lets tests and tooling build seeded-corruption
-// snapshots without byte surgery.
-std::vector<std::uint8_t> encode_snapshot(const SnapshotView& view);
-
 // Audits a decoded snapshot. `base` supplies the topology parameters the
 // snapshot does not record (ring_virtual_nodes, replication factors);
 // num_groups / nodes_per_group are taken from the snapshot itself, like
 // Client::load_index does.
-AuditReport audit_snapshot(const SnapshotView& view,
+AuditReport audit_snapshot(const core::Snapshot& view,
                            const cluster::TopologyConfig& base = {});
 
 // Reads + audits a snapshot file; I/O or parse failures become

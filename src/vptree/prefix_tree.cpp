@@ -201,8 +201,7 @@ void VpPrefixTree::encode(CodecWriter& writer) const {
   writer.u32(static_cast<std::uint32_t>(options_.min_partition));
   writer.u64(options_.seed);
   writer.u32(static_cast<std::uint32_t>(window_length_));
-  writer.vec(leaf_prefixes_,
-             [](CodecWriter& w, std::uint64_t p) { w.u64(p); });
+  writer(leaf_prefixes_);
   encode_node(writer, root_.get());
 }
 
@@ -227,8 +226,7 @@ VpPrefixTree VpPrefixTree::decode(CodecReader& reader,
   options.seed = reader.u64();
   VpPrefixTree tree(distance, options);
   tree.window_length_ = reader.u32();
-  tree.leaf_prefixes_ = reader.vec<std::uint64_t>(
-      [](CodecReader& r) { return r.u64(); });
+  reader(tree.leaf_prefixes_);
   tree.root_ = decode_node(reader);
   tree.built_ = true;
   return tree;

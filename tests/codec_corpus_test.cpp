@@ -4,7 +4,8 @@
 //     DecodeError and re-encodes byte for byte, and every payload
 //     selector has a seed;
 //   * every snapshot_fuzz seed survives Client::load_index followed by
-//     Client::save_index byte for byte.
+//     Client::save_index byte for byte, and load_index rejects the
+//     malformed variants the snapshot auditor rejects.
 // The fuzz_corpus_is_current ctest checks the other direction: the corpus
 // is exactly what the current encoders generate.
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/error.h"
 #include "src/mendel/client.h"
 #include "src/mendel/protocol.h"
 #include "tests/fuzz/wire_selectors.h"
@@ -35,6 +37,10 @@ std::vector<fs::path> corpus(const std::string& harness) {
   }
   std::sort(files.begin(), files.end());
   return files;
+}
+
+fs::path corpus_file(const std::string& harness, const std::string& name) {
+  return fs::path(MENDEL_FUZZ_CORPUS_DIR) / harness / name;
 }
 
 std::vector<std::uint8_t> read_file(const fs::path& path) {
@@ -86,6 +92,38 @@ TEST(SnapshotCorpus, LoadIndexThenSaveIndexIsTheIdentity) {
         << file << " does not re-save to its own bytes";
   }
   std::remove(out.c_str());
+}
+
+// The shipped loader rejects what the auditor rejects: both go through
+// core::read_snapshot.
+void expect_load_index_rejects(const std::vector<std::uint8_t>& bytes,
+                               const char* what) {
+  const fs::path path =
+      fs::temp_directory_path() / "mendel_codec_corpus_reject.mnd";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  core::Client client(core::ClientOptions{});
+  EXPECT_THROW(client.load_index(path.string()), DecodeError) << what;
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotCorpus, LoadIndexRejectsATrailingByte) {
+  auto bytes = read_file(corpus_file("snapshot_fuzz", "index_protein_v3"));
+  bytes.push_back(0);
+  expect_load_index_rejects(bytes, "one trailing byte");
+}
+
+TEST(SnapshotCorpus, LoadIndexRejectsAnUnknownAlphabet) {
+  auto bytes = read_file(corpus_file("snapshot_fuzz", "index_dna_v3"));
+  // The alphabet byte follows the magic: u32 length + "mendel-index-v3".
+  constexpr std::size_t kAlphabetOffset = 4 + 15;
+  ASSERT_GT(bytes.size(), kAlphabetOffset);
+  ASSERT_EQ(bytes[kAlphabetOffset], 0u);  // DNA
+  bytes[kAlphabetOffset] = 2;
+  expect_load_index_rejects(bytes, "alphabet byte 2");
 }
 
 }  // namespace

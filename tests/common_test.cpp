@@ -243,11 +243,12 @@ TEST(Codec, RoundTripStringsAndBytes) {
 TEST(Codec, RoundTripVector) {
   CodecWriter w;
   const std::vector<std::uint32_t> values = {1, 2, 3, 500};
-  w.vec(values, [](CodecWriter& ww, std::uint32_t v) { ww.u32(v); });
+  w(values);
   CodecReader r(w.data());
-  const auto decoded =
-      r.vec<std::uint32_t>([](CodecReader& rr) { return rr.u32(); });
+  std::vector<std::uint32_t> decoded;
+  r(decoded);
   EXPECT_EQ(decoded, values);
+  EXPECT_TRUE(r.done());
 }
 
 TEST(Codec, TruncatedBufferThrows) {

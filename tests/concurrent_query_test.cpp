@@ -95,20 +95,24 @@ TEST(NnCache, RepeatedQueryHitsTheCache) {
   const auto query = probe_of(store, 2, 10, 120);
 
   ASSERT_FALSE(client.query(query).hits.empty());
-  const auto first = client.total_counters();
-  EXPECT_GT(first.nn_cache_misses, 0u);
+  const auto first = client.metrics();
+  EXPECT_GT(first.counter("node.nn_cache_misses"), 0u);
   EXPECT_GT(total_cache_entries(client), 0u);
   // Hits + misses never exceed searches (empty-tree nodes skip both).
-  EXPECT_LE(first.nn_cache_hits + first.nn_cache_misses, first.nn_searches);
+  EXPECT_LE(first.counter("node.nn_cache_hits") +
+                first.counter("node.nn_cache_misses"),
+            first.counter("node.nn_searches"));
 
   // The identical query rotates to a different entry node, but every group
   // member sees the same (window, params) subqueries: all cache hits, no
   // new misses.
   ASSERT_FALSE(client.query(query).hits.empty());
-  const auto second = client.total_counters();
-  EXPECT_EQ(second.nn_cache_misses, first.nn_cache_misses);
-  EXPECT_EQ(second.nn_cache_hits - first.nn_cache_hits,
-            first.nn_cache_misses);
+  const auto second = client.metrics();
+  EXPECT_EQ(second.counter("node.nn_cache_misses"),
+            first.counter("node.nn_cache_misses"));
+  EXPECT_EQ(second.counter("node.nn_cache_hits") -
+                first.counter("node.nn_cache_hits"),
+            first.counter("node.nn_cache_misses"));
 }
 
 TEST(NnCache, CachedSeedsProduceIdenticalHits) {
@@ -121,8 +125,8 @@ TEST(NnCache, CachedSeedsProduceIdenticalHits) {
   core::Client cold(cold_options);
   cold.index(store);
   const auto fresh = cold.query(query);
-  EXPECT_EQ(cold.total_counters().nn_cache_hits, 0u);
-  EXPECT_EQ(cold.total_counters().nn_cache_misses, 0u);
+  EXPECT_EQ(cold.metrics().counter("node.nn_cache_hits"), 0u);
+  EXPECT_EQ(cold.metrics().counter("node.nn_cache_misses"), 0u);
   EXPECT_EQ(total_cache_entries(cold), 0u);
 
   // Warm client: second run is served from the cache and must be
@@ -131,7 +135,7 @@ TEST(NnCache, CachedSeedsProduceIdenticalHits) {
   warm.index(store);
   warm.query(query);
   const auto cached = warm.query(query);
-  EXPECT_GT(warm.total_counters().nn_cache_hits, 0u);
+  EXPECT_GT(warm.metrics().counter("node.nn_cache_hits"), 0u);
   expect_same_hits(fresh.hits, cached.hits);
 }
 

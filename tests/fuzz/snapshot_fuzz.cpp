@@ -1,19 +1,20 @@
 // Fuzz harness: index-snapshot decoding.
 //
-// Drives verify::read_snapshot over arbitrary bytes — the same parser that
-// backs Client::load_index and the mendel_verify CLI, covering the v3
-// container, the per-group mendel-node-v2 shard sections (including
-// bit-packed arena rows), and the embedded vp-prefix routing tree.
+// Drives core::read_snapshot over arbitrary bytes — the one snapshot
+// reader, which backs Client::load_index and the mendel_verify CLI —
+// covering the v3 container, the per-group mendel-node-v2 shard sections
+// (including bit-packed arena rows), and the embedded vp-prefix routing
+// tree.
 //
 // Contract: malformed bytes raise ParseError (DecodeError included) or
 // InvalidArgument; accepted bytes re-encode byte-identically through
-// encode_snapshot, and every shard's packed rows materialize into full
-// windows without tripping anything but DecodeError.
+// core::write_snapshot, and every shard's packed rows materialize into
+// full windows without tripping anything but DecodeError.
 #include <cstdint>
 #include <vector>
 
 #include "src/common/error.h"
-#include "src/verify/verify.h"
+#include "src/mendel/snapshot.h"
 #include "tests/fuzz/fuzz_util.h"
 
 namespace {
@@ -28,28 +29,28 @@ constexpr const char* kHarness = "snapshot_fuzz";
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::vector<std::uint8_t> bytes(data, data + size);
-  mendel::verify::SnapshotView view;
+  mendel::core::Snapshot snapshot;
   try {
-    view = mendel::verify::read_snapshot(bytes);
+    snapshot = mendel::core::read_snapshot(bytes);
   } catch (const mendel::ParseError&) {
     return 0;  // truncated / corrupt container
   } catch (const mendel::InvalidArgument&) {
-    return 0;  // bad magic or out-of-range structural parameter
+    return 0;  // out-of-range structural parameter
   } catch (const std::exception& e) {
     die_exception(kHarness, e);
   }
 
   std::vector<std::uint8_t> reencoded;
   try {
-    reencoded = mendel::verify::encode_snapshot(view);
+    reencoded = mendel::core::write_snapshot(snapshot);
   } catch (const std::exception& e) {
     die_exception(kHarness, e);
   }
   if (reencoded != bytes) {
-    die(kHarness, "encode_snapshot(read_snapshot(b)) != b on accepted bytes");
+    die(kHarness, "write_snapshot(read_snapshot(b)) != b on accepted bytes");
   }
 
-  for (const auto& shard : view.shards) {
+  for (const auto& shard : snapshot.shards) {
     try {
       (void)shard.materialize_blocks();
     } catch (const mendel::DecodeError&) {

@@ -6,7 +6,7 @@
 # skipped.
 #
 #   cmake -DSEED_GEN=<fuzz_seed_gen> -DSOURCE_DIR=<repo root>
-#         -DWORK_DIR=<scratch dir> -P tests/fuzz_corpus_current.cmake
+#         -DWORK_DIR=<temporary dir> -P tests/fuzz_corpus_current.cmake
 cmake_minimum_required(VERSION 3.16)
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")

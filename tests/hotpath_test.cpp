@@ -252,21 +252,23 @@ TEST(HotPath, LoadCountsRestoredSeparatelyFromInserted) {
 
   core::Client original(client_options(1));
   original.index(store);
-  const auto built = original.total_counters();
-  EXPECT_GT(built.blocks_inserted, 0u);
-  EXPECT_EQ(built.blocks_restored, 0u);
-  EXPECT_EQ(built.sequences_restored, 0u);
+  const auto built = original.metrics();
+  EXPECT_GT(built.counter("node.blocks_inserted"), 0u);
+  EXPECT_EQ(built.counter("node.blocks_restored"), 0u);
+  EXPECT_EQ(built.counter("node.sequences_restored"), 0u);
   original.save_index(path);
 
   core::Client restored(client_options(1));
   restored.load_index(path);
-  const auto loaded = restored.total_counters();
+  const auto loaded = restored.metrics();
   // A restore is not an insert: the live-traffic counters stay zero and the
   // restored totals mirror what the original cluster held.
-  EXPECT_EQ(loaded.blocks_inserted, 0u);
-  EXPECT_EQ(loaded.sequences_stored, 0u);
-  EXPECT_EQ(loaded.blocks_restored, built.blocks_inserted);
-  EXPECT_EQ(loaded.sequences_restored, built.sequences_stored);
+  EXPECT_EQ(loaded.counter("node.blocks_inserted"), 0u);
+  EXPECT_EQ(loaded.counter("node.sequences_stored"), 0u);
+  EXPECT_EQ(loaded.counter("node.blocks_restored"),
+            built.counter("node.blocks_inserted"));
+  EXPECT_EQ(loaded.counter("node.sequences_restored"),
+            built.counter("node.sequences_stored"));
   std::remove(path.c_str());
 }
 

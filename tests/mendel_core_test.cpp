@@ -40,9 +40,11 @@ TEST(Block, EncodeDecodeRoundTrip) {
   block.start = 1000;
   block.window = {1, 2, 3, 4, 5, 6, 7, 8};
   CodecWriter w;
-  block.encode(w);
+  w(block);
   CodecReader r(w.data());
-  EXPECT_EQ(Block::decode(r), block);
+  Block decoded;
+  r(decoded);
+  EXPECT_EQ(decoded, block);
 }
 
 TEST(Block, PlacementKeyDependsOnIdentityAndPayload) {
@@ -81,9 +83,10 @@ TEST(QueryParams, EncodeDecodeRoundTrip) {
   p.extension_margin = 99;
   p.max_hits = 17;
   CodecWriter w;
-  p.encode(w);
+  w(p);
   CodecReader r(w.data());
-  const auto q = QueryParams::decode(r);
+  QueryParams q;
+  r(q);
   EXPECT_EQ(q.k, p.k);
   EXPECT_EQ(q.n, p.n);
   EXPECT_DOUBLE_EQ(q.identity, p.identity);

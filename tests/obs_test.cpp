@@ -203,6 +203,17 @@ const char* const kPipelineStages[] = {
 // A query's span tree as a reader of the timeline sees it: one
 // "name<parent:value" entry per span ("" parent for the root), sorted so
 // the rendering depends on the tree, not on recording order.
+// Cluster total of one NodeCounters field, summed over the nodes directly
+// (the independent check on Client::metrics()' node.* entries).
+std::uint64_t node_total(const core::Client& client,
+                         std::uint64_t core::NodeCounters::*field) {
+  std::uint64_t total = 0;
+  for (std::size_t id = 0; id < client.node_count(); ++id) {
+    total += client.node(static_cast<net::NodeId>(id)).counters().*field;
+  }
+  return total;
+}
+
 std::string span_tree(const obs::QueryTrace& trace) {
   std::map<std::uint64_t, std::string> names;
   for (const auto& span : trace.spans) names[span.span_id] = span.name;
@@ -396,11 +407,13 @@ TEST(Metrics, ConsistentUnderConcurrentBatch) {
       snap.histogram("client.turnaround_seconds");
   ASSERT_NE(turnaround, nullptr);
   EXPECT_EQ(turnaround->count, queries.size());
-  // The registry view agrees with the deprecated NodeCounters totals.
-  const auto totals = client.total_counters();
-  EXPECT_EQ(snap.counter("node.nn_searches"), totals.nn_searches);
-  EXPECT_EQ(snap.counter("node.nn_cache_hits"), totals.nn_cache_hits);
-  EXPECT_EQ(snap.counter("node.nn_cache_misses"), totals.nn_cache_misses);
+  // The registry view agrees with the nodes' own NodeCounters.
+  EXPECT_EQ(snap.counter("node.nn_searches"),
+            node_total(client, &core::NodeCounters::nn_searches));
+  EXPECT_EQ(snap.counter("node.nn_cache_hits"),
+            node_total(client, &core::NodeCounters::nn_cache_hits));
+  EXPECT_EQ(snap.counter("node.nn_cache_misses"),
+            node_total(client, &core::NodeCounters::nn_cache_misses));
   // Pipeline-stage histograms saw real work.
   EXPECT_GT(snap.histogram("node.handler_seconds")->count, 0u);
   EXPECT_GT(snap.histogram("node.search_seconds")->count, 0u);
@@ -481,11 +494,11 @@ TEST(Metrics, ExtensionPipelineCountersAndHistograms) {
   const auto snap = client.metrics();
   EXPECT_GT(snap.counter("fetch.ranges_coalesced"), 0u);
   EXPECT_GT(snap.counter("extend.anchors_pruned"), 0u);
-  // The registry view agrees with the NodeCounters totals.
-  const auto totals = client.total_counters();
+  // The registry view agrees with the nodes' own NodeCounters.
   EXPECT_EQ(snap.counter("node.fetch_ranges_coalesced"),
-            totals.fetch_ranges_coalesced);
-  EXPECT_EQ(snap.counter("node.anchors_pruned"), totals.anchors_pruned);
+            node_total(client, &core::NodeCounters::fetch_ranges_coalesced));
+  EXPECT_EQ(snap.counter("node.anchors_pruned"),
+            node_total(client, &core::NodeCounters::anchors_pruned));
   // Extension-phase histograms record wall time under the threaded
   // transport (virtual time runs extensions inline, unmeasured).
   const obs::HistogramValue* group_extend =

@@ -431,16 +431,16 @@ TEST(Pipeline, CountersReflectWork) {
   const auto report = client.index(store);
   EXPECT_EQ(report.sequences, store.size());
 
-  const auto counters_before = client.total_counters();
-  EXPECT_EQ(counters_before.blocks_inserted, report.blocks);
+  const auto counters_before = client.metrics();
+  EXPECT_EQ(counters_before.counter("node.blocks_inserted"), report.blocks);
   // Sequence replication 1: every sequence stored exactly once.
-  EXPECT_EQ(counters_before.sequences_stored, store.size());
+  EXPECT_EQ(counters_before.counter("node.sequences_stored"), store.size());
 
   client.query(probe_of(store, 1, 0, 100));
-  const auto counters_after = client.total_counters();
-  EXPECT_EQ(counters_after.queries_coordinated, 1u);
-  EXPECT_GT(counters_after.group_queries, 0u);
-  EXPECT_GT(counters_after.nn_searches, 0u);
+  const auto counters_after = client.metrics();
+  EXPECT_EQ(counters_after.counter("node.queries_coordinated"), 1u);
+  EXPECT_GT(counters_after.counter("node.group_queries"), 0u);
+  EXPECT_GT(counters_after.counter("node.nn_searches"), 0u);
 }
 
 TEST(Pipeline, BlockCountsSumToReport) {

@@ -467,8 +467,6 @@ TEST(StorageNode, SaveLoadRoundTripPreservesState) {
   MiniCluster mini;
   mini.index_everything();
   const auto& node = *mini.nodes[1];
-  CodecWriter writer;
-  node.save(writer);
 
   StorageNodeConfig config;
   config.topology = &mini.topology;
@@ -476,8 +474,7 @@ TEST(StorageNode, SaveLoadRoundTripPreservesState) {
   config.distance = &mini.distance;
   config.alphabet = seq::Alphabet::kProtein;
   StorageNode restored(1, config);
-  CodecReader reader(writer.data());
-  restored.load(reader);
+  restored.load(node.save());
   EXPECT_EQ(restored.block_count(), node.block_count());
   EXPECT_EQ(restored.sequence_count(), node.sequence_count());
 }
@@ -485,15 +482,13 @@ TEST(StorageNode, SaveLoadRoundTripPreservesState) {
 TEST(StorageNode, LoadRejectsWrongNodeId) {
   MiniCluster mini;
   mini.index_everything();
-  CodecWriter writer;
-  mini.nodes[1]->save(writer);
+  const SnapshotShard shard = mini.nodes[1]->save();
   StorageNodeConfig config;
   config.topology = &mini.topology;
   config.prefix_tree = &mini.prefix_tree;
   config.distance = &mini.distance;
   StorageNode other(2, config);
-  CodecReader reader(writer.data());
-  EXPECT_THROW(other.load(reader), InvalidArgument);
+  EXPECT_THROW(other.load(shard), InvalidArgument);
 }
 
 // ---------- packed / spilled snapshot round trips ----------

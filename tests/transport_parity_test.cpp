@@ -445,23 +445,25 @@ TEST(TransportParity, PruningMatchesUnprunedExactly) {
       core::Client pruned_client(options);
       pruned_client.index(store);
       const auto pruned = pruned_client.query_batch(queries, params);
-      EXPECT_GT(pruned_client.total_counters().anchors_pruned, 0u);
+      EXPECT_GT(pruned_client.metrics().counter("node.anchors_pruned"),
+                0u);
 
       auto unpruned_options = options;
       unpruned_options.runtime.prune_extensions = false;
       core::Client unpruned_client(unpruned_options);
       unpruned_client.index(store);
       const auto unpruned = unpruned_client.query_batch(queries, params);
-      EXPECT_EQ(unpruned_client.total_counters().anchors_pruned, 0u);
+      EXPECT_EQ(unpruned_client.metrics().counter("node.anchors_pruned"),
+                0u);
 #ifdef MENDEL_CHECKED
       // The checked build's prune audit deliberately extends pruned bins
       // too (to compare against the full ranking), so the work saving is
       // invisible in the gapped counter there.
-      EXPECT_EQ(unpruned_client.total_counters().gapped_extensions,
-                pruned_client.total_counters().gapped_extensions);
+      EXPECT_EQ(unpruned_client.metrics().counter("node.gapped_extensions"),
+                pruned_client.metrics().counter("node.gapped_extensions"));
 #else
-      EXPECT_GT(unpruned_client.total_counters().gapped_extensions,
-                pruned_client.total_counters().gapped_extensions);
+      EXPECT_GT(unpruned_client.metrics().counter("node.gapped_extensions"),
+                pruned_client.metrics().counter("node.gapped_extensions"));
 #endif
 
       ASSERT_EQ(pruned.size(), unpruned.size());

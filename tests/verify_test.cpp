@@ -61,12 +61,12 @@ void write_file(const std::string& path,
 // Builds a small indexed cluster and returns its decoded snapshot view,
 // so corruption tests can mutate plain data instead of doing byte
 // surgery on the wire format.
-verify::SnapshotView fresh_snapshot(const std::string& path) {
+core::Snapshot fresh_snapshot(const std::string& path) {
   const auto store = workload::generate_database(database_spec());
   core::Client client(cluster_options());
   client.index(store);
   client.save_index(path);
-  auto view = verify::read_snapshot(read_file(path));
+  auto view = core::read_snapshot(read_file(path));
   std::remove(path.c_str());
   return view;
 }
@@ -203,10 +203,10 @@ TEST(SnapshotAudit, RoundTripIsByteIdenticalAndAuditsClean) {
   client.save_index(path);
 
   const auto original = read_file(path);
-  const auto view = verify::read_snapshot(original);
-  // encode_snapshot mirrors Client::save_index byte-for-byte; this guards
-  // the duplicated format knowledge against drift.
-  EXPECT_EQ(verify::encode_snapshot(view), original);
+  const auto view = core::read_snapshot(original);
+  // The auditor parses with the reader Client::load_index uses; writing
+  // the parsed snapshot back must reproduce what Client::save_index wrote.
+  EXPECT_EQ(core::write_snapshot(view), original);
 
   const auto report = verify::audit_snapshot_file(path);
   EXPECT_TRUE(report.ok()) << report.violations.front();
@@ -241,7 +241,7 @@ TEST(SnapshotAudit, DetectsBlockMovedToTheWrongGroup) {
   view.shards[target].blocks.push_back(view.shards[source].blocks.back());
   view.shards[source].blocks.pop_back();
 
-  write_file(path, verify::encode_snapshot(view));
+  write_file(path, core::write_snapshot(view));
   const auto report = verify::audit_snapshot_file(path);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(any_violation_contains(report.violations, "hashes to group"))
@@ -269,7 +269,7 @@ TEST(SnapshotAudit, DetectsOrphanedBlock) {
                   [victim](const auto& s) { return s.id == victim; });
   }
 
-  write_file(path, verify::encode_snapshot(view));
+  write_file(path, core::write_snapshot(view));
   const auto report = verify::audit_snapshot_file(path);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(any_violation_contains(report.violations,
@@ -298,7 +298,7 @@ TEST(SnapshotAudit, DetectsSequenceStoredOffItsHomeRing) {
       view.shards[source].sequences.back());
   view.shards[source].sequences.pop_back();
 
-  write_file(path, verify::encode_snapshot(view));
+  write_file(path, core::write_snapshot(view));
   const auto report = verify::audit_snapshot_file(path);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(
@@ -321,7 +321,7 @@ TEST(SnapshotAudit, DetectsStrayBitsInPackedRow) {
   core::Client client(options);
   client.index(store);
   client.save_index(path);
-  auto view = verify::read_snapshot(read_file(path));
+  auto view = core::read_snapshot(read_file(path));
 
   std::size_t victim = view.shards.size();
   for (std::size_t i = 0; i < view.shards.size(); ++i) {
@@ -333,11 +333,13 @@ TEST(SnapshotAudit, DetectsStrayBitsInPackedRow) {
   ASSERT_LT(victim, view.shards.size()) << "no shard holds blocks";
   ASSERT_EQ(view.shards[victim].packed_bits, 2u)
       << "pure ACGT database should pack at 2 bits";
-  auto& row = view.shards[victim].blocks.front().row;
+  auto& block = view.shards[victim].blocks.front();
+  std::vector<std::uint8_t> row(block.row.begin(), block.row.end());
   ASSERT_EQ(row.size(), 3u);  // ceil(10 * 2 / 8)
   row.back() |= 0xF0;         // bits above the 20 payload bits
+  block.row = row;
 
-  write_file(path, verify::encode_snapshot(view));
+  write_file(path, core::write_snapshot(view));
   const auto report = verify::audit_snapshot_file(path);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(
@@ -360,9 +362,12 @@ TEST(SnapshotAudit, DetectsCodeOutsideTheAlphabet) {
   }
   ASSERT_LT(victim, view.shards.size()) << "no shard holds blocks";
   ASSERT_EQ(view.shards[victim].packed_bits, 0u);
-  view.shards[victim].blocks.front().row.front() = 200;
+  auto& block = view.shards[victim].blocks.front();
+  std::vector<std::uint8_t> row(block.row.begin(), block.row.end());
+  row.front() = 200;
+  block.row = row;
 
-  write_file(path, verify::encode_snapshot(view));
+  write_file(path, core::write_snapshot(view));
   const auto report = verify::audit_snapshot_file(path);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(
@@ -382,7 +387,7 @@ TEST(SnapshotAudit, DetectsTruncatedSnapshot) {
   auto bytes = read_file(path);
   ASSERT_GT(bytes.size(), 64u);
   bytes.resize(bytes.size() - 48);  // chop mid-shard
-  EXPECT_THROW(verify::read_snapshot(bytes), Error);
+  EXPECT_THROW(core::read_snapshot(bytes), Error);
 
   write_file(path, bytes);
   const auto report = verify::audit_snapshot_file(path);
