@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "src/net/sim_transport.h"
 #include "src/obs/metrics.h"
 #include "src/scoring/distance.h"
+#include "src/scoring/quantized.h"
 #include "src/vptree/dynamic_vptree.h"
 #include "src/vptree/prefix_tree.h"
 #include "src/vptree/window_arena.h"
@@ -41,13 +43,15 @@ const score::DistanceMatrix& dist() {
   return score::default_distance(seq::Alphabet::kProtein);
 }
 
-std::vector<vpt::Window> make_windows(std::size_t count, std::uint64_t seed) {
+std::vector<vpt::Window> make_windows(
+    std::size_t count, std::uint64_t seed,
+    seq::Alphabet alphabet = seq::Alphabet::kProtein) {
   Rng rng(seed);
   std::vector<vpt::Window> windows;
   windows.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const auto s = workload::random_sequence(seq::Alphabet::kProtein,
-                                             kWindowLength, "w", rng);
+    const auto s =
+        workload::random_sequence(alphabet, kWindowLength, "w", rng);
     windows.emplace_back(s.codes().begin(), s.codes().end());
   }
   return windows;
@@ -74,8 +78,11 @@ std::vector<vpt::Window> make_probes(const seq::SequenceStore& store,
   return probes;
 }
 
-seq::SequenceStore make_store(std::size_t sequences, std::uint64_t seed) {
+seq::SequenceStore make_store(
+    std::size_t sequences, std::uint64_t seed,
+    seq::Alphabet alphabet = seq::Alphabet::kProtein) {
   workload::DatabaseSpec spec;
+  spec.alphabet = alphabet;
   spec.families = std::max<std::size_t>(2, sequences / 10);
   spec.members_per_family = 5;
   spec.background_sequences =
@@ -148,51 +155,145 @@ void BM_LeafScan(benchmark::State& state) {
 }
 BENCHMARK(BM_LeafScan)->Arg(4096);
 
-// Same top-16-of-N scan, but the way a node's leaf scan runs it: one
-// QProbe per probe, arena windows scored in chunks by the dispatched
-// batched kernel (the short-window shuffle kernel on AVX2), and admission
-// tested on scaled integers. The BM_LeafScan/BM_LeafScanBatched ratio is
-// the isolated batching win.
-void BM_LeafScanBatched(benchmark::State& state) {
-  const auto count = static_cast<std::size_t>(state.range(0));
-  const auto windows = make_windows(count, 103);
-  const auto probes = make_windows(64, 104);
-  vpt::WindowArena arena;
-  for (const auto& w : windows) arena.append(seq::CodeSpan(w));
-  std::vector<std::uint32_t> slots(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    slots[i] = static_cast<std::uint32_t>(i);
+// Top-16 lists of a batch of probes, kept the way a node's leaf scan
+// keeps them: scaled integer thresholds, converted to doubles on admission.
+struct TopLists {
+  static constexpr std::size_t kNeighbors = 16;
+  const score::QuantizedDistance* q;
+  std::vector<std::vector<double>> best;
+  std::vector<std::int64_t> qthresh;
+
+  TopLists(const score::QuantizedDistance* quantized, std::size_t probes)
+      : q(quantized),
+        best(probes),
+        qthresh(probes, std::numeric_limits<std::int64_t>::max()) {
+    for (auto& b : best) b.reserve(kNeighbors + 1);
   }
-  const score::QuantizedDistance* q = dist().quantized();
-  if (q == nullptr) {
+  void admit(std::size_t p, std::int64_t qd) {
+    if (qd > qthresh[p]) return;
+    auto& b = best[p];
+    const double d = q->to_double(qd);
+    b.insert(std::upper_bound(b.begin(), b.end(), d), d);
+    if (b.size() > kNeighbors) b.pop_back();
+    if (b.size() == kNeighbors) qthresh[p] = q->threshold(b.back());
+  }
+};
+
+// The top-16 scan of `count` arena rows for a batch of probes, the way a
+// node's leaf scan runs it: 256-row chunks through the multi-probe kernel
+// (QKernelTable::probes_batch / probes_batch_packed), admission by walking
+// each probe's pass mask, and QProbe::scan for any probe the kernel
+// declines.
+void scan_batch(const vpt::WindowArena& arena,
+                const std::vector<std::uint32_t>& slots,
+                const std::vector<const score::QProbe*>& probes,
+                TopLists& top) {
+  constexpr std::size_t kChunk = 256;
+  const auto& kernels = score::qkernels();
+  std::vector<std::uint64_t> pass(probes.size() * kChunk / 64);
+  std::vector<std::uint8_t> dist(probes.size() * kChunk);
+  const score::QScanOut out{pass.data(), dist.data(), kChunk};
+  std::int64_t qdists[kChunk];
+  for (std::size_t offset = 0; offset < slots.size(); offset += kChunk) {
+    const std::size_t run = std::min(slots.size() - offset, kChunk);
+    const std::uint32_t* chunk = slots.data() + offset;
+    const std::uint64_t served =
+        arena.packed()
+            ? kernels.probes_batch_packed(
+                  probes.data(), top.qthresh.data(), probes.size(),
+                  arena.base(), arena.stride(), arena.packed_bits(), chunk,
+                  run, out)
+            : kernels.probes_batch(probes.data(), top.qthresh.data(),
+                                   probes.size(), arena.base(),
+                                   arena.stride(), chunk, run, out);
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+      if ((served >> p) & 1) {
+        for (std::size_t w = 0; w * 64 < run; ++w) {
+          for (std::uint64_t bits = pass[p * kChunk / 64 + w]; bits != 0;
+               bits &= bits - 1) {
+            const std::size_t j =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            top.admit(p, dist[p * kChunk + j]);
+          }
+        }
+        continue;
+      }
+      if (arena.packed()) {
+        probes[p]->scan_packed(arena.base(), arena.stride(),
+                               arena.packed_bits(), chunk, run,
+                               top.qthresh[p], qdists);
+      } else {
+        probes[p]->scan(arena.base(), arena.stride(), chunk, run,
+                        top.qthresh[p], qdists);
+      }
+      for (std::size_t j = 0; j < run; ++j) top.admit(p, qdists[j]);
+    }
+  }
+}
+
+// Leaf-scan rows and probe windows for one alphabet's bench arena.
+struct ScanFixture {
+  vpt::WindowArena arena;
+  std::vector<std::uint32_t> slots;
+  std::vector<vpt::Window> probes;
+  const score::QuantizedDistance* q;
+
+  ScanFixture(seq::Alphabet alphabet, std::size_t count) {
+    std::vector<vpt::Window> rows;
+    if (alphabet == seq::Alphabet::kDna) {
+      Rng rng(111);
+      auto dna_window = [&rng] {
+        vpt::Window w(kWindowLength);
+        for (auto& c : w) c = static_cast<seq::Code>(rng.below(4));
+        return w;
+      };
+      for (std::size_t i = 0; i < count; ++i) rows.push_back(dna_window());
+      for (std::size_t i = 0; i < 64; ++i) probes.push_back(dna_window());
+      arena.configure({.packed_bits = 2});
+    } else {
+      rows = make_windows(count, 103);
+      probes = make_windows(64, 104);
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      arena.append(seq::CodeSpan(rows[i]));
+      slots.push_back(static_cast<std::uint32_t>(i));
+    }
+    q = score::default_distance(alphabet).quantized();
+  }
+};
+
+// `batch` probes per iteration, each with its own top-16 list over the
+// same 4,096 rows; items are probe-row pairs.
+void run_leaf_scan(benchmark::State& state, seq::Alphabet alphabet,
+                   std::size_t batch) {
+  const ScanFixture fix(alphabet, static_cast<std::size_t>(state.range(0)));
+  if (fix.q == nullptr) {
     state.SkipWithError("distance matrix has no quantized twin");
     return;
   }
-  constexpr std::size_t kNeighbors = 16;
-  constexpr std::size_t kChunk = 64;
   std::size_t p = 0;
   for (auto _ : state) {
-    const auto& probe = probes[p++ % probes.size()];
-    std::vector<double> best;
-    best.reserve(kNeighbors + 1);
-    const score::QProbe qp(*q, probe.data(), kWindowLength);
-    std::int64_t qthresh = std::numeric_limits<std::int64_t>::max();
-    std::int64_t qdists[kChunk];
-    for (std::size_t offset = 0; offset < count; offset += kChunk) {
-      const std::size_t run = std::min(count - offset, kChunk);
-      qp.scan(arena.base(), arena.stride(), slots.data() + offset, run,
-              qthresh, qdists);
-      for (std::size_t j = 0; j < run; ++j) {
-        if (qdists[j] > qthresh) continue;
-        const double d = q->to_double(qdists[j]);
-        best.insert(std::upper_bound(best.begin(), best.end(), d), d);
-        if (best.size() > kNeighbors) best.pop_back();
-        if (best.size() == kNeighbors) qthresh = q->threshold(best.back());
-      }
+    std::vector<score::QProbe> owned;
+    owned.reserve(batch);
+    std::vector<const score::QProbe*> probes;
+    for (std::size_t b = 0; b < batch; ++b) {
+      const auto& probe = fix.probes[p++ % fix.probes.size()];
+      probes.push_back(&owned.emplace_back(*fix.q, probe.data(), probe.size()));
     }
-    benchmark::DoNotOptimize(best.data());
+    TopLists top(fix.q, batch);
+    scan_batch(fix.arena, fix.slots, probes, top);
+    benchmark::DoNotOptimize(top.best.data());
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetLabel("row bytes " + std::to_string(fix.arena.row_bytes()));
+  state.SetItemsProcessed(state.iterations() * state.range(0) *
+                          static_cast<std::int64_t>(batch));
+}
+
+// One probe at a time through the node's leaf-scan path (the shuffle
+// kernel on AVX2). The BM_LeafScan/BM_LeafScanBatched ratio is the
+// isolated kernel win.
+void BM_LeafScanBatched(benchmark::State& state) {
+  run_leaf_scan(state, seq::Alphabet::kProtein, 1);
 }
 BENCHMARK(BM_LeafScanBatched)->Arg(4096);
 
@@ -200,58 +301,26 @@ BENCHMARK(BM_LeafScanBatched)->Arg(4096);
 // without unpacking (the XOR and popcount kernel on AVX2) at 1/4 the
 // memory of BM_LeafScanBatched.
 void BM_LeafScanBatchedPacked(benchmark::State& state) {
-  const auto count = static_cast<std::size_t>(state.range(0));
-  Rng rng(111);
-  auto dna_window = [&rng]() {
-    vpt::Window w(kWindowLength);
-    for (auto& c : w) c = static_cast<seq::Code>(rng.below(4));
-    return w;
-  };
-  std::vector<vpt::Window> windows(count);
-  for (auto& w : windows) w = dna_window();
-  std::vector<vpt::Window> probes(64);
-  for (auto& w : probes) w = dna_window();
-  vpt::WindowArena arena;
-  arena.configure({.packed_bits = 2});
-  for (const auto& w : windows) arena.append(seq::CodeSpan(w));
-  std::vector<std::uint32_t> slots(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    slots[i] = static_cast<std::uint32_t>(i);
-  }
-  const auto& dna = score::default_distance(seq::Alphabet::kDna);
-  const score::QuantizedDistance* q = dna.quantized();
-  if (q == nullptr) {
-    state.SkipWithError("distance matrix has no quantized twin");
-    return;
-  }
-  constexpr std::size_t kNeighbors = 16;
-  constexpr std::size_t kChunk = 64;
-  std::size_t p = 0;
-  for (auto _ : state) {
-    const auto& probe = probes[p++ % probes.size()];
-    std::vector<double> best;
-    best.reserve(kNeighbors + 1);
-    const score::QProbe qp(*q, probe.data(), kWindowLength);
-    std::int64_t qthresh = std::numeric_limits<std::int64_t>::max();
-    std::int64_t qdists[kChunk];
-    for (std::size_t offset = 0; offset < count; offset += kChunk) {
-      const std::size_t run = std::min(count - offset, kChunk);
-      qp.scan_packed(arena.base(), arena.stride(), arena.packed_bits(),
-                     slots.data() + offset, run, qthresh, qdists);
-      for (std::size_t j = 0; j < run; ++j) {
-        if (qdists[j] > qthresh) continue;
-        const double d = q->to_double(qdists[j]);
-        best.insert(std::upper_bound(best.begin(), best.end(), d), d);
-        if (best.size() > kNeighbors) best.pop_back();
-        if (best.size() == kNeighbors) qthresh = q->threshold(best.back());
-      }
-    }
-    benchmark::DoNotOptimize(best.data());
-  }
-  state.SetLabel("row bytes " + std::to_string(arena.row_bytes()));
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  run_leaf_scan(state, seq::Alphabet::kDna, 1);
 }
 BENCHMARK(BM_LeafScanBatchedPacked)->Arg(4096);
+
+// Batches of probes over the same rows, as one vp-tree walk scores a
+// leaf for every subquery it carries: the second argument is the batch
+// size, and items/s counts probe-row pairs.
+void BM_LeafScanMultiProbe(benchmark::State& state) {
+  run_leaf_scan(state, seq::Alphabet::kProtein,
+                static_cast<std::size_t>(state.range(1)));
+}
+BENCHMARK(BM_LeafScanMultiProbe)
+    ->Args({4096, 1})->Args({4096, 8})->Args({4096, 32});
+
+void BM_LeafScanMultiProbePacked(benchmark::State& state) {
+  run_leaf_scan(state, seq::Alphabet::kDna,
+                static_cast<std::size_t>(state.range(1)));
+}
+BENCHMARK(BM_LeafScanMultiProbePacked)
+    ->Args({4096, 1})->Args({4096, 8})->Args({4096, 32});
 
 // --- 2b. banded gapped extension ----------------------------------------
 
@@ -333,16 +402,21 @@ BENCHMARK(BM_TreeKnn);
 // --- 4/5. storage node end to end ---------------------------------------
 
 // Shared fixture: a 1-group / 1-node cluster with a real prefix tree, fed
-// through the same wire messages the indexer sends.
+// through the same wire messages the indexer sends. The DNA fixture's node
+// stores its windows at 2 bits per residue (the default arena packing).
 struct NodeFixture {
+  seq::Alphabet alphabet;
   cluster::Topology topology{{.num_groups = 1, .nodes_per_group = 1}};
-  vpt::VpPrefixTree prefix_tree{&dist(), {.cutoff_depth = 4}};
-  seq::SequenceStore store = make_store(96, 107);
+  vpt::VpPrefixTree prefix_tree;
+  seq::SequenceStore store;
   std::vector<core::Block> blocks;
   std::vector<std::vector<std::uint8_t>> insert_payloads;
 
-  NodeFixture() {
-    prefix_tree.build(make_windows(2000, 108));
+  explicit NodeFixture(seq::Alphabet a)
+      : alphabet(a),
+        prefix_tree(&score::default_distance(a), {.cutoff_depth = 4}),
+        store(make_store(96, 107, a)) {
+    prefix_tree.build(make_windows(2000, 108, a));
     topology.bind_prefixes(prefix_tree.leaf_prefixes());
     for (std::size_t s = 0; s < store.size(); ++s) {
       for (auto& block : core::make_blocks(store.at(s), kWindowLength)) {
@@ -363,8 +437,8 @@ struct NodeFixture {
     core::StorageNodeConfig config;
     config.topology = &topology;
     config.prefix_tree = &prefix_tree;
-    config.distance = &dist();
-    config.alphabet = seq::Alphabet::kProtein;
+    config.distance = &score::default_distance(alphabet);
+    config.alphabet = alphabet;
     // The subquery NN cache would otherwise answer every repeated probe
     // after the first iteration and the bench would measure cache lookups,
     // not searches (the cache has its own closed-loop bench in
@@ -373,9 +447,14 @@ struct NodeFixture {
     return config;
   }
 
-  static const NodeFixture& instance() {
-    static NodeFixture fixture;
-    return fixture;
+  static const NodeFixture& instance(
+      seq::Alphabet alphabet = seq::Alphabet::kProtein) {
+    if (alphabet == seq::Alphabet::kDna) {
+      static const NodeFixture dna(seq::Alphabet::kDna);
+      return dna;
+    }
+    static const NodeFixture protein(seq::Alphabet::kProtein);
+    return protein;
   }
 };
 
@@ -407,24 +486,21 @@ void BM_StorageInsertBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_StorageInsertBatch);
 
-// The acceptance kernel: a full on_node_search handler — payload decode,
-// per-subquery bounded n-NN with radius cap, identity + c-score filters,
-// reply encode — measured per subquery.
-void BM_NodeSearch(benchmark::State& state) {
-  const auto& fix = NodeFixture::instance();
-  static net::SimTransport transport(quiet_cost());
-  // Metrics attached (tracing off) so the bench measures the handler as it
-  // runs in production: histogram records are part of the hot path budget.
-  static obs::MetricsRegistry registry;
-  static core::StorageNode node(0, [&] {
-    auto config = fix.node_config();
-    config.metrics = &registry;
-    return config;
-  }());
-  static net::FunctionActor sink([](const net::Message&, net::Context&) {});
-  static bool loaded = false;
-  if (!loaded) {
-    loaded = true;
+// A loaded node behind a simulated transport, with metrics attached
+// (tracing off) so the bench measures the handler as it runs in
+// production: histogram records are part of the hot path budget.
+struct SearchNode {
+  net::SimTransport transport{quiet_cost()};
+  obs::MetricsRegistry registry;
+  core::StorageNode node;
+  net::FunctionActor sink{[](const net::Message&, net::Context&) {}};
+
+  explicit SearchNode(const NodeFixture& fix)
+      : node(0, [&] {
+          auto config = fix.node_config();
+          config.metrics = &registry;
+          return config;
+        }()) {
     transport.register_actor(0, &node);
     transport.register_actor(net::kClientNode, &sink);
     for (const auto& payload : fix.insert_payloads) {
@@ -437,9 +513,27 @@ void BM_NodeSearch(benchmark::State& state) {
     transport.run_until_idle();
   }
 
+  static SearchNode& instance(seq::Alphabet alphabet) {
+    if (alphabet == seq::Alphabet::kDna) {
+      static SearchNode dna(NodeFixture::instance(seq::Alphabet::kDna));
+      return dna;
+    }
+    static SearchNode protein(NodeFixture::instance(seq::Alphabet::kProtein));
+    return protein;
+  }
+};
+
+// One full on_node_search handler per iteration — payload decode, the
+// subqueries' bounded n-NN with radius cap, identity + c-score filters,
+// reply encode — over 64 subqueries in one message, measured per subquery.
+void run_node_search(benchmark::State& state, seq::Alphabet alphabet,
+                     const core::QueryParams& params) {
+  const auto& fix = NodeFixture::instance(alphabet);
+  SearchNode& search_node = SearchNode::instance(alphabet);
   constexpr std::size_t kSubqueries = 64;
   const auto probes = make_probes(fix.store, kSubqueries, 109);
   core::NodeSearchPayload search;
+  search.params = params;
   search.params.k = kWindowLength;
   for (std::size_t i = 0; i < probes.size(); ++i) {
     search.subqueries.push_back(
@@ -449,17 +543,32 @@ void BM_NodeSearch(benchmark::State& state) {
 
   std::uint64_t request = 1;
   for (auto _ : state) {
-    transport.send({.from = net::kClientNode,
-                    .to = 0,
-                    .type = core::kNodeSearch,
-                    .request_id = request++,
-                    .payload = payload});
-    transport.run_until_idle();
+    search_node.transport.send({.from = net::kClientNode,
+                                .to = 0,
+                                .type = core::kNodeSearch,
+                                .request_id = request++,
+                                .payload = payload});
+    search_node.transport.run_until_idle();
   }
-  state.SetLabel("blocks " + std::to_string(node.block_count()));
+  state.SetLabel("blocks " + std::to_string(search_node.node.block_count()));
   state.SetItemsProcessed(state.iterations() * kSubqueries);
 }
+
+// The acceptance kernel: protein windows under the default parameters.
+void BM_NodeSearch(benchmark::State& state) {
+  run_node_search(state, seq::Alphabet::kProtein, core::QueryParams{});
+}
 BENCHMARK(BM_NodeSearch);
+
+// Its DNA twin: 2-bit packed rows and the Hamming metric, with the DNA
+// identity threshold of the end-to-end workloads.
+void BM_NodeSearchDna(benchmark::State& state) {
+  core::QueryParams params;
+  params.matrix = "DNA";
+  params.identity = 0.6;
+  run_node_search(state, seq::Alphabet::kDna, params);
+}
+BENCHMARK(BM_NodeSearchDna);
 
 }  // namespace
 

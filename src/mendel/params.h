@@ -15,6 +15,14 @@ namespace mendel::core {
 // sweep over 32..1024 (docs/architecture.md, "Batched leaf scans").
 inline constexpr std::size_t kDefaultBucketCapacity = 1024;
 
+// Most NN-cache misses of one kNodeSearch that a storage node searches in
+// one vp-tree walk. Results do not depend on it (each subquery's n-NN set
+// is unique under the block-identity tie order); it trades the leaf-scan
+// work the multi-probe kernels share across a batch against the pruning a
+// shared visit order gives up. Chosen by a sweep (docs/architecture.md,
+// "Multi-probe search").
+inline constexpr std::size_t kSearchBatch = 32;
+
 struct QueryParams {
   // --- Paper Table I ---------------------------------------------------
   // k: sliding-window step over the query (subqueries are block-length

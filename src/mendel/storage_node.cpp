@@ -33,7 +33,7 @@ const score::ScoringMatrix& StorageNode::matrix_from_wire(
 StorageNode::StorageNode(net::NodeId id, StorageNodeConfig config)
     : id_(id),
       config_(config),
-      tree_(BlockRefMetric{config.distance, &arena_, &probe_},
+      tree_(BlockRefMetric{config.distance, &arena_},
             vpt::DynamicVpTreeOptions{config.bucket_capacity, true, 2.0,
                                       0x6e6f6465ULL + id}),
       span_buffer_(config.trace_buffer_capacity) {
@@ -369,47 +369,63 @@ std::string StorageNode::nn_cache_key(const vpt::Window& window,
   return key;
 }
 
-std::vector<Seed> StorageNode::search_subquery(
-    const vpt::Window& window, const QueryParams& params,
+std::vector<std::vector<Seed>> StorageNode::search_subqueries(
+    std::span<const vpt::Window* const> windows, const QueryParams& params,
     const score::ScoringMatrix& matrix) const {
-  std::vector<Seed> seeds;
+  std::vector<std::vector<Seed>> seeds(windows.size());
   if (tree_.empty()) return seeds;
-  // The probe rides in a per-call metric so concurrent subquery searches
-  // never share mutable state; the tree itself is only read.
-  const seq::CodeSpan probe_span(window);
-  std::optional<score::QProbe> qprobe;
-  if (const auto* q = config_.distance->quantized()) {
-    qprobe.emplace(*q, window.data(), window.size());
+  // The probes ride in a per-call metric so concurrent searches never
+  // share mutable state; the tree itself is only read. Probe b is the
+  // sentinel ref {0, b, kProbeSlot}.
+  std::vector<seq::CodeSpan> spans;
+  std::vector<score::QProbe> qprobes;
+  std::vector<BlockRef> targets;
+  spans.reserve(windows.size());
+  targets.reserve(windows.size());
+  const auto* q = config_.distance->quantized();
+  if (q != nullptr) qprobes.reserve(windows.size());
+  for (std::size_t b = 0; b < windows.size(); ++b) {
+    spans.emplace_back(*windows[b]);
+    if (q != nullptr) {
+      qprobes.emplace_back(*q, windows[b]->data(), windows[b]->size());
+    }
+    targets.push_back({0, static_cast<std::uint32_t>(b), BlockRef::kProbeSlot});
   }
-  const BlockRefMetric metric{config_.distance, &arena_, &probe_span,
-                              c_batched_scans_, c_scalar_fallbacks_,
-                              qprobe ? &*qprobe : nullptr};
-  const BlockRef probe_ref{0, 0, BlockRef::kProbeSlot};
+  const BlockRefMetric metric{config_.distance,   &arena_,
+                              spans.data(),       c_batched_scans_,
+                              c_scalar_fallbacks_,
+                              q != nullptr ? qprobes.data() : nullptr};
   // Exact radius cap from the identity filter: a candidate passing
   // identity >= i differs in at most (1-i)*k positions, each costing at
   // most max_entry — anything farther is filtered later anyway, so the
   // n-NN search can discard it up front.
   const double cap = (1.0 - params.identity) *
-                     static_cast<double>(window.size()) *
+                     static_cast<double>(arena_.window_length()) *
                      max_residue_distance_;
-  const auto neighbors = tree_.nearest_with(metric, probe_ref, params.n, cap);
+  const auto neighbors =
+      tree_.nearest_batch_with(metric, std::span<const BlockRef>(targets),
+                               params.n, cap);
   std::vector<seq::Code> decoded(arena_.window_length());
-  for (const auto& neighbor : neighbors) {
-    const BlockRef& block = *neighbor.item;
-    arena_.copy_row(block.slot, decoded.data());
-    const seq::CodeSpan arena_window{decoded.data(), decoded.size()};
-    const double identity = score::percent_identity(window, arena_window);
-    if (identity < params.identity) continue;
-    const double c = score::consecutivity_score(window, arena_window, matrix);
-    if (c < params.c_score) continue;
-    Seed seed;
-    seed.sequence = block.sequence;
-    seed.subject_start = block.start;
-    seed.query_offset = 0;  // caller rebinds to the subquery's offset
-    seed.length = static_cast<std::uint32_t>(arena_window.size());
-    seed.identity = identity;
-    seed.c_score = c;
-    seeds.push_back(seed);
+  for (std::size_t b = 0; b < windows.size(); ++b) {
+    const vpt::Window& window = *windows[b];
+    for (const auto& neighbor : neighbors[b]) {
+      const BlockRef& block = *neighbor.item;
+      arena_.copy_row(block.slot, decoded.data());
+      const seq::CodeSpan arena_window{decoded.data(), decoded.size()};
+      const double identity = score::percent_identity(window, arena_window);
+      if (identity < params.identity) continue;
+      const double c =
+          score::consecutivity_score(window, arena_window, matrix);
+      if (c < params.c_score) continue;
+      Seed seed;
+      seed.sequence = block.sequence;
+      seed.subject_start = block.start;
+      seed.query_offset = 0;  // caller rebinds to the subquery's offset
+      seed.length = static_cast<std::uint32_t>(arena_window.size());
+      seed.identity = identity;
+      seed.c_score = c;
+      seeds[b].push_back(seed);
+    }
   }
   return seeds;
 }
@@ -473,20 +489,39 @@ void StorageNode::on_node_search(const net::Message& message,
     }
   }
 
-  // Phase 2: fan the cache misses across the shared pool (serial without
-  // one). Each task writes its own slot of `fresh`; the join publishes the
-  // writes back to the handler thread.
+  // Phase 2: search the cache misses kSearchBatch at a time, one tree walk
+  // per batch (so each leaf chunk is moved once for the whole batch), with
+  // the batches fanned across the shared pool (serial without one). Each
+  // task writes its own slots of `fresh`; the join publishes the writes
+  // back to the handler thread. Each subquery of a batch records an equal
+  // share of the batch's time as its node.subquery_seconds sample.
   std::vector<std::vector<Seed>> fresh(count);
-  auto search_one = [&](std::size_t j) {
-    const obs::ScopedTimer subquery_timer(h_subquery_);
-    const std::size_t i = misses[j];
-    fresh[i] = search_subquery(request.subqueries[i].window, request.params,
-                               matrix);
+  const std::size_t batches = (misses.size() + kSearchBatch - 1) / kSearchBatch;
+  auto search_batch = [&](std::size_t b) {
+    Stopwatch watch;
+    // Near-equal batches: ceil(misses / kSearchBatch) of them.
+    const std::size_t begin = b * misses.size() / batches;
+    const std::size_t end = (b + 1) * misses.size() / batches;
+    std::vector<const vpt::Window*> windows;
+    windows.reserve(end - begin);
+    for (std::size_t j = begin; j < end; ++j) {
+      windows.push_back(&request.subqueries[misses[j]].window);
+    }
+    auto seeds = search_subqueries(windows, request.params, matrix);
+    for (std::size_t j = begin; j < end; ++j) {
+      fresh[misses[j]] = std::move(seeds[j - begin]);
+    }
+    if (h_subquery_ != nullptr) {
+      const double share = watch.seconds() / static_cast<double>(end - begin);
+      for (std::size_t j = begin; j < end; ++j) {
+        h_subquery_->record_seconds(share);
+      }
+    }
   };
-  if (config_.search_pool != nullptr && misses.size() > 1) {
-    config_.search_pool->parallel_for(misses.size(), search_one);
+  if (config_.search_pool != nullptr && batches > 1) {
+    config_.search_pool->parallel_for(batches, search_batch);
   } else {
-    for (std::size_t j = 0; j < misses.size(); ++j) search_one(j);
+    for (std::size_t b = 0; b < batches; ++b) search_batch(b);
   }
 
   // Phase 3 (handler thread): emit every subquery's seeds in subquery
@@ -596,7 +631,7 @@ void StorageNode::on_rebalance(net::Context& ctx) {
     block_keys_.clear();
     arena_.clear();
     tree_ = vpt::DynamicVpTree<BlockRef, BlockRefMetric>(
-        BlockRefMetric{config_.distance, &arena_, &probe_},
+        BlockRefMetric{config_.distance, &arena_},
         vpt::DynamicVpTreeOptions{config_.bucket_capacity, true, 2.0,
                                   0x6e6f6465ULL + id_});
     auto fresh = admit_blocks(std::move(kept));

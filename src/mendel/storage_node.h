@@ -29,12 +29,15 @@
 // of their pending entry. Counters and the NN cache stay handler-only.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -228,8 +231,8 @@ class StorageNode final : public net::Actor {
   // with a heap-allocated window, so tree rebuilds shuffle indices and
   // bucket scans read one contiguous code buffer.
   struct BlockRef {
-    // Sentinel slot marking a search probe; its codes live in the node's
-    // `probe_` span rather than the arena.
+    // Sentinel slot marking a search probe; the ref's `start` indexes the
+    // searching metric's probe windows rather than the arena.
     static constexpr std::uint32_t kProbeSlot = 0xffffffffu;
 
     seq::SequenceId sequence = seq::kInvalidSequenceId;
@@ -239,23 +242,28 @@ class StorageNode final : public net::Actor {
 
   // Metric adapter: L1 window distance between arena-resident windows,
   // with the early-abandoning variant the vp-tree uses for vantage pruning,
-  // plus the leaf scan that runs the SIMD kernels over whole buckets.
-  // Lengths are validated once at admission (arena append) and search
-  // entry, so the kernels skip the per-call check.
+  // plus the leaf scan that runs the SIMD kernels over whole buckets for a
+  // batch of probes. Lengths are validated once at admission (arena
+  // append) and search entry, so the kernels skip the per-call check.
   struct BlockRefMetric {
-    // Bucket chunk handed to one batched kernel call.
+    // Bucket chunk handed to one batched kernel call (a multiple of 64:
+    // the multi-probe kernels' pass masks are 64-row words).
     static constexpr std::size_t kBatchChunk = 256;
 
     const score::DistanceMatrix* distance;
     const vpt::WindowArena* arena;
-    const seq::CodeSpan* probe;
+    // The search's probe windows: probe ref {0, b, kProbeSlot} has codes
+    // probes[b]. Null on the tree's internal metric, which only ever
+    // compares stored blocks.
+    const seq::CodeSpan* probes = nullptr;
     // Kernel observability (kernel.batched_scans / kernel.scalar_fallbacks);
     // null on metrics-less nodes and on the tree's internal rebuild metric.
     obs::Counter* batched_scans = nullptr;
     obs::Counter* scalar_fallbacks = nullptr;
-    // The probe's kernel tables, built once per search; null on the
-    // tree's internal metric (a leaf scan then builds its own).
-    const score::QProbe* qprobe = nullptr;
+    // The probes' kernel tables (qprobes[b] for probes[b]), built once per
+    // search; null on the tree's internal metric (a leaf scan then builds
+    // its own).
+    const score::QProbe* qprobes = nullptr;
 
     // Item-wise code access. The all-resident unpacked arena hands out
     // direct row pointers (the original zero-copy path); packed or spilled
@@ -265,7 +273,7 @@ class StorageNode final : public net::Actor {
     // concurrent LRU eviction: the bytes are captured under the store
     // lock.
     const seq::Code* codes(const BlockRef& ref, int side) const {
-      if (ref.slot == BlockRef::kProbeSlot) return probe->data();
+      if (ref.slot == BlockRef::kProbeSlot) return probes[ref.start].data();
       if (!arena->packed() && !arena->spilled()) return arena->at(ref.slot);
       thread_local std::vector<seq::Code> scratch[2];
       auto& buf = scratch[side];
@@ -292,44 +300,87 @@ class StorageNode final : public net::Actor {
       return score::window_distance_bounded_unchecked(
           *distance, codes(a, 0), codes(b, 1), arena->window_length(), bound);
     }
-    // Leaf scan (the vp-tree's scan_leaf hook): calls admit(j, d) for each
-    // item whose distance d is within the current bound, in item order;
-    // admit returns the new bound. Distances stay scaled integers through
-    // the kernel and the admission test, since (q <= threshold(bound)) ==
-    // (q / scale <= bound); only admitted ones become doubles, and the
-    // threshold is re-derived only after an admission, the one event that
-    // changes the bound. Falls back to item-wise bounded() when the matrix
-    // has no quantized twin or the arena is too large for 32-bit gather
-    // offsets.
+    // Leaf scan (the vp-tree's scan_leaf hook): for each of the k targets,
+    // calls admit(t, j, d) for every item whose distance d is within t's
+    // current bound, in item order; admit returns t's new bound. Each
+    // bucket chunk is scored against all targets by one multi-probe kernel
+    // call, so rows are moved once per chunk rather than once per target;
+    // a target the kernel declines takes its QProbe's gather-kernel scan
+    // for that chunk. Distances stay scaled integers through the kernels
+    // and the admission test, since (q <= threshold(bound)) == (q / scale
+    // <= bound); only admitted ones become doubles, and a threshold is
+    // re-derived only after an admission, the one event that changes its
+    // bound. Falls back to item-wise bounded() when the matrix has no
+    // quantized twin or the arena is too large for 32-bit gather offsets.
     template <typename Admit>
-    void scan_leaf(const BlockRef& a, const BlockRef* items,
-                   std::size_t count, double bound, Admit&& admit) const {
+    void scan_leaf(const BlockRef* const* targets, std::size_t k,
+                   const BlockRef* items, std::size_t count,
+                   const double* bounds, Admit&& admit) const {
+      constexpr std::size_t kMax = score::QProbe::kMaxBatch;
+      for (std::size_t first = 0; first < k; first += kMax) {
+        scan_group(targets, first, std::min(kMax, k - first), items, count,
+                   bounds, admit);
+      }
+    }
+
+   private:
+    // scan_leaf over targets [first, first + k), at most kMaxBatch.
+    template <typename Admit>
+    void scan_group(const BlockRef* const* all_targets, std::size_t first,
+                    std::size_t k, const BlockRef* items, std::size_t count,
+                    const double* bounds, Admit& admit_any) const {
+      constexpr std::size_t kMax = score::QProbe::kMaxBatch;
+      const BlockRef* const* targets = all_targets + first;
+      auto admit = [&](std::size_t t, std::size_t j, double d) {
+        return admit_any(first + t, j, d);
+      };
+      std::array<double, kMax> bound;
+      std::copy(bounds + first, bounds + first + k, bound.begin());
+      auto item_wise = [&](std::size_t t, std::size_t begin,
+                           std::size_t end) {
+        for (std::size_t j = begin; j < end; ++j) {
+          const double d = bounded(*targets[t], items[j], bound[t]);
+          if (d <= bound[t]) bound[t] = admit(t, j, d);
+        }
+      };
       const score::QuantizedDistance* q = distance->quantized();
       const bool gatherable =
           arena->size() * arena->stride() <
           static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()) -
               vpt::WindowArena::kGuardTail;
-      auto item_wise = [&](std::size_t begin, std::size_t end) {
-        for (std::size_t j = begin; j < end; ++j) {
-          const double d = bounded(a, items[j], bound);
-          if (d <= bound) bound = admit(j, d);
-        }
-      };
       if (q == nullptr || !gatherable) {
         if (q == nullptr && scalar_fallbacks != nullptr) {
           scalar_fallbacks->add();
         }
-        item_wise(0, count);
+        for (std::size_t t = 0; t < k; ++t) item_wise(t, 0, count);
         return;
       }
-      std::optional<score::QProbe> own;
-      const score::QProbe* p = qprobe;
-      if (p == nullptr || a.slot != BlockRef::kProbeSlot) {
-        p = &own.emplace(*q, codes(a, 0), arena->window_length());
+      // Kernel tables per target: the search's own, or built here over a
+      // copy of the target's codes (item-wise access hands out scratch).
+      const std::size_t length = arena->window_length();
+      std::array<const score::QProbe*, kMax> probe;
+      std::vector<seq::Code> own_codes;
+      std::vector<score::QProbe> own;
+      for (std::size_t t = 0; t < k; ++t) {
+        if (qprobes != nullptr && targets[t]->slot == BlockRef::kProbeSlot) {
+          probe[t] = &qprobes[targets[t]->start];
+          continue;
+        }
+        if (own.empty()) {
+          own_codes.resize(k * length);
+          own.reserve(k);
+        }
+        seq::Code* copy = own_codes.data() + t * length;
+        std::copy_n(codes(*targets[t], 0), length, copy);
+        probe[t] = &own.emplace_back(*q, copy, length);
       }
-      std::int64_t qthresh = q->threshold(bound);
+      const score::QKernelTable& kernels = score::qkernels();
       std::array<std::uint32_t, kBatchChunk> slots;
       std::array<std::int64_t, kBatchChunk> qdists;
+      std::array<std::int64_t, kMax> qthresh;
+      std::array<std::uint64_t, kMax * kBatchChunk / 64> pass;
+      std::array<std::uint8_t, kMax * kBatchChunk> dist;
+      const score::QScanOut out{pass.data(), dist.data(), kBatchChunk};
       for (std::size_t offset = 0; offset < count;) {
         const std::size_t run = std::min(count - offset, kBatchChunk);
         bool arena_only = true;
@@ -340,28 +391,59 @@ class StorageNode final : public net::Actor {
         if (!arena_only) {
           // A probe sentinel never lives in tree buckets, but the metric
           // contract doesn't depend on that: route odd chunks item-wise.
-          item_wise(offset, offset + run);
-          qthresh = q->threshold(bound);
+          for (std::size_t t = 0; t < k; ++t) {
+            item_wise(t, offset, offset + run);
+          }
           offset += run;
           continue;
         }
-        // Spilled arenas: pin the chunk's rows so the gather kernels can
-        // never touch an evicted (PROT_NONE) segment mid-scan; no-op for
-        // heap arenas. Packed arenas route to the fused-decode kernels.
+        // Spilled arenas: pin the chunk's rows once for every target so
+        // the kernels can never touch an evicted (PROT_NONE) segment
+        // mid-scan; no-op for heap arenas. Packed arenas route to the
+        // fused-decode kernels.
         const auto pin = arena->pin_scan(slots.data(), run);
-        if (arena->packed()) {
-          p->scan_packed(arena->base(), arena->stride(), arena->packed_bits(),
-                         slots.data(), run, qthresh, qdists.data());
-        } else {
-          p->scan(arena->base(), arena->stride(), slots.data(), run, qthresh,
-                  qdists.data());
+        for (std::size_t t = 0; t < k; ++t) {
+          qthresh[t] = q->threshold(bound[t]);
         }
-        if (batched_scans != nullptr) batched_scans->add();
-        for (std::size_t j = 0; j < run; ++j) {
-          if (qdists[j] <= qthresh) {
-            bound = admit(offset + j, q->to_double(qdists[j]));
-            qthresh = q->threshold(bound);
+        const std::uint64_t served =
+            arena->packed()
+                ? kernels.probes_batch_packed(
+                      probe.data(), qthresh.data(), k, arena->base(),
+                      arena->stride(), arena->packed_bits(), slots.data(),
+                      run, out)
+                : kernels.probes_batch(probe.data(), qthresh.data(), k,
+                                       arena->base(), arena->stride(),
+                                       slots.data(), run, out);
+        if (batched_scans != nullptr) batched_scans->add(k);
+        for (std::size_t t = 0; t < k; ++t) {
+          auto admit_at = [&](std::size_t j, std::int64_t qd) {
+            if (qd <= qthresh[t]) {
+              bound[t] = admit(t, offset + j, q->to_double(qd));
+              qthresh[t] = q->threshold(bound[t]);
+            }
+          };
+          if ((served >> t) & 1) {
+            const std::uint64_t* words = pass.data() + t * (kBatchChunk / 64);
+            const std::uint8_t* row_dist = dist.data() + t * kBatchChunk;
+            for (std::size_t w = 0; w * 64 < run; ++w) {
+              for (std::uint64_t bits = words[w]; bits != 0;
+                   bits &= bits - 1) {
+                const std::size_t j =
+                    w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+                admit_at(j, row_dist[j]);
+              }
+            }
+            continue;
           }
+          if (arena->packed()) {
+            probe[t]->scan_packed(arena->base(), arena->stride(),
+                                  arena->packed_bits(), slots.data(), run,
+                                  qthresh[t], qdists.data());
+          } else {
+            probe[t]->scan(arena->base(), arena->stride(), slots.data(), run,
+                           qthresh[t], qdists.data());
+          }
+          for (std::size_t j = 0; j < run; ++j) admit_at(j, qdists[j]);
         }
         offset += run;
       }
@@ -498,14 +580,15 @@ class StorageNode final : public net::Actor {
   // Reconstitutes the wire-format Block of a stored ref (codec paths).
   Block materialize(const BlockRef& ref) const;
 
-  // One subquery's filtered n-NN search over the local tree. Thread-safe
-  // with respect to other searches (the tree is only read; the probe rides
-  // in a per-call metric, not in the shared probe_ slot). Emitted seeds
-  // carry query_offset = 0 so the result is cacheable across subqueries
+  // Filtered n-NN searches of a batch of subquery windows over the local
+  // tree, in one walk (DynamicVpTree::nearest_batch_with); result b is
+  // windows[b]'s seed list. Thread-safe with respect to other searches (the
+  // tree is only read; the probes ride in a per-call metric). Emitted seeds
+  // carry query_offset = 0 so each result is cacheable across subqueries
   // and queries that share the window.
-  std::vector<Seed> search_subquery(const vpt::Window& window,
-                                    const QueryParams& params,
-                                    const score::ScoringMatrix& matrix) const;
+  std::vector<std::vector<Seed>> search_subqueries(
+      std::span<const vpt::Window* const> windows, const QueryParams& params,
+      const score::ScoringMatrix& matrix) const;
   // Cache key: window codes + every parameter that shapes the seed list.
   static std::string nn_cache_key(const vpt::Window& window,
                                   const QueryParams& params);
@@ -517,10 +600,9 @@ class StorageNode final : public net::Actor {
   net::NodeId id_;
   StorageNodeConfig config_;
   double max_residue_distance_ = 0.0;  // cached distance->max_entry()
-  // SoA payload store + current probe window; both must outlive (and are
-  // declared before) the tree whose metric points at them.
+  // SoA payload store; must outlive (and is declared before) the tree
+  // whose metric points at it.
   vpt::WindowArena arena_;
-  seq::CodeSpan probe_;
   vpt::DynamicVpTree<BlockRef, BlockRefMetric> tree_;
   // Identities of stored blocks ((sequence << 32) | start) so re-deliveries
   // during replication and rebalance stay idempotent.

@@ -388,11 +388,16 @@ __attribute__((target("avx2"))) void qbatch_packed_avx2(
   }
 }
 
-// --- AVX2 short-window kernels over a prepared QProbe --------------------
+// --- AVX2 short-window kernels over prepared QProbes ----------------------
 //
 // The gather kernels above pay two gathers per residue per 8 rows. For the
 // short windows Mendel indexes (8 residues by default) it is cheaper to
-// move whole rows and look residues up in registers.
+// move whole rows and look residues up in registers, and a node scores
+// each leaf against a whole batch of probes, so the row movement is done
+// once per 32-row block and only each probe's lookup runs per probe. Per
+// probe and block the kernels write 32 byte distances and a 32-bit pass
+// mask, so the caller admits by walking set bits instead of testing an
+// int64 per row.
 
 // Byte transpose of 32 rows x 8 positions, in four rounds of unpacks. On
 // entry rows[k] holds rows k, 8 + k, 16 + k and 24 + k (one 8-byte row per
@@ -432,40 +437,111 @@ __attribute__((target("avx2"))) inline void transpose_rows_8x32(
   }
 }
 
-inline std::uint32_t load_u32(const std::uint8_t* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
+// Rows of a 32-row block, with its first one repeated when the block runs
+// short; the pass masks drop the repeats.
+inline const std::uint32_t* block_slots(const std::uint32_t* slots,
+                                        std::size_t run,
+                                        std::uint32_t (&padded)[32]) {
+  if (run == 32) return slots;
+  std::copy(slots, slots + run, padded);
+  std::fill(padded + run, padded + 32, slots[0]);
+  return padded;
 }
 
-// Shuffle kernel: 32 rows per pass. Eight 4-row gathers move 8 bytes of
-// each row, a byte transpose makes one register per position, and each
-// position is looked up in the probe's byte LUT row with vpshufb — codes
-// 0-15 in one table, 16-23 in the other; the index bias zeroes the lookup
-// of the table a code is not in, so an OR blends the two. Sums add with
-// unsigned saturation (QProbe::lane_limit says when that is exact). Rows
-// of 9-16 residues take a second pass over their upper 8 bytes. Every
-// gather stays inside its row (stride >= the window rounded up to 8). A
-// short final pass repeats its first slot to fill the 32 lanes.
-__attribute__((target("avx2"))) bool qprobe_batch_avx2(
-    const QProbe& p, const seq::Code* base, std::size_t stride,
-    const std::uint32_t* slots, std::size_t count, std::int64_t qthresh,
-    std::int64_t* out) {
-  if (!p.shuffle_ready() || qthresh > p.lane_limit()) return false;
-  const std::size_t len = p.length();
-  const std::uint8_t* table = p.shuffle_table();
+inline std::uint32_t run_mask(std::size_t run) {
+  return run == 32 ? 0xffffffffu : (1u << run) - 1;
+}
+
+// Bit-ORs a 32-row block's mask into probe b's pass slice at row j (a
+// multiple of 32).
+inline void put_pass(const QScanOut& out, std::size_t b, std::size_t j,
+                     std::uint32_t mask) {
+  std::uint64_t& word = out.pass[b * (out.rows / 64) + j / 64];
+  if (j % 64 == 0) {
+    word = mask;
+  } else {
+    word |= static_cast<std::uint64_t>(mask) << 32;
+  }
+}
+
+// Byte threshold of a served probe with a non-negative qthresh: distances
+// the kernels report never exceed 255 where it matters (lane_limit), so
+// min(qthresh, 255) decides (d <= qthresh) exactly.
+inline std::uint8_t byte_threshold(std::int64_t qthresh) {
+  return static_cast<std::uint8_t>(std::min<std::int64_t>(qthresh, 255));
+}
+
+// Pass mask and stored distances of one probe over one block: lanes whose
+// byte is <= thresh.
+__attribute__((target("avx2"))) inline std::uint32_t finish_block(
+    __m256i acc, __m256i thresh, std::uint8_t* dist) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dist), acc);
+  return static_cast<std::uint32_t>(_mm256_movemask_epi8(
+      _mm256_cmpeq_epi8(_mm256_min_epu8(acc, thresh), acc)));
+}
+
+// Probes a multi-probe kernel serves, in batch order; those with a
+// negative qthresh (no row can pass) are served with empty masks and
+// skipped by the block loop.
+struct ServedProbes {
+  std::uint64_t served = 0;
+  std::size_t live = 0;
+  std::uint8_t index[QProbe::kMaxBatch];
+  std::uint8_t thresh[QProbe::kMaxBatch];
+};
+
+template <typename Accepts>
+ServedProbes select_probes(const QProbe* const* probes,
+                           const std::int64_t* qthresh,
+                           std::size_t probe_count, std::size_t count,
+                           const QScanOut& out, Accepts accepts) {
+  ServedProbes s;
+  probe_count = std::min(probe_count, QProbe::kMaxBatch);
+  for (std::size_t b = 0; b < probe_count; ++b) {
+    if (probes[b]->length() != probes[0]->length() ||
+        !accepts(*probes[b], qthresh[b])) {
+      continue;
+    }
+    s.served |= std::uint64_t{1} << b;
+    if (qthresh[b] < 0) {
+      std::fill_n(out.pass + b * (out.rows / 64), (count + 63) / 64, 0);
+      continue;
+    }
+    s.index[s.live] = static_cast<std::uint8_t>(b);
+    s.thresh[s.live] = byte_threshold(qthresh[b]);
+    ++s.live;
+  }
+  return s;
+}
+
+// Shuffle kernel. Eight 4-row gathers move 8 bytes of each of 32 rows, a
+// byte transpose makes one register per position, and each probe looks
+// each position up in its byte LUT row with vpshufb — codes 0-15 in one
+// table, 16-23 in the other; the index bias zeroes the lookup of the table
+// a code is not in, so an OR blends the two. Sums add with unsigned
+// saturation (QProbe::lane_limit says when that is exact). Rows of 9-16
+// residues take a second gather and transpose over their upper 8 bytes.
+// Every gather stays inside its row (stride >= the window rounded up to
+// 8).
+__attribute__((target("avx2"))) std::uint64_t qprobes_batch_avx2(
+    const QProbe* const* probes, const std::int64_t* qthresh,
+    std::size_t probe_count, const seq::Code* base, std::size_t stride,
+    const std::uint32_t* slots, std::size_t count, const QScanOut& out) {
+  if (probe_count == 0) return 0;
+  const ServedProbes s = select_probes(
+      probes, qthresh, probe_count, count, out,
+      [](const QProbe& p, std::int64_t t) {
+        return p.shuffle_ready() && t <= p.lane_limit();
+      });
+  if (s.live == 0) return s.served;
+  const std::size_t len = probes[0]->length();
   const __m256i stride_v = _mm256_set1_epi32(static_cast<int>(stride));
   const __m256i lo_bias = _mm256_set1_epi8(0x70);
   const __m256i hi_base = _mm256_set1_epi8(16);
   std::uint32_t padded[32];
   for (std::size_t j = 0; j < count; j += 32) {
     const std::size_t run = std::min<std::size_t>(32, count - j);
-    const std::uint32_t* block = slots + j;
-    if (run < 32) {
-      std::copy(block, block + run, padded);
-      std::fill(padded + run, padded + 32, block[0]);
-      block = padded;
-    }
+    const std::uint32_t* block = block_slots(slots + j, run, padded);
     // Row offsets, transposed so that register k gathers rows k, 8 + k,
     // 16 + k and 24 + k: the byte transpose then leaves row r in byte r.
     __m256i by_eight[4];
@@ -486,7 +562,10 @@ __attribute__((target("avx2"))) bool qprobe_batch_avx2(
       off[k] = _mm256_castsi256_si128(u[k]);
       off[k + 4] = _mm256_extracti128_si256(u[k], 1);
     }
-    __m256i acc = _mm256_setzero_si256();
+    // One register pair per position, shared by every probe: the codes
+    // biased for the 0-15 table and for the 16-23 table.
+    __m256i lo_idx[QProbe::kShortWindow];
+    __m256i hi_idx[QProbe::kShortWindow];
     for (std::size_t c = 0; c < len; c += 8) {
       __m256i rows[8];
       for (int k = 0; k < 8; ++k) {
@@ -496,49 +575,53 @@ __attribute__((target("avx2"))) bool qprobe_batch_avx2(
       transpose_rows_8x32(rows);
       const std::size_t positions = std::min<std::size_t>(len - c, 8);
       for (std::size_t i = 0; i < positions; ++i) {
-        const std::uint8_t* cells = table + 32 * (c + i);
+        lo_idx[c + i] = _mm256_adds_epu8(rows[i], lo_bias);
+        hi_idx[c + i] = _mm256_sub_epi8(rows[i], hi_base);
+      }
+    }
+    const std::uint32_t keep = run_mask(run);
+    for (std::size_t l = 0; l < s.live; ++l) {
+      const std::size_t b = s.index[l];
+      const std::uint8_t* table = probes[b]->shuffle_table();
+      __m256i acc = _mm256_setzero_si256();
+      for (std::size_t i = 0; i < len; ++i) {
+        const std::uint8_t* cells = table + 32 * i;
         const __m256i lo = _mm256_broadcastsi128_si256(
             _mm_loadu_si128(reinterpret_cast<const __m128i*>(cells)));
         const __m256i hi = _mm256_broadcastsi128_si256(
             _mm_loadu_si128(reinterpret_cast<const __m128i*>(cells + 16)));
-        const __m256i v = _mm256_or_si256(
-            _mm256_shuffle_epi8(lo, _mm256_adds_epu8(rows[i], lo_bias)),
-            _mm256_shuffle_epi8(hi, _mm256_sub_epi8(rows[i], hi_base)));
-        acc = _mm256_adds_epu8(acc, v);
+        acc = _mm256_adds_epu8(
+            acc, _mm256_or_si256(_mm256_shuffle_epi8(lo, lo_idx[i]),
+                                 _mm256_shuffle_epi8(hi, hi_idx[i])));
       }
-    }
-    alignas(32) std::uint8_t lanes[32];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    if (run == 32) {
-      for (std::size_t r = 0; r < 32; r += 4) {
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(out + j + r),
-            _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(
-                static_cast<int>(load_u32(lanes + r)))));
-      }
-    } else {
-      for (std::size_t r = 0; r < run; ++r) out[j + r] = lanes[r];
+      const std::uint32_t mask = finish_block(
+          acc, _mm256_set1_epi8(static_cast<char>(s.thresh[l])),
+          out.dist + b * out.rows + j);
+      put_pass(out, b, j, mask & keep);
     }
   }
-  return true;
+  return s.served;
 }
 
-// XOR kernel: 8 rows per pass, one 32-bit word (16 residues) per gather.
-// XOR against the packed probe leaves a non-zero 2-bit pair exactly where
-// the codes differ; folding each pair onto its low bit and counting bits
-// with a nibble-LUT popcount gives the mismatch count, which is the
-// indicator distance. Mismatch counts never exceed the window, so the
-// kernel computes them in full rather than testing qthresh. The last word
-// of a row may read up to 3 bytes past it (the guard tail covers the last
-// row); the mask drops those pairs.
-__attribute__((target("avx2"))) bool qprobe_batch_packed_avx2(
-    const QProbe& p, const std::uint8_t* base, std::size_t stride,
+// XOR kernel: one 32-bit word (16 residues) per row and gather. XOR
+// against a probe's packed words leaves a non-zero 2-bit pair exactly
+// where the codes differ; folding each pair onto its low bit and counting
+// bits with a nibble-LUT popcount gives the mismatch count, which is the
+// indicator distance (never above 64, so a byte holds it exactly). The
+// last word of a row may read up to 3 bytes past it (the guard tail
+// covers the last row); the mask drops those pairs.
+__attribute__((target("avx2"))) std::uint64_t qprobes_batch_packed_avx2(
+    const QProbe* const* probes, const std::int64_t* qthresh,
+    std::size_t probe_count, const std::uint8_t* base, std::size_t stride,
     unsigned bits, const std::uint32_t* slots, std::size_t count,
-    std::int64_t /*qthresh*/, std::int64_t* out) {
-  if (bits != 2 || !p.xor_ready()) return false;
-  const std::size_t len = p.length();
+    const QScanOut& out) {
+  if (probe_count == 0 || bits != 2) return 0;
+  const ServedProbes s = select_probes(
+      probes, qthresh, probe_count, count, out,
+      [](const QProbe& p, std::int64_t) { return p.xor_ready(); });
+  if (s.live == 0) return s.served;
+  const std::size_t len = probes[0]->length();
   const std::size_t words = (len + 15) / 16;
-  const std::uint32_t* probe = p.packed_words();
   const __m256i stride_v = _mm256_set1_epi32(static_cast<int>(stride));
   const __m256i nibble = _mm256_set1_epi8(0x0f);
   const __m256i popcount4 = _mm256_setr_epi8(
@@ -546,51 +629,65 @@ __attribute__((target("avx2"))) bool qprobe_batch_packed_avx2(
       0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
   const __m256i ones8 = _mm256_set1_epi8(1);
   const __m256i ones16 = _mm256_set1_epi16(1);
-  std::uint32_t padded[8];
-  for (std::size_t j = 0; j < count; j += 8) {
-    const std::size_t run = std::min<std::size_t>(8, count - j);
-    const std::uint32_t* block = slots + j;
-    if (run < 8) {
-      std::copy(block, block + run, padded);
-      std::fill(padded + run, padded + 8, block[0]);
-      block = padded;
+  // Undoes the lane interleave of the two packs below.
+  const __m256i unpack_order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  __m256i low_bits[QProbe::kMaxXorWindow / 16];
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::size_t codes = std::min<std::size_t>(len - 16 * w, 16);
+    low_bits[w] = _mm256_set1_epi32(static_cast<int>(
+        codes == 16 ? 0x55555555u : 0x55555555u & ((1u << (2 * codes)) - 1)));
+  }
+  std::uint32_t padded[32];
+  for (std::size_t j = 0; j < count; j += 32) {
+    const std::size_t run = std::min<std::size_t>(32, count - j);
+    const std::uint32_t* block = block_slots(slots + j, run, padded);
+    // Register e of word w holds that word of rows 8e .. 8e + 7.
+    __m256i row_words[QProbe::kMaxXorWindow / 16][4];
+    for (int e = 0; e < 4; ++e) {
+      const __m256i off = _mm256_mullo_epi32(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block + 8 * e)),
+          stride_v);
+      for (std::size_t w = 0; w < words; ++w) {
+        row_words[w][e] = _mm256_i32gather_epi32(
+            reinterpret_cast<const int*>(base + 4 * w), off, 1);
+      }
     }
-    const __m256i off = _mm256_mullo_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block)),
-        stride_v);
-    __m256i acc = _mm256_setzero_si256();
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::size_t codes = std::min<std::size_t>(len - 16 * w, 16);
-      const std::uint32_t low_bits =
-          codes == 16 ? 0x55555555u : 0x55555555u & ((1u << (2 * codes)) - 1);
-      const __m256i row = _mm256_i32gather_epi32(
-          reinterpret_cast<const int*>(base + 4 * w), off, 1);
-      __m256i x = _mm256_xor_si256(
-          row, _mm256_set1_epi32(static_cast<int>(probe[w])));
-      x = _mm256_and_si256(_mm256_or_si256(x, _mm256_srli_epi32(x, 1)),
-                           _mm256_set1_epi32(static_cast<int>(low_bits)));
-      const __m256i per_byte = _mm256_add_epi8(
-          _mm256_shuffle_epi8(popcount4, _mm256_and_si256(x, nibble)),
-          _mm256_shuffle_epi8(popcount4,
-                              _mm256_and_si256(_mm256_srli_epi16(x, 4),
-                                               nibble)));
-      acc = _mm256_add_epi32(
-          acc, _mm256_madd_epi16(_mm256_maddubs_epi16(per_byte, ones8),
-                                 ones16));
-    }
-    if (run == 8) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + j),
-                          _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc)));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(out + j + 4),
-          _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc, 1)));
-    } else {
-      alignas(32) std::int32_t lanes[8];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-      for (std::size_t r = 0; r < run; ++r) out[j + r] = lanes[r];
+    const std::uint32_t keep = run_mask(run);
+    for (std::size_t l = 0; l < s.live; ++l) {
+      const std::size_t b = s.index[l];
+      const std::uint32_t* probe = probes[b]->packed_words();
+      __m256i acc[4];
+      for (int e = 0; e < 4; ++e) {
+        // Per-byte mismatch counts summed over the words (at most 16 per
+        // byte), then reduced to one count per 32-bit row lane.
+        __m256i per_byte = _mm256_setzero_si256();
+        for (std::size_t w = 0; w < words; ++w) {
+          __m256i x = _mm256_xor_si256(
+              row_words[w][e], _mm256_set1_epi32(static_cast<int>(probe[w])));
+          x = _mm256_and_si256(_mm256_or_si256(x, _mm256_srli_epi32(x, 1)),
+                               low_bits[w]);
+          per_byte = _mm256_add_epi8(
+              per_byte,
+              _mm256_add_epi8(
+                  _mm256_shuffle_epi8(popcount4, _mm256_and_si256(x, nibble)),
+                  _mm256_shuffle_epi8(
+                      popcount4,
+                      _mm256_and_si256(_mm256_srli_epi16(x, 4), nibble))));
+        }
+        acc[e] = _mm256_madd_epi16(_mm256_maddubs_epi16(per_byte, ones8),
+                                   ones16);
+      }
+      const __m256i bytes = _mm256_permutevar8x32_epi32(
+          _mm256_packus_epi16(_mm256_packus_epi32(acc[0], acc[1]),
+                              _mm256_packus_epi32(acc[2], acc[3])),
+          unpack_order);
+      const std::uint32_t mask = finish_block(
+          bytes, _mm256_set1_epi8(static_cast<char>(s.thresh[l])),
+          out.dist + b * out.rows + j);
+      put_pass(out, b, j, mask & keep);
     }
   }
-  return true;
+  return s.served;
 }
 
 #endif  // MENDEL_SIMD_X86
@@ -645,23 +742,26 @@ void qbatch_neon(const QuantizedDistance& q, const seq::Code* probe,
 
 #endif  // MENDEL_SIMD_ARM
 
-// The short-window kernels at levels that lack them: every QProbe scan
-// then takes the level's gather or scalar kernel.
-bool decline_batch(const QProbe&, const seq::Code*, std::size_t,
-                   const std::uint32_t*, std::size_t, std::int64_t,
-                   std::int64_t*) {
-  return false;
+// The short-window kernels at levels that lack them: every probe then
+// takes the level's gather or scalar kernel (QProbe::scan).
+std::uint64_t decline_probes(const QProbe* const*, const std::int64_t*,
+                             std::size_t, const seq::Code*, std::size_t,
+                             const std::uint32_t*, std::size_t,
+                             const QScanOut&) {
+  return 0;
 }
 
-bool decline_batch_packed(const QProbe&, const std::uint8_t*, std::size_t,
-                          unsigned, const std::uint32_t*, std::size_t,
-                          std::int64_t, std::int64_t*) {
-  return false;
+std::uint64_t decline_probes_packed(const QProbe* const*,
+                                    const std::int64_t*, std::size_t,
+                                    const std::uint8_t*, std::size_t,
+                                    unsigned, const std::uint32_t*,
+                                    std::size_t, const QScanOut&) {
+  return 0;
 }
 
 constexpr QKernelTable kScalarTable{
     qdist_scalar,         qdist_bounded_scalar, qbatch_scalar,
-    qbatch_packed_scalar, decline_batch,        decline_batch_packed};
+    qbatch_packed_scalar, decline_probes,       decline_probes_packed};
 
 // SSE2 and NEON lack the gathers the fused-decode scan leans on, so their
 // packed entries alias the scalar packed kernel (still bit-identical).
@@ -669,16 +769,16 @@ const QKernelTable kTables[4] = {
     kScalarTable,
 #if defined(MENDEL_SIMD_X86)
     {qdist_sse2, qdist_bounded_sse2, qbatch_sse2, qbatch_packed_scalar,
-     decline_batch, decline_batch_packed},
+     decline_probes, decline_probes_packed},
     {qdist_avx2, qdist_bounded_avx2, qbatch_avx2, qbatch_packed_avx2,
-     qprobe_batch_avx2, qprobe_batch_packed_avx2},
+     qprobes_batch_avx2, qprobes_batch_packed_avx2},
 #else
     kScalarTable,
     kScalarTable,
 #endif
 #if defined(MENDEL_SIMD_ARM)
     {qdist_neon, qdist_bounded_neon, qbatch_neon, qbatch_packed_scalar,
-     decline_batch, decline_batch_packed},
+     decline_probes, decline_probes_packed},
 #else
     kScalarTable,
 #endif
@@ -719,23 +819,16 @@ QProbe::QProbe(const QuantizedDistance& q, const seq::Code* codes,
 void QProbe::scan(const seq::Code* base, std::size_t stride,
                   const std::uint32_t* slots, std::size_t count,
                   std::int64_t qthresh, std::int64_t* out) const {
-  const QKernelTable& k = qkernels();
-  if (!k.probe_batch(*this, base, stride, slots, count, qthresh, out)) {
-    k.distance_batch(*q_, codes_, base, stride, slots, count, length_,
-                     qthresh, out);
-  }
+  qkernels().distance_batch(*q_, codes_, base, stride, slots, count, length_,
+                            qthresh, out);
 }
 
 void QProbe::scan_packed(const std::uint8_t* base, std::size_t stride,
                          unsigned bits, const std::uint32_t* slots,
                          std::size_t count, std::int64_t qthresh,
                          std::int64_t* out) const {
-  const QKernelTable& k = qkernels();
-  if (!k.probe_batch_packed(*this, base, stride, bits, slots, count, qthresh,
-                            out)) {
-    k.distance_batch_packed(*q_, codes_, base, stride, bits, slots, count,
-                            length_, qthresh, out);
-  }
+  qkernels().distance_batch_packed(*q_, codes_, base, stride, bits, slots,
+                                   count, length_, qthresh, out);
 }
 
 std::shared_ptr<const QuantizedDistance> QuantizedDistance::build(

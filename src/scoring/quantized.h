@@ -25,11 +25,13 @@
 // keep/abandon decision. Abandoning kernels return a value > bound;
 // within-bound results are exact.
 //
-// Leaf scans of short windows go through a QProbe, which carries per-probe
+// Leaf scans of short windows go through QProbes, which carry per-probe
 // tables for two AVX2 kernels that move whole rows instead of gathering
 // residue by residue: a vpshufb lookup over transposed unpacked rows, and
 // an XOR and popcount over 2-bit packed rows under an indicator metric.
-// Whatever they decline falls back to the gather kernels of QKernelTable.
+// Both score a batch of probes per call, moving each row once for the
+// whole batch. Whatever they decline falls back to the gather kernels of
+// QKernelTable.
 #pragma once
 
 #include <array>
@@ -41,6 +43,18 @@
 namespace mendel::score {
 
 class QProbe;
+
+// Where a multi-probe leaf scan writes. Probe b of the batch owns a
+// `rows`-long slice of each array (`rows` a multiple of 64, at least the
+// scanned count):
+//   * pass[b * rows / 64 + j / 64], bit j % 64 — row j's distance is
+//     <= that probe's qthresh;
+//   * dist[b * rows + j] — row j's distance, exact where its bit is set.
+struct QScanOut {
+  std::uint64_t* pass;
+  std::uint8_t* dist;
+  std::size_t rows;
+};
 
 class QuantizedDistance {
  public:
@@ -123,24 +137,34 @@ struct QKernelTable {
                                 unsigned bits, const std::uint32_t* slots,
                                 std::size_t count, std::size_t length,
                                 std::int64_t qthresh, std::int64_t* out);
-  // The short-window kernels over a prepared probe (AVX2 only; the other
-  // levels decline). Each has the contract of the entry above it and
-  // returns false, writing nothing, when it does not apply to this probe,
-  // row encoding or threshold:
-  //   * probe_batch — unpacked rows of at most QProbe::kShortWindow
-  //     residues whose probe-row cells fit a byte (QProbe::shuffle_ready)
-  //     and a threshold the byte lanes answer exactly
+  // The short-window kernels (AVX2 only; the other levels decline every
+  // probe). Each scores the same rows against probes[0 .. probe_count)
+  // (at most QProbe::kMaxBatch, all of probes[0]'s length), probe b
+  // against qthresh[b], gathering (and, for the shuffle kernel,
+  // transposing) each 32-row block once for the batch, and writes the
+  // pass masks and byte distances of QScanOut. Each probe is served or
+  // declined on its own; the result has bit b set for every probe served,
+  // and a declined probe's slices are not written. A probe is served by
+  //   * probes_batch — unpacked rows of at most QProbe::kShortWindow
+  //     residues when its LUT rows fit a byte (QProbe::shuffle_ready) and
+  //     its threshold is one the byte lanes answer exactly
   //     (qthresh <= QProbe::lane_limit);
-  //   * probe_batch_packed — 2-bit rows under an indicator metric with a
-  //     probe of DNA core bases only (QProbe::xor_ready).
-  bool (*probe_batch)(const QProbe& p, const seq::Code* base,
-                      std::size_t stride, const std::uint32_t* slots,
-                      std::size_t count, std::int64_t qthresh,
-                      std::int64_t* out);
-  bool (*probe_batch_packed)(const QProbe& p, const std::uint8_t* base,
-                             std::size_t stride, unsigned bits,
-                             const std::uint32_t* slots, std::size_t count,
-                             std::int64_t qthresh, std::int64_t* out);
+  //   * probes_batch_packed — 2-bit rows under an indicator metric when
+  //     it holds DNA core bases only (QProbe::xor_ready).
+  std::uint64_t (*probes_batch)(const QProbe* const* probes,
+                                const std::int64_t* qthresh,
+                                std::size_t probe_count,
+                                const seq::Code* base, std::size_t stride,
+                                const std::uint32_t* slots, std::size_t count,
+                                const QScanOut& out);
+  std::uint64_t (*probes_batch_packed)(const QProbe* const* probes,
+                                       const std::int64_t* qthresh,
+                                       std::size_t probe_count,
+                                       const std::uint8_t* base,
+                                       std::size_t stride, unsigned bits,
+                                       const std::uint32_t* slots,
+                                       std::size_t count,
+                                       const QScanOut& out);
 };
 
 // One probe of an n-NN lookup, with the tables the short-window kernels
@@ -159,6 +183,8 @@ class QProbe {
   static constexpr std::size_t kShortWindow = 16;
   // Longest window the XOR kernel takes (four 32-bit words of 2-bit codes).
   static constexpr std::size_t kMaxXorWindow = 64;
+  // Most probes one multi-probe scan takes (one bit each in its result).
+  static constexpr std::size_t kMaxBatch = 64;
 
   QProbe(const QuantizedDistance& q, const seq::Code* codes,
          std::size_t length);
@@ -179,9 +205,9 @@ class QProbe {
   // The probe packed like a 2-bit arena row, read as little-endian words.
   const std::uint32_t* packed_words() const { return packed_.data(); }
 
-  // Batched leaf scans with the contracts of QKernelTable::distance_batch
-  // and distance_batch_packed: the short-window kernel when it applies,
-  // otherwise the dispatched gather kernel.
+  // This probe's dispatched gather kernels (QKernelTable::distance_batch
+  // and distance_batch_packed): the scan of a probe the short-window
+  // kernels decline.
   void scan(const seq::Code* base, std::size_t stride,
             const std::uint32_t* slots, std::size_t count,
             std::int64_t qthresh, std::int64_t* out) const;
@@ -197,7 +223,11 @@ class QProbe {
   bool shuffle_ready_ = false;
   bool xor_ready_ = false;
   std::int64_t lane_limit_ = 0;
-  alignas(32) std::array<std::uint8_t, kShortWindow * 32> shuffle_{};
+  // 16-byte aligned, so no 16-byte table load splits a cache line, and no
+  // more: a stronger alignment would put every batch's QProbe vector
+  // through aligned operator new, whose split-off remainders fragment the
+  // heap the NN cache lives in.
+  alignas(16) std::array<std::uint8_t, kShortWindow * 32> shuffle_{};
   std::array<std::uint32_t, kMaxXorWindow / 16> packed_{};
 };
 

@@ -32,6 +32,7 @@
 #include <limits>
 #include <memory>
 #include <queue>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -183,16 +184,44 @@ class DynamicVpTree {
   std::vector<Neighbor<T>> nearest_with(
       const M& metric, const T& target, std::size_t n,
       double max_distance = std::numeric_limits<double>::infinity()) const {
-    std::vector<Neighbor<T>> out;
-    if (n == 0 || !root_) return out;
-    KnnState<M> state(metric, n, max_distance);
-    search(metric, root_.get(), target, state);
-    out.reserve(state.heap.size());
-    while (!state.heap.empty()) {
-      out.push_back(state.heap.top());
-      state.heap.pop();
+    return std::move(
+        nearest_batch_with(metric, std::span<const T>(&target, 1), n,
+                           max_distance)
+            .front());
+  }
+
+  // The n nearest neighbors of every target, found in one walk of the tree
+  // (nearest_with is the batch of one). Each target keeps its own n-NN
+  // state and enters a subtree only when its own pruning test admits it at
+  // that moment, so the walk prunes per target; what the targets share is
+  // the visit order and each leaf visit, where the metric's scan_leaf hook
+  // scores the bucket against all of them at once. With a tie_before
+  // metric every target's result is the unique n smallest by (distance,
+  // tie order) within the cap, so it does not depend on which other
+  // targets share the batch.
+  template <typename M>
+  std::vector<std::vector<Neighbor<T>>> nearest_batch_with(
+      const M& metric, std::span<const T> targets, std::size_t n,
+      double max_distance = std::numeric_limits<double>::infinity()) const {
+    std::vector<std::vector<Neighbor<T>>> out(targets.size());
+    if (n == 0 || !root_ || targets.empty()) return out;
+    BatchWalk<M> walk{metric, targets, {}, {}, {}, {}, {}};
+    walk.states.reserve(targets.size());
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      walk.states.emplace_back(metric, n, max_distance);
+      walk.ids.push_back(static_cast<std::uint32_t>(t));
+      walk.dists.push_back(0.0);
     }
-    std::reverse(out.begin(), out.end());
+    search(walk, root_.get(), 0, targets.size());
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      auto& heap = walk.states[t].heap;
+      out[t].reserve(heap.size());
+      while (!heap.empty()) {
+        out[t].push_back(heap.top());
+        heap.pop();
+      }
+      std::reverse(out[t].begin(), out[t].end());
+    }
     return out;
   }
 
@@ -364,19 +393,36 @@ class DynamicVpTree {
         { m.bounded(a, b, bound) } -> std::convertible_to<double>;
       };
 
-  // Detects a Metric that scans a whole leaf bucket against one target per
-  // call (the SIMD leaf scan): scan_leaf(a, items, count, bound, admit)
-  // must call admit(j, d) — in item order, with the exact distance d — for
-  // exactly the items whose distance is <= the bound current at that item,
-  // where admit returns the new bound. Admission is the only event that
-  // shrinks tau, so the heap evolves exactly as in the item-at-a-time path.
+  // Detects a Metric that scans a whole leaf bucket against a batch of
+  // targets per call (the SIMD leaf scan):
+  // scan_leaf(targets, k, items, count, bounds, admit) gets the k targets
+  // at this leaf and each one's bound on entry, and must call admit(t, j, d)
+  // — with the exact distance d — for exactly the items whose distance to
+  // targets[t] is <= the bound of t current at that item, in item order
+  // per target; admit returns t's new bound. Admission is the only event
+  // that shrinks a target's tau, so every heap evolves exactly as in the
+  // item-at-a-time path.
   template <typename M>
   static constexpr bool has_leaf_scan =
-      requires(const M& m, const T& a, const T* items, std::size_t count,
-               double bound) {
-        m.scan_leaf(a, items, count, bound,
-                    [](std::size_t, double d) { return d; });
+      requires(const M& m, const T* const* targets, std::size_t k,
+               const T* items, std::size_t count, const double* bounds) {
+        m.scan_leaf(targets, k, items, count, bounds,
+                    [](std::size_t, std::size_t, double d) { return d; });
       };
+
+  // A batched search in progress: every target's n-NN state, plus a stack
+  // of frames, one per open node, each listing the targets active there
+  // (ids) with their distance to that node's vantage point (dists).
+  template <typename M>
+  struct BatchWalk {
+    const M& metric;
+    std::span<const T> targets;
+    std::vector<KnnState<M>> states;
+    std::vector<std::uint32_t> ids;
+    std::vector<double> dists;
+    std::vector<const T*> leaf_targets;
+    std::vector<double> leaf_bounds;
+  };
 
   using Iter = typename std::vector<T>::iterator;
 
@@ -691,19 +737,91 @@ class DynamicVpTree {
     return effective;
   }
 
+  // Visits `node` with the targets of frame [begin, end) of walk.ids.
   template <typename M>
-  void search(const M& metric, const Node* node, const T& target,
-              KnnState<M>& state) const {
-    if (node == nullptr) return;
+  void search(BatchWalk<M>& walk, const Node* node, std::size_t begin,
+              std::size_t end) const {
+    const M& metric = walk.metric;
     if (node->is_leaf()) {
-      if constexpr (has_leaf_scan<M>) {
-        const T* items = node->bucket.data();
-        metric.scan_leaf(target, items, node->bucket.size(), state.tau(),
-                         [&](std::size_t j, double d) {
-                           state.offer(&items[j], d);
-                           return state.tau();
-                         });
+      scan_bucket(walk, node, begin, end);
+      return;
+    }
+    // The targets the vantage point does not prune open this node's frame.
+    const std::size_t frame = walk.ids.size();
+    std::size_t near_left = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t t = walk.ids[i];
+      KnnState<M>& state = walk.states[t];
+      double d;
+      if constexpr (has_bounded_metric<M>) {
+        // A vantage point farther than max(mu, child maxima) + tau offers
+        // nothing: it is outside tau itself and the tau-ball cannot reach
+        // either child's [*, max] interval, so the whole subtree is pruned
+        // for this target and the bounded metric may abandon mid-window.
+        const double bound =
+            std::max(node->mu, std::max(node->left_max, node->right_max)) +
+            state.tau();
+        d = metric.bounded(walk.targets[t], node->vantage, bound);
+        if (d > bound) continue;
       } else {
+        d = metric(walk.targets[t], node->vantage);
+      }
+      state.offer(&node->vantage, d);
+      walk.ids.push_back(t);
+      walk.dists.push_back(d);
+      if (d <= node->mu) ++near_left;
+    }
+    const std::size_t open = walk.ids.size();
+    // One visit order for the batch: first the child that most targets
+    // are nearer to — a single target's own near child.
+    const bool left_first = 2 * near_left >= open - frame;
+    for (const bool left : {left_first, !left_first}) {
+      const Node* child = left ? node->left.get() : node->right.get();
+      if (child == nullptr || child->size == 0) continue;
+      const double lo = left ? node->left_min : node->right_min;
+      const double hi = left ? node->left_max : node->right_max;
+      // Each target enters only if its tau-ball, as of now, can still
+      // reach the child's distance interval.
+      for (std::size_t i = frame; i < open; ++i) {
+        const std::uint32_t t = walk.ids[i];
+        const double d = walk.dists[i];
+        const double tau = walk.states[t].tau();
+        if (d - tau <= hi && d + tau >= lo) {
+          walk.ids.push_back(t);
+          walk.dists.push_back(d);
+        }
+      }
+      if (walk.ids.size() > open) search(walk, child, open, walk.ids.size());
+      walk.ids.resize(open);
+      walk.dists.resize(open);
+    }
+    walk.ids.resize(frame);
+    walk.dists.resize(frame);
+  }
+
+  template <typename M>
+  void scan_bucket(BatchWalk<M>& walk, const Node* node, std::size_t begin,
+                   std::size_t end) const {
+    const M& metric = walk.metric;
+    const T* items = node->bucket.data();
+    if constexpr (has_leaf_scan<M>) {
+      walk.leaf_targets.clear();
+      walk.leaf_bounds.clear();
+      for (std::size_t i = begin; i < end; ++i) {
+        walk.leaf_targets.push_back(&walk.targets[walk.ids[i]]);
+        walk.leaf_bounds.push_back(walk.states[walk.ids[i]].tau());
+      }
+      metric.scan_leaf(walk.leaf_targets.data(), end - begin, items,
+                       node->bucket.size(), walk.leaf_bounds.data(),
+                       [&](std::size_t t, std::size_t j, double d) {
+                         KnnState<M>& state = walk.states[walk.ids[begin + t]];
+                         state.offer(&items[j], d);
+                         return state.tau();
+                       });
+    } else {
+      for (std::size_t i = begin; i < end; ++i) {
+        const T& target = walk.targets[walk.ids[i]];
+        KnnState<M>& state = walk.states[walk.ids[i]];
         for (const T& item : node->bucket) {
           if constexpr (has_bounded_metric<M>) {
             const double tau = state.tau();
@@ -714,37 +832,6 @@ class DynamicVpTree {
           }
         }
       }
-      return;
-    }
-    double d;
-    if constexpr (has_bounded_metric<M>) {
-      // A vantage point farther than max(mu, child maxima) + tau offers
-      // nothing: it is outside tau itself and the tau-ball cannot reach
-      // either child's [*, max] interval, so the whole subtree is pruned
-      // and the bounded metric may abandon mid-window.
-      const double bound =
-          std::max(node->mu, std::max(node->left_max, node->right_max)) +
-          state.tau();
-      d = metric.bounded(target, node->vantage, bound);
-      if (d > bound) return;
-    } else {
-      d = metric(target, node->vantage);
-    }
-    state.offer(&node->vantage, d);
-    const Node* near = d <= node->mu ? node->left.get() : node->right.get();
-    const Node* far = d <= node->mu ? node->right.get() : node->left.get();
-    const bool near_is_left = d <= node->mu;
-    auto may_contain = [&](bool left_child) {
-      const double tau = state.tau();
-      const double lo = left_child ? node->left_min : node->right_min;
-      const double hi = left_child ? node->left_max : node->right_max;
-      return d - tau <= hi && d + tau >= lo;
-    };
-    if (near != nullptr && near->size > 0 && may_contain(near_is_left)) {
-      search(metric, near, target, state);
-    }
-    if (far != nullptr && far->size > 0 && may_contain(!near_is_left)) {
-      search(metric, far, target, state);
     }
   }
 

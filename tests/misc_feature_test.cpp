@@ -2,6 +2,7 @@
 // return path, custom-matrix CLI flow, and transport cost-model details.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -196,8 +197,18 @@ TEST(SimTransportCost, CpuScaleMultipliesChargedTime) {
     transport.run_until_idle();
     return transport.node_clock(1);
   };
-  const double base = run_with_scale(1.0);
-  const double scaled = run_with_scale(4.0);
+  // The minimum of several burns per scale: a burn that was preempted
+  // charges more than its CPU work, and one such run as the baseline would
+  // shrink the measured ratio below the band.
+  auto fastest_with_scale = [&](double scale) {
+    double fastest = run_with_scale(scale);
+    for (int run = 1; run < 5; ++run) {
+      fastest = std::min(fastest, run_with_scale(scale));
+    }
+    return fastest;
+  };
+  const double base = fastest_with_scale(1.0);
+  const double scaled = fastest_with_scale(4.0);
   ASSERT_GT(base, 0.0);
   EXPECT_GT(scaled, base * 2.0);
   EXPECT_LT(scaled, base * 8.0);

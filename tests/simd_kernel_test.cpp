@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -415,6 +416,33 @@ void expect_matches_oracle(const std::vector<std::int64_t>& got,
   }
 }
 
+// One probe through the short-window kernel entry for `arena`'s row
+// encoding, as a batch of one. Returns whether it was served; then got[j]
+// is row j's distance where its pass bit is set and INT64_MAX (past any
+// threshold) where it is not.
+bool scan_one(const score::QKernelTable& k, const score::QProbe& qp,
+              std::int64_t qthresh, const vpt::WindowArena& arena,
+              const std::vector<std::uint32_t>& slots,
+              std::vector<std::int64_t>& got) {
+  const std::size_t rows = (slots.size() + 63) / 64 * 64;
+  std::vector<std::uint64_t> pass(rows / 64);
+  std::vector<std::uint8_t> dist(rows);
+  const score::QScanOut out{pass.data(), dist.data(), rows};
+  const score::QProbe* probes[] = {&qp};
+  const std::uint64_t served =
+      arena.packed()
+          ? k.probes_batch_packed(probes, &qthresh, 1, arena.base(),
+                                  arena.stride(), arena.packed_bits(),
+                                  slots.data(), slots.size(), out)
+          : k.probes_batch(probes, &qthresh, 1, arena.base(), arena.stride(),
+                           slots.data(), slots.size(), out);
+  got.assign(slots.size(), std::numeric_limits<std::int64_t>::max());
+  for (std::size_t j = 0; j < slots.size(); ++j) {
+    if ((pass[j / 64] >> (j % 64)) & 1) got[j] = dist[j];
+  }
+  return served == 1;
+}
+
 // A random exact matrix whose cells exceed a byte: the shuffle kernel must
 // decline and the gather fallback still answer exactly.
 DistanceMatrix wide_exact_matrix(Rng& rng) {
@@ -471,10 +499,9 @@ TEST(SimdKernels, ShuffleKernelMatchesScalarOracle) {
                               slots.data(), slots.size(), len, qthresh,
                               want.data());
         if (avx2) {
-          std::vector<std::int64_t> got(slots.size(), -42);
-          const bool applied = avx2_table.probe_batch(
-              qp, arena.base(), arena.stride(), slots.data(), slots.size(),
-              qthresh, got.data());
+          std::vector<std::int64_t> got;
+          const bool applied =
+              scan_one(avx2_table, qp, qthresh, arena, slots, got);
           ASSERT_EQ(applied, qp.shuffle_ready() && qthresh <= qp.lane_limit())
               << what;
           if (applied) expect_matches_oracle(got, want, qthresh, what);
@@ -547,10 +574,9 @@ TEST(SimdKernels, XorKernelMatchesScalarOracle) {
                               slots.data(), slots.size(), len, qthresh,
                               want.data());
         if (avx2) {
-          std::vector<std::int64_t> got(slots.size(), -42);
-          const bool applied = avx2_table.probe_batch_packed(
-              qp, packed.base(), packed.stride(), packed.packed_bits(),
-              slots.data(), slots.size(), qthresh, got.data());
+          std::vector<std::int64_t> got;
+          const bool applied =
+              scan_one(avx2_table, qp, qthresh, packed, slots, got);
           ASSERT_EQ(applied, fast) << what;
           if (applied) expect_matches_oracle(got, want, qthresh, what);
         }
@@ -567,6 +593,249 @@ TEST(SimdKernels, XorKernelMatchesScalarOracle) {
   }
 }
 
+// --- multi-probe short-window kernels -------------------------------------
+//
+// probes_batch and probes_batch_packed score one set of rows against a
+// batch of probes. Every probe of a batch is checked against the scalar
+// oracle on its own matrix and threshold, and the kernel's served bitmask
+// against the single-probe rules, so a probe that silently drops to the
+// fallback fails here.
+
+// Batch sizes: one probe, the vector widths and their neighbours, and one
+// past the widest node batch.
+constexpr std::size_t kBatchSizes[] = {1, 2, 3, 7, 8, 9, 16, 31, 32, 33};
+
+// Row counts not a multiple of 32 or 8, a full 1,024-row sweep and a count
+// that fills the 64-row pass words exactly.
+std::vector<std::uint32_t> multi_scan_slots(Rng& rng, std::size_t count) {
+  std::vector<std::uint32_t> slots(count);
+  for (auto& slot : slots) {
+    slot = static_cast<std::uint32_t>(rng.below(kArenaRows));
+  }
+  slots.back() = kArenaRows - 1;
+  slots[count / 2] = kArenaRows - 1;
+  return slots;
+}
+
+// A threshold for one probe of a batch: half the time one of
+// scan_thresholds, otherwise a row's exact distance or one below it, so
+// pass decisions fall on rows that sit right at the threshold.
+std::int64_t pick_threshold(Rng& rng, const QuantizedDistance& q,
+                            const std::vector<seq::Code>& probe,
+                            const std::uint8_t* plain_base,
+                            std::size_t plain_stride,
+                            const std::vector<std::uint32_t>& slots,
+                            std::int64_t span) {
+  if (rng.below(2) == 0) {
+    const auto thresholds = scan_thresholds(rng, span);
+    return thresholds[rng.below(thresholds.size())];
+  }
+  const std::uint32_t slot = slots[rng.below(slots.size())];
+  const std::int64_t exact = score::qkernels_for(0).distance(
+      q, probe.data(), plain_base + slot * plain_stride, probe.size());
+  return exact - static_cast<std::int64_t>(rng.below(2));
+}
+
+// One probe of a mixed batch: its codes, the matrix it was built for, and
+// the QProbe over them.
+struct BatchProbe {
+  std::vector<seq::Code> codes;
+  const QuantizedDistance* q;
+  std::int64_t qthresh;
+  std::unique_ptr<score::QProbe> probe;
+};
+
+// Checks one multi-probe call: served bits equal `expect_served`, served
+// probes match the scalar oracle row by row, declined slices stay as the
+// 0xAB fill left them.
+void expect_multi_matches_oracle(const std::vector<BatchProbe>& batch,
+                                 const std::uint8_t* plain_base,
+                                 std::size_t plain_stride,
+                                 const std::vector<std::uint32_t>& slots,
+                                 std::uint64_t served,
+                                 std::uint64_t expect_served,
+                                 const score::QScanOut& out,
+                                 const std::string& what) {
+  ASSERT_EQ(served, expect_served) << what;
+  const auto& scalar = score::qkernels_for(0);
+  for (std::size_t b = 0; b < batch.size(); ++b) {
+    const std::uint64_t* pass = out.pass + b * (out.rows / 64);
+    const std::uint8_t* dist = out.dist + b * out.rows;
+    const std::string who = what + " probe " + std::to_string(b);
+    if (((served >> b) & 1) == 0) {
+      for (std::size_t w = 0; w < out.rows / 64; ++w) {
+        ASSERT_EQ(pass[w], 0xABABABABABABABABull) << who;
+      }
+      continue;
+    }
+    std::vector<std::int64_t> want(slots.size());
+    scalar.distance_batch(*batch[b].q, batch[b].codes.data(), plain_base,
+                          plain_stride, slots.data(), slots.size(),
+                          batch[b].codes.size(), batch[b].qthresh,
+                          want.data());
+    for (std::size_t j = 0; j < slots.size(); ++j) {
+      const bool bit = ((pass[j / 64] >> (j % 64)) & 1) != 0;
+      ASSERT_EQ(bit, want[j] <= batch[b].qthresh) << who << " row " << j;
+      if (bit) {
+        ASSERT_EQ(dist[j], want[j]) << who << " row " << j;
+      }
+    }
+    // Bits past the scanned rows stay clear.
+    for (std::size_t j = slots.size(); j < (slots.size() + 63) / 64 * 64;
+         ++j) {
+      ASSERT_EQ((pass[j / 64] >> (j % 64)) & 1, 0u) << who << " pad " << j;
+    }
+  }
+}
+
+// Output buffers for a batch, pre-filled so untouched slices are visible.
+struct MultiOut {
+  std::vector<std::uint64_t> pass;
+  std::vector<std::uint8_t> dist;
+  score::QScanOut view;
+  MultiOut(std::size_t probes, std::size_t count) {
+    const std::size_t rows = (count + 63) / 64 * 64;
+    pass.assign(probes * rows / 64, 0xABABABABABABABABull);
+    dist.assign(probes * rows, 0xAB);
+    view = {pass.data(), dist.data(), rows};
+  }
+};
+
+TEST(SimdKernels, MultiProbeShuffleKernelMatchesScalarOracle) {
+  if (!avx2_runnable()) GTEST_SKIP() << "no AVX2 on this host";
+  Rng rng(0x51D000B);
+  const auto& avx2_table =
+      score::qkernels_for(static_cast<int>(simd::Level::kAVX2));
+  // Probes of a batch are drawn from these matrices; the last is wide
+  // (cells above 255) and must decline.
+  std::vector<DistanceMatrix> matrices;
+  matrices.push_back(DistanceMatrix::metric_from_scores(score::blosum62()));
+  matrices.push_back(DistanceMatrix::paper_from_scores(score::pam250()));
+  matrices.push_back(random_exact_matrix(rng, seq::Alphabet::kProtein, 2));
+  matrices.push_back(wide_exact_matrix(rng));
+  const std::size_t card = seq::cardinality(seq::Alphabet::kProtein);
+  const std::size_t longest = score::QProbe::kShortWindow + 1;
+  for (std::size_t len : {1UL, 3UL, 8UL, 9UL, 15UL, 16UL, longest}) {
+    vpt::WindowArena arena;
+    for (std::size_t i = 0; i < kArenaRows; ++i) {
+      arena.append(seq::CodeSpan(random_window(rng, len, card)));
+    }
+    ASSERT_TRUE(arena.layout_ok());
+    for (const std::size_t batch_size : kBatchSizes) {
+      for (const std::size_t count : {1UL, 7UL, 75UL, 128UL, 1024UL}) {
+        const auto slots = multi_scan_slots(rng, count);
+        std::vector<BatchProbe> batch;
+        std::uint64_t expect = 0;
+        const auto span = static_cast<std::int64_t>(len) * 2 * 255;
+        for (std::size_t b = 0; b < batch_size; ++b) {
+          const std::size_t m = rng.below(matrices.size());
+          BatchProbe p{random_window(rng, len, card),
+                       matrices[m].quantized(), 0, nullptr};
+          p.qthresh = pick_threshold(rng, *p.q, p.codes, arena.base(),
+                                     arena.stride(), slots, span);
+          p.probe = std::make_unique<score::QProbe>(*p.q, p.codes.data(), len);
+          if (p.probe->shuffle_ready() &&
+              p.qthresh <= p.probe->lane_limit()) {
+            expect |= std::uint64_t{1} << b;
+          }
+          ASSERT_EQ(p.probe->shuffle_ready(),
+                    len <= score::QProbe::kShortWindow &&
+                        m + 1 != matrices.size());
+          batch.push_back(std::move(p));
+        }
+        std::vector<const score::QProbe*> probes;
+        std::vector<std::int64_t> qthresh;
+        for (const auto& p : batch) {
+          probes.push_back(p.probe.get());
+          qthresh.push_back(p.qthresh);
+        }
+        MultiOut out(batch_size, count);
+        const std::uint64_t served = avx2_table.probes_batch(
+            probes.data(), qthresh.data(), probes.size(), arena.base(),
+            arena.stride(), slots.data(), count, out.view);
+        expect_multi_matches_oracle(
+            batch, arena.base(), arena.stride(), slots, served, expect,
+            out.view,
+            "len " + std::to_string(len) + " batch " +
+                std::to_string(batch_size) + " count " +
+                std::to_string(count));
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, MultiProbeXorKernelMatchesScalarOracle) {
+  if (!avx2_runnable()) GTEST_SKIP() << "no AVX2 on this host";
+  Rng rng(0x51D000C);
+  const auto& avx2_table =
+      score::qkernels_for(static_cast<int>(simd::Level::kAVX2));
+  const DistanceMatrix hamming = DistanceMatrix::hamming(seq::Alphabet::kDna);
+  const DistanceMatrix weighted =
+      random_exact_matrix(rng, seq::Alphabet::kDna, 8);
+  const std::size_t longest = score::QProbe::kMaxXorWindow + 1;
+  for (std::size_t len :
+       {1UL, 5UL, 8UL, 16UL, 17UL, 31UL, 33UL, 48UL, 64UL, longest}) {
+    for (const bool four_bit : {false, true}) {
+      vpt::WindowArena packed;
+      packed.configure({.packed_bits = 2});
+      vpt::WindowArena plain;
+      for (std::size_t i = 0; i < kArenaRows; ++i) {
+        auto w = random_window(rng, len, 4);
+        if (four_bit && i == kArenaRows / 2) w[0] = 4;  // N widens the arena
+        packed.append(seq::CodeSpan(w));
+        plain.append(seq::CodeSpan(w));
+      }
+      ASSERT_EQ(packed.packed_bits(), four_bit ? 4u : 2u);
+      for (const std::size_t batch_size : kBatchSizes) {
+        for (const std::size_t count : {1UL, 7UL, 75UL, 1024UL}) {
+          const auto slots = multi_scan_slots(rng, count);
+          // Mixed batch: core probes (served), probes with an N and probes
+          // under a weighted matrix (both declined).
+          enum Kind { kCore, kProbeN, kWeighted };
+          std::vector<BatchProbe> batch;
+          std::uint64_t expect = 0;
+          for (std::size_t b = 0; b < batch_size; ++b) {
+            const auto kind = static_cast<Kind>(rng.below(3));
+            BatchProbe p{random_window(rng, len, 4),
+                         kind == kWeighted ? weighted.quantized()
+                                           : hamming.quantized(),
+                         0, nullptr};
+            if (kind == kProbeN) p.codes[rng.below(len)] = 4;
+            p.qthresh = pick_threshold(rng, *p.q, p.codes, plain.base(),
+                                       plain.stride(), slots,
+                                       static_cast<std::int64_t>(len) * 200);
+            p.probe =
+                std::make_unique<score::QProbe>(*p.q, p.codes.data(), len);
+            const bool fast = kind == kCore &&
+                              len <= score::QProbe::kMaxXorWindow &&
+                              !four_bit;
+            if (fast) expect |= std::uint64_t{1} << b;
+            batch.push_back(std::move(p));
+          }
+          std::vector<const score::QProbe*> probes;
+          std::vector<std::int64_t> qthresh;
+          for (const auto& p : batch) {
+            probes.push_back(p.probe.get());
+            qthresh.push_back(p.qthresh);
+          }
+          MultiOut out(batch_size, count);
+          const std::uint64_t served = avx2_table.probes_batch_packed(
+              probes.data(), qthresh.data(), probes.size(), packed.base(),
+              packed.stride(), packed.packed_bits(), slots.data(), count,
+              out.view);
+          expect_multi_matches_oracle(
+              batch, plain.base(), plain.stride(), slots, served, expect,
+              out.view,
+              "len " + std::to_string(len) + " bits " +
+                  std::to_string(packed.packed_bits()) + " batch " +
+                  std::to_string(batch_size) + " count " +
+                  std::to_string(count));
+        }
+      }
+    }
+  }
+}
+
 // Levels without the short-window kernels decline every call.
 TEST(SimdKernels, ShortWindowKernelsDeclineBelowAvx2) {
   const DistanceMatrix d = DistanceMatrix::hamming(seq::Alphabet::kDna);
@@ -577,16 +846,22 @@ TEST(SimdKernels, ShortWindowKernelsDeclineBelowAvx2) {
   vpt::WindowArena arena;
   arena.append(seq::CodeSpan(probe));
   const std::uint32_t slot = 0;
-  std::int64_t out = -42;
   for (const simd::Level level :
        {simd::Level::kScalar, simd::Level::kSSE2, simd::Level::kNEON}) {
     const auto& k = score::qkernels_for(static_cast<int>(level));
-    EXPECT_FALSE(
-        k.probe_batch(qp, arena.base(), arena.stride(), &slot, 1, 8, &out));
-    EXPECT_FALSE(k.probe_batch_packed(qp, arena.base(), arena.stride(), 2,
-                                      &slot, 1, 8, &out));
+    const score::QProbe* probes[] = {&qp};
+    const std::int64_t qthresh[] = {8};
+    std::uint64_t pass = 42;
+    std::uint8_t dist[64] = {};
+    const score::QScanOut multi{&pass, dist, 64};
+    EXPECT_EQ(k.probes_batch(probes, qthresh, 1, arena.base(), arena.stride(),
+                             &slot, 1, multi),
+              0u);
+    EXPECT_EQ(k.probes_batch_packed(probes, qthresh, 1, arena.base(),
+                                    arena.stride(), 2, &slot, 1, multi),
+              0u);
+    EXPECT_EQ(pass, 42u);
   }
-  EXPECT_EQ(out, -42);
 }
 
 // A 2-bit DNA arena must widen itself (2 -> 4 -> unpacked) the moment a

@@ -354,6 +354,81 @@ TEST(TransportParity, SocketClusterMatchesSimDna) {
 // resident budget (packed rows spilled through the block store) must
 // reproduce the all-resident ranked hits exactly, on both transports and
 // for both the packed (DNA) and unpacked (protein) row formats.
+// A node searches its NN-cache misses kSearchBatch at a time in one
+// vp-tree walk, so which subqueries share a walk depends on the cache (it
+// decides what misses) and on nothing else; the search pool only runs
+// whole batches in parallel. Encoded ranked hits must be byte-identical
+// for every combination: cache off and at its default, 0, 1 and 3 search
+// threads. One group hands each node all ~50 subqueries of a long query in
+// one message (more than one batch), a repeated segment puts duplicate
+// windows in one batch, and each query runs twice so the second pass mixes
+// cache hits into the messages.
+std::vector<std::vector<std::uint8_t>> hits_with_runtime(
+    seq::Alphabet alphabet, unsigned search_threads,
+    std::size_t nn_cache_capacity) {
+  auto dbspec = spec();
+  dbspec.alphabet = alphabet;
+  dbspec.min_length = 400;
+  dbspec.max_length = 900;
+  const auto store = workload::generate_database(dbspec);
+  auto options = parity_options(core::TransportMode::kSim);
+  options.topology.num_groups = 1;
+  options.runtime.search_threads = search_threads;
+  options.runtime.nn_cache_capacity = nn_cache_capacity;
+  core::Client client(options);
+  client.index(store);
+
+  core::QueryParams params;
+  if (alphabet == seq::Alphabet::kDna) {
+    params.matrix = "DNA";
+    params.identity = 0.6;
+    params.c_score = 0.4;
+    params.gapped_trigger = 1.0;
+  }
+  std::vector<seq::Sequence> queries;
+  for (std::size_t donor : {3u, 7u, 12u}) {
+    const auto region = store.at(donor).window(0, 400);
+    queries.emplace_back(store.alphabet(), "long",
+                         std::vector<seq::Code>{region.begin(), region.end()});
+  }
+  const auto segment = store.at(5).window(40, 96);
+  std::vector<seq::Code> twice(segment.begin(), segment.end());
+  twice.insert(twice.end(), segment.begin(), segment.end());
+  queries.emplace_back(store.alphabet(), "repeat", std::move(twice));
+  std::vector<std::vector<std::uint8_t>> out;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& outcome : client.query_batch(queries, params)) {
+      EXPECT_TRUE(outcome.completed);
+      core::QueryResultPayload payload;
+      payload.hits = outcome.hits;
+      out.push_back(core::encode_payload(payload));
+    }
+  }
+  return out;
+}
+
+TEST(TransportParity, RankedHitsDoNotDependOnSearchBatching) {
+  const std::size_t default_cache = core::RuntimeOptions{}.nn_cache_capacity;
+  for (const auto alphabet : {seq::Alphabet::kProtein, seq::Alphabet::kDna}) {
+    const auto reference = hits_with_runtime(alphabet, 0, 0);
+    std::size_t with_hits = 0;
+    for (const auto& bytes : reference) {
+      const auto payload =
+          core::decode_payload<core::QueryResultPayload>(bytes);
+      with_hits += payload.hits.empty() ? 0 : 1;
+    }
+    EXPECT_EQ(with_hits, reference.size()) << seq::name(alphabet);
+    for (const unsigned threads : {0u, 1u, 3u}) {
+      for (const std::size_t cache : {std::size_t{0}, default_cache}) {
+        if (threads == 0 && cache == 0) continue;
+        EXPECT_EQ(hits_with_runtime(alphabet, threads, cache), reference)
+            << seq::name(alphabet) << " search_threads " << threads
+            << " nn_cache_capacity " << cache;
+      }
+    }
+  }
+}
+
 TEST(TransportParity, SpillForcedBudgetMatchesAllResident) {
   for (const auto alphabet : {seq::Alphabet::kDna, seq::Alphabet::kProtein}) {
     auto dbspec = spec();

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
+#include <span>
+#include <string>
 
 #include "src/common/rng.h"
 #include "src/scoring/distance.h"
@@ -259,6 +263,186 @@ TEST(DynamicVpTree, EmptyBatchIsNoop) {
   DynamicVpTree<double, L1> tree(L1{});
   tree.insert_batch({});
   EXPECT_TRUE(tree.empty());
+}
+
+// ---------- batched n-NN (nearest_batch_with) ----------
+//
+// Every batch result is checked against a brute-force oracle, not against
+// nearest_with, which is the batch of one of the same walk.
+
+// A DNA-like window: 8 codes over a 4-letter alphabet plus a unique id, so
+// window distances tie all the time and only the tie order separates
+// candidates at the n-th-neighbour boundary.
+struct DnaItem {
+  std::uint32_t id = 0;
+  std::array<std::uint8_t, 8> codes{};
+};
+
+// Hamming distance with an early-abandoning variant and the id tie order.
+struct HammingTie {
+  double operator()(const DnaItem& a, const DnaItem& b) const {
+    double d = 0;
+    for (std::size_t i = 0; i < a.codes.size(); ++i) {
+      d += a.codes[i] != b.codes[i] ? 1 : 0;
+    }
+    return d;
+  }
+  double bounded(const DnaItem& a, const DnaItem& b, double bound) const {
+    double d = 0;
+    for (std::size_t i = 0; i < a.codes.size(); ++i) {
+      d += a.codes[i] != b.codes[i] ? 1 : 0;
+      if (d > bound) return d;
+    }
+    return d;
+  }
+  bool tie_before(const DnaItem& a, const DnaItem& b) const {
+    return a.id < b.id;
+  }
+};
+
+// The same metric plus a batch leaf-scan hook, which also records the
+// widest batch a leaf saw.
+struct HammingScan : HammingTie {
+  std::size_t* widest = nullptr;
+  template <typename Admit>
+  void scan_leaf(const DnaItem* const* targets, std::size_t k,
+                 const DnaItem* items, std::size_t count,
+                 const double* bounds, Admit&& admit) const {
+    if (widest != nullptr) *widest = std::max(*widest, k);
+    for (std::size_t t = 0; t < k; ++t) {
+      double bound = bounds[t];
+      for (std::size_t j = 0; j < count; ++j) {
+        const double d = bounded(*targets[t], items[j], bound);
+        if (d <= bound) bound = admit(t, j, d);
+      }
+    }
+  }
+};
+
+std::vector<DnaItem> dna_items(std::size_t count, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<DnaItem> items(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    items[i].id = static_cast<std::uint32_t>(i);
+    for (auto& c : items[i].codes) c = static_cast<std::uint8_t>(rng.below(4));
+  }
+  return items;
+}
+
+// The n smallest items by (distance, id) within the cap.
+std::vector<std::pair<double, std::uint32_t>> dna_oracle(
+    const std::vector<DnaItem>& items, const DnaItem& target, std::size_t n,
+    double cap) {
+  std::vector<std::pair<double, std::uint32_t>> all;
+  for (const DnaItem& item : items) {
+    const double d = HammingTie{}(target, item);
+    if (d <= cap) all.emplace_back(d, item.id);
+  }
+  std::sort(all.begin(), all.end());
+  all.resize(std::min(n, all.size()));
+  return all;
+}
+
+template <typename Metric>
+void expect_batch_matches_oracle(const std::vector<DnaItem>& items,
+                                 std::size_t bucket, const Metric& metric,
+                                 const std::vector<DnaItem>& targets,
+                                 std::size_t n, double cap,
+                                 const std::string& what) {
+  DynamicVpTree<DnaItem, HammingTie> tree(HammingTie{},
+                                          {.bucket_capacity = bucket});
+  tree.insert_batch(items);
+  const auto got = tree.nearest_batch_with(
+      metric, std::span<const DnaItem>(targets), n, cap);
+  ASSERT_EQ(got.size(), targets.size()) << what;
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    const auto want = dna_oracle(items, targets[t], n, cap);
+    ASSERT_EQ(got[t].size(), want.size()) << what << " target " << t;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[t][i].distance, want[i].first)
+          << what << " target " << t << " rank " << i;
+      EXPECT_EQ(got[t][i].item->id, want[i].second)
+          << what << " target " << t << " rank " << i;
+    }
+  }
+}
+
+TEST(DynamicVpTreeBatch, TieHeavyBatchesMatchBruteForce) {
+  const auto items = dna_items(700, 81);
+  const auto targets = dna_items(40, 82);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::size_t bucket : {4UL, 32UL, 1024UL}) {
+    for (const double cap : {0.0, 2.0, 3.0, inf}) {
+      for (const std::size_t n : {1UL, 8UL, 16UL}) {
+        const std::string what = "bucket " + std::to_string(bucket) +
+                                 " cap " + std::to_string(cap) + " n " +
+                                 std::to_string(n);
+        expect_batch_matches_oracle(items, bucket, HammingTie{}, targets, n,
+                                    cap, what + " item-wise");
+        std::size_t widest = 0;
+        expect_batch_matches_oracle(items, bucket, HammingScan{{}, &widest},
+                                    targets, n, cap, what + " leaf scan");
+        if (cap > 0.0) {
+          EXPECT_GT(widest, 1u) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(DynamicVpTreeBatch, DuplicateTargetsGetEqualResults) {
+  const auto items = dna_items(300, 83);
+  auto targets = dna_items(5, 84);
+  // The same window three times, and a target equal to a stored item.
+  targets.push_back(targets[0]);
+  targets.push_back(targets[0]);
+  targets.push_back(items[17]);
+  for (const std::size_t bucket : {4UL, 64UL}) {
+    expect_batch_matches_oracle(items, bucket, HammingScan{}, targets, 8,
+                                std::numeric_limits<double>::infinity(),
+                                "bucket " + std::to_string(bucket));
+  }
+}
+
+TEST(DynamicVpTreeBatch, MoreNeighborsThanItemsAndEmptyTree) {
+  const auto items = dna_items(23, 85);
+  const auto targets = dna_items(6, 86);
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_batch_matches_oracle(items, 4, HammingScan{}, targets, 100, inf,
+                              "n > size");
+  expect_batch_matches_oracle(items, 4, HammingTie{}, targets, 100, inf,
+                              "n > size item-wise");
+  DynamicVpTree<DnaItem, HammingTie> empty(HammingTie{});
+  const auto none = empty.nearest_batch_with(
+      HammingScan{}, std::span<const DnaItem>(targets), 8, inf);
+  ASSERT_EQ(none.size(), targets.size());
+  for (const auto& result : none) EXPECT_TRUE(result.empty());
+  const auto zero = DynamicVpTree<DnaItem, HammingTie>(HammingTie{})
+                        .nearest_batch_with(
+                            HammingScan{}, std::span<const DnaItem>(), 8, inf);
+  EXPECT_TRUE(zero.empty());
+}
+
+// A real-valued metric without tie_before or a leaf hook: distances do not
+// tie, so the batch walk must still find the exact n nearest.
+TEST(DynamicVpTreeBatch, PlainMetricBatchesMatchBruteForce) {
+  const auto points = random_points(900, 87);
+  const auto targets = random_points(25, 88);
+  DynamicVpTree<double, L1> tree(L1{}, {.bucket_capacity = 16});
+  tree.insert_batch(points);
+  for (const double cap : {0.0, 1.5, std::numeric_limits<double>::infinity()}) {
+    const auto got = tree.nearest_batch_with(
+        L1{}, std::span<const double>(targets), 12, cap);
+    ASSERT_EQ(got.size(), targets.size());
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      auto want = brute_force_knn(points, targets[t], 12);
+      std::erase_if(want, [&](double d) { return d > cap; });
+      ASSERT_EQ(got[t].size(), want.size()) << "cap " << cap << " t " << t;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[t][i].distance, want[i]) << "cap " << cap << " t " << t;
+      }
+    }
+  }
 }
 
 // ---------- VpPrefixTree ----------
