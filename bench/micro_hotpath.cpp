@@ -441,8 +441,8 @@ struct NodeFixture {
     config.alphabet = alphabet;
     // The subquery NN cache would otherwise answer every repeated probe
     // after the first iteration and the bench would measure cache lookups,
-    // not searches (the cache has its own closed-loop bench in
-    // micro_pipeline).
+    // not searches (bench/e2e's extend-cached and socket-cached workloads
+    // measure the cache's hits).
     config.nn_cache_capacity = 0;
     return config;
   }

@@ -15,7 +15,6 @@
 #include "src/scoring/distance.h"
 #include "src/vptree/dynamic_vptree.h"
 #include "src/vptree/prefix_tree.h"
-#include "src/vptree/vptree.h"
 #include "src/workload/generator.h"
 
 namespace {
@@ -63,14 +62,15 @@ const score::DistanceMatrix& dist() {
   return score::default_distance(seq::Alphabet::kProtein);
 }
 
+// Bulk build: one insert_batch into an empty tree, swept over leaf size.
 void BM_VpTreeBuild(benchmark::State& state) {
   const auto windows = make_windows(static_cast<std::size_t>(state.range(0)),
                                     42);
   for (auto _ : state) {
-    vpt::VpTree<vpt::Window, WindowMetric> tree(
+    vpt::DynamicVpTree<vpt::Window, WindowMetric> tree(
         WindowMetric{&dist()},
         {.bucket_capacity = static_cast<std::size_t>(state.range(1))});
-    tree.build(windows);
+    tree.insert_batch(windows);
     benchmark::DoNotOptimize(tree.size());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -85,9 +85,9 @@ void BM_VpTreeKnnSearch(benchmark::State& state) {
   const auto windows = make_windows(static_cast<std::size_t>(state.range(0)),
                                     43);
   auto evals = std::make_shared<std::uint64_t>(0);
-  vpt::VpTree<vpt::Window, CountingMetric> tree(CountingMetric{&dist(), evals},
-                                                {.bucket_capacity = 32});
-  tree.build(windows);
+  vpt::DynamicVpTree<vpt::Window, CountingMetric> tree(
+      CountingMetric{&dist(), evals}, {.bucket_capacity = 32});
+  tree.insert_batch(windows);
   const auto probes = make_windows(64, 44);
   std::size_t p = 0;
   *evals = 0;  // drop the build-phase evaluations

@@ -223,6 +223,11 @@ int run_query(const Flags& flags, std::ostream& out) {
     out << "# query\tsubject\tidentity%\tcolumns\tmismatches\tgaps\tqstart"
            "\tqend\tsstart\tsend\tevalue\tbits\n";
   }
+  // Turnaround is virtual time under the simulator, wall time otherwise.
+  const char* turnaround_label =
+      client_options.runtime.transport_mode == core::TransportMode::kSim
+          ? "simulated turnaround"
+          : "wall-clock turnaround";
   std::string trace_dump;
   for (const auto& query : queries) {
     const auto ticket = client.submit(query, params);
@@ -245,8 +250,8 @@ int run_query(const Flags& flags, std::ostream& out) {
     }
     out << "Query: " << query.name() << " (" << query.size()
         << " residues) — " << outcome.hits.size() << " hits, "
-        << TextTable::num(outcome.turnaround * 1e3, 2)
-        << " ms simulated turnaround\n";
+        << TextTable::num(outcome.turnaround * 1e3, 2) << " ms "
+        << turnaround_label << "\n";
     if (format == "summary") {
       for (const auto& hit : outcome.hits) {
         out << "  " << hit.subject_name << "  bits "

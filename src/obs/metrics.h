@@ -3,7 +3,7 @@
 //
 // Design constraints, in order:
 //   1. Hot-path writes must stay within noise of the uninstrumented
-//      benchmarks (BENCH_hotpath.json / BENCH_query.json). Every write is
+//      benchmarks (BENCH_hotpath.json, bench/e2e). Every write is
 //      therefore a relaxed atomic add on a cache-line-padded shard — no
 //      locks, no branches beyond a null check at the call site.
 //   2. Reads (snapshot/export) are rare and may be slow: value() sums the

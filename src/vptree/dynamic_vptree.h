@@ -1,4 +1,11 @@
-// Dynamically balanced vantage-point tree.
+// Dynamically balanced vantage-point tree (Yianilos 1993) with the two
+// optimizations the paper adopts in §III-D: leaf buckets and per-child
+// distance bounds. Each internal node holds a vantage point and a radius
+// mu; elements closer than mu go left, the rest right, and each child
+// records the [min, max] distance of its elements to the vantage point.
+// n-NN search shrinks a candidate radius tau and prunes every child whose
+// interval cannot meet the tau-ball. Search is exact when Metric satisfies
+// the metric axioms (tests/vptree_test.cpp checks it against brute force).
 //
 // The paper (§III-D) observes that the original vp-tree must be built over
 // the whole dataset at once and that naive one-at-a-time insertion degrades
@@ -27,6 +34,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -40,9 +48,15 @@
 #include "src/common/check.h"
 #include "src/common/error.h"
 #include "src/common/rng.h"
-#include "src/vptree/vptree.h"
 
 namespace mendel::vpt {
+
+// One search result: a stored element and its distance to the target.
+template <typename T>
+struct Neighbor {
+  const T* item = nullptr;
+  double distance = 0.0;
+};
 
 struct DynamicVpTreeOptions {
   std::size_t bucket_capacity = 32;

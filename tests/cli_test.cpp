@@ -170,6 +170,36 @@ TEST(Cli, QueryTabularAndPairwiseFormats) {
   EXPECT_NE(out.find("Sbjct"), std::string::npos);
 }
 
+TEST(Cli, QueryLabelsTurnaroundByTransport) {
+  TempDir files;
+  std::string out;
+  ASSERT_EQ(run({"generate", "--out", files.db, "--families", "3",
+                 "--members", "3", "--background", "4", "--min-len", "200",
+                 "--max-len", "300", "--queries", files.queries,
+                 "--query-count", "1", "--query-length", "120"},
+                &out),
+            0);
+  ASSERT_EQ(run({"index", "--db", files.db, "--out", files.index,
+                 "--groups", "2", "--nodes-per-group", "2", "--cutoff-depth",
+                 "4", "--sample", "256"},
+                &out),
+            0);
+
+  // The simulator reports virtual time; a live transport reports wall time
+  // and must not call it simulated.
+  ASSERT_EQ(run({"query", "--index", files.index, "--queries",
+                 files.queries},
+                &out),
+            0);
+  EXPECT_NE(out.find(" ms simulated turnaround"), std::string::npos) << out;
+  ASSERT_EQ(run({"query", "--index", files.index, "--queries",
+                 files.queries, "--transport", "threaded"},
+                &out),
+            0);
+  EXPECT_NE(out.find(" ms wall-clock turnaround"), std::string::npos) << out;
+  EXPECT_EQ(out.find("simulated"), std::string::npos) << out;
+}
+
 TEST(Cli, BalanceReportsBothPlacements) {
   TempDir files;
   std::string out;

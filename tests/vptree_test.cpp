@@ -1,4 +1,4 @@
-// Unit and property tests for src/vptree: bulk tree, dynamic tree, and the
+// Unit and property tests for src/vptree: the dynamic tree and the
 // vp-prefix LSH. The central property is *exactness*: k-NN over a metric
 // must return exactly the brute-force answer.
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "src/scoring/distance.h"
 #include "src/vptree/dynamic_vptree.h"
 #include "src/vptree/prefix_tree.h"
-#include "src/vptree/vptree.h"
 #include "src/workload/generator.h"
 
 namespace mendel::vpt {
@@ -40,106 +39,6 @@ std::vector<double> brute_force_knn(const std::vector<double>& points,
   std::sort(dists.begin(), dists.end());
   dists.resize(std::min(n, dists.size()));
   return dists;
-}
-
-// ---------- bulk VpTree ----------
-
-struct VpTreeCase {
-  std::size_t points;
-  std::size_t bucket;
-  std::uint64_t seed;
-};
-
-class VpTreeExactnessTest : public ::testing::TestWithParam<VpTreeCase> {};
-
-TEST_P(VpTreeExactnessTest, KnnMatchesBruteForce) {
-  const auto [n_points, bucket, seed] = GetParam();
-  const auto points = random_points(n_points, seed);
-  VpTreeOptions options;
-  options.bucket_capacity = bucket;
-  VpTree<double, L1> tree(L1{}, options);
-  tree.build(points);
-  EXPECT_EQ(tree.size(), points.size());
-
-  Rng rng(seed ^ 0xabc);
-  for (int trial = 0; trial < 20; ++trial) {
-    const double target = rng.uniform() * 120 - 10;
-    for (std::size_t k : {1u, 3u, 10u}) {
-      const auto got = tree.nearest(target, k);
-      const auto expected = brute_force_knn(points, target, k);
-      ASSERT_EQ(got.size(), expected.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_NEAR(got[i].distance, expected[i], 1e-12)
-            << "k=" << k << " i=" << i;
-      }
-      // Results must be sorted closest-first.
-      for (std::size_t i = 1; i < got.size(); ++i) {
-        EXPECT_LE(got[i - 1].distance, got[i].distance);
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, VpTreeExactnessTest,
-    ::testing::Values(VpTreeCase{10, 4, 1}, VpTreeCase{100, 4, 2},
-                      VpTreeCase{100, 32, 3}, VpTreeCase{1000, 8, 4},
-                      VpTreeCase{1000, 64, 5}, VpTreeCase{3000, 16, 6}));
-
-TEST(VpTree, EmptyTree) {
-  VpTree<double, L1> tree(L1{});
-  EXPECT_TRUE(tree.empty());
-  EXPECT_TRUE(tree.nearest(1.0, 5).empty());
-  EXPECT_TRUE(tree.within(1.0, 10).empty());
-}
-
-TEST(VpTree, NZeroReturnsNothing) {
-  VpTree<double, L1> tree(L1{});
-  tree.build({1.0, 2.0});
-  EXPECT_TRUE(tree.nearest(1.0, 0).empty());
-}
-
-TEST(VpTree, WithinRadiusMatchesBruteForce) {
-  const auto points = random_points(500, 9);
-  VpTree<double, L1> tree(L1{}, {.bucket_capacity = 8});
-  tree.build(points);
-  const double target = 42.0, radius = 3.5;
-  const auto got = tree.within(target, radius);
-  std::size_t expected = 0;
-  for (double p : points) expected += std::abs(p - target) <= radius ? 1 : 0;
-  EXPECT_EQ(got.size(), expected);
-  for (const auto& nb : got) EXPECT_LE(nb.distance, radius);
-  for (std::size_t i = 1; i < got.size(); ++i) {
-    EXPECT_LE(got[i - 1].distance, got[i].distance);
-  }
-}
-
-TEST(VpTree, CollectReturnsAllElements) {
-  const auto points = random_points(200, 10);
-  VpTree<double, L1> tree(L1{}, {.bucket_capacity = 8});
-  tree.build(points);
-  auto collected = tree.collect();
-  auto sorted_points = points;
-  std::sort(collected.begin(), collected.end());
-  std::sort(sorted_points.begin(), sorted_points.end());
-  EXPECT_EQ(collected, sorted_points);
-}
-
-TEST(VpTree, BalancedDepthIsLogarithmic) {
-  const auto points = random_points(4096, 11);
-  VpTree<double, L1> tree(L1{}, {.bucket_capacity = 8});
-  tree.build(points);
-  // 4096/8 = 512 leaves => ideal depth ~10; allow generous slack.
-  EXPECT_LE(tree.depth(), 24u);
-}
-
-TEST(VpTree, DuplicateElementsHandled) {
-  std::vector<double> points(100, 5.0);
-  VpTree<double, L1> tree(L1{}, {.bucket_capacity = 4});
-  tree.build(points);
-  const auto got = tree.nearest(5.0, 10);
-  ASSERT_EQ(got.size(), 10u);
-  for (const auto& nb : got) EXPECT_EQ(nb.distance, 0.0);
 }
 
 // ---------- DynamicVpTree ----------
@@ -170,6 +69,53 @@ TEST_P(DynamicExactnessTest, KnnExactAfterIncrementalInserts) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DynamicExactnessTest,
                          ::testing::Values(21, 22, 23, 24, 25));
+
+// Exactness of a tree bulk-built by one insert_batch, from a handful of
+// points per leaf up to a deep tree.
+struct BatchShape {
+  std::size_t points;
+  std::size_t bucket;
+  std::uint64_t seed;
+};
+
+class DynamicBatchExactnessTest : public ::testing::TestWithParam<BatchShape> {
+};
+
+TEST_P(DynamicBatchExactnessTest, KnnMatchesBruteForce) {
+  const auto [n_points, bucket, seed] = GetParam();
+  const auto points = random_points(n_points, seed);
+  DynamicVpTree<double, L1> tree(L1{}, {.bucket_capacity = bucket});
+  tree.insert_batch(points);
+  EXPECT_EQ(tree.size(), points.size());
+
+  Rng rng(seed ^ 0xabc);
+  for (int trial = 0; trial < 20; ++trial) {
+    const double target = rng.uniform() * 120 - 10;
+    for (std::size_t k : {1u, 3u, 10u}) {
+      const auto got = tree.nearest(target, k);
+      const auto expected = brute_force_knn(points, target, k);
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_NEAR(got[i].distance, expected[i], 1e-12)
+            << "k=" << k << " i=" << i;
+      }
+      // Results must be sorted closest-first.
+      for (std::size_t i = 1; i < got.size(); ++i) {
+        EXPECT_LE(got[i - 1].distance, got[i].distance);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, DynamicBatchExactnessTest,
+    ::testing::Values(BatchShape{10, 4, 1}, BatchShape{100, 4, 2},
+                      BatchShape{100, 32, 3}, BatchShape{1000, 8, 4},
+                      BatchShape{1000, 64, 5}, BatchShape{3000, 16, 6}),
+    [](const ::testing::TestParamInfo<BatchShape>& shape) {
+      return std::to_string(shape.param.points) + "points_" +
+             std::to_string(shape.param.bucket) + "bucket";
+    });
 
 TEST(DynamicVpTree, BatchInsertExact) {
   Rng rng(31);
@@ -263,6 +209,27 @@ TEST(DynamicVpTree, EmptyBatchIsNoop) {
   DynamicVpTree<double, L1> tree(L1{});
   tree.insert_batch({});
   EXPECT_TRUE(tree.empty());
+}
+
+TEST(DynamicVpTree, NZeroReturnsNothing) {
+  DynamicVpTree<double, L1> tree(L1{});
+  tree.insert_batch({1.0, 2.0});
+  EXPECT_TRUE(tree.nearest(1.0, 0).empty());
+}
+
+TEST(DynamicVpTree, DuplicateElementsHandled) {
+  DynamicVpTree<double, L1> tree(L1{}, {.bucket_capacity = 4});
+  tree.insert_batch(std::vector<double>(100, 5.0));
+  const auto got = tree.nearest(5.0, 10);
+  ASSERT_EQ(got.size(), 10u);
+  for (const auto& nb : got) EXPECT_EQ(nb.distance, 0.0);
+}
+
+TEST(DynamicVpTree, BatchBuildDepthIsLogarithmic) {
+  DynamicVpTree<double, L1> tree(L1{}, {.bucket_capacity = 8});
+  tree.insert_batch(random_points(4096, 11));
+  // 4096/8 = 512 leaves => ideal depth ~10; allow generous slack.
+  EXPECT_LE(tree.depth(), 24u);
 }
 
 // ---------- batched n-NN (nearest_batch_with) ----------

@@ -2,9 +2,10 @@
 //
 //   check_metrics_schema <metrics.json> <schema.json>
 //
-// The schema pins the export layout the CI smoke step depends on: the three
-// top-level sections, the per-histogram field set, and the metric names a
-// Client-produced snapshot must always contain. The check is BIDIRECTIONAL:
+// The schema pins the export layout that tests/metrics_schema_complete.cmake
+// and the CI smoke step depend on: the three top-level sections, the
+// per-histogram field set, and the metric names a Client-produced snapshot
+// must always contain. The check is BIDIRECTIONAL:
 // every required_* name must be present in the export, and every exported
 // name must be declared in the schema (required_* or optional_* — the
 // optional lists hold runtime-dependent entries like the threaded
