@@ -81,10 +81,10 @@ int run_oocore(const mendel::bench::BenchArgs& args) {
     for (std::size_t c = 0; c < 3; ++c) {
       auto options = bench::cluster_options(2, 2);
       options.indexing.window_length = 12;
-      options.runtime.arena_packing = configs[c].packing;
-      options.runtime.arena_resident_budget =
+      options.runtime.node.arena_packing = configs[c].packing;
+      options.runtime.node.arena_resident_budget =
           configs[c].spill ? spill_budget : 0;
-      options.runtime.arena_segment_bytes =
+      options.runtime.node.arena_segment_bytes =
           configs[c].spill ? kSpillSegment : 0;
       core::Client client(options);
       client.index(store);

@@ -433,17 +433,18 @@ struct NodeFixture {
     }
   }
 
-  core::StorageNodeConfig node_config() const {
+  core::StorageNodeConfig node_config(obs::MetricsRegistry& registry) const {
     core::StorageNodeConfig config;
     config.topology = &topology;
     config.prefix_tree = &prefix_tree;
     config.distance = &score::default_distance(alphabet);
+    config.metrics = &registry;
     config.alphabet = alphabet;
     // The subquery NN cache would otherwise answer every repeated probe
     // after the first iteration and the bench would measure cache lookups,
     // not searches (bench/e2e's extend-cached and socket-cached workloads
     // measure the cache's hits).
-    config.nn_cache_capacity = 0;
+    config.node.nn_cache_capacity = 0;
     return config;
   }
 
@@ -467,9 +468,10 @@ net::CostModel quiet_cost() {
 // End-to-end block ingestion: decode + dedup + dynamic vp-tree insertion.
 void BM_StorageInsertBatch(benchmark::State& state) {
   const auto& fix = NodeFixture::instance();
+  obs::MetricsRegistry registry;
   for (auto _ : state) {
     net::SimTransport transport(quiet_cost());
-    core::StorageNode node(0, fix.node_config());
+    core::StorageNode node(0, fix.node_config(registry));
     transport.register_actor(0, &node);
     for (const auto& payload : fix.insert_payloads) {
       transport.send({.from = net::kClientNode,
@@ -486,9 +488,9 @@ void BM_StorageInsertBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_StorageInsertBatch);
 
-// A loaded node behind a simulated transport, with metrics attached
-// (tracing off) so the bench measures the handler as it runs in
-// production: histogram records are part of the hot path budget.
+// A loaded node behind a simulated transport (tracing off), so the bench
+// measures the handler as it runs in production: histogram records are
+// part of the hot path budget.
 struct SearchNode {
   net::SimTransport transport{quiet_cost()};
   obs::MetricsRegistry registry;
@@ -496,11 +498,7 @@ struct SearchNode {
   net::FunctionActor sink{[](const net::Message&, net::Context&) {}};
 
   explicit SearchNode(const NodeFixture& fix)
-      : node(0, [&] {
-          auto config = fix.node_config();
-          config.metrics = &registry;
-          return config;
-        }()) {
+      : node(0, fix.node_config(registry)) {
     transport.register_actor(0, &node);
     transport.register_actor(net::kClientNode, &sink);
     for (const auto& payload : fix.insert_payloads) {

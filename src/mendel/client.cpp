@@ -37,11 +37,10 @@ std::size_t parse_arena_budget(std::string_view text, std::size_t fallback) {
 }
 
 Client::Client(ClientOptions options)
-    : options_(std::move(options)),
-      client_spans_(options_.runtime.trace_buffer_capacity) {
+    : options_(std::move(options)) {
   if (const char* env = std::getenv("MENDEL_ARENA_BUDGET")) {
-    options_.runtime.arena_resident_budget =
-        parse_arena_budget(env, options_.runtime.arena_resident_budget);
+    options_.runtime.node.arena_resident_budget =
+        parse_arena_budget(env, options_.runtime.node.arena_resident_budget);
   }
   options_.runtime.socket.endpoints =
       net::endpoints_from_env(std::move(options_.runtime.socket.endpoints));
@@ -55,12 +54,10 @@ Client::Client(ClientOptions options)
     search_pool_ =
         std::make_unique<ThreadPool>(options_.runtime.search_threads);
   }
-  if (options_.runtime.enable_metrics) {
-    c_submitted_ = &registry_.counter("client.queries_submitted");
-    c_completed_ = &registry_.counter("client.queries_completed");
-    c_stalled_ = &registry_.counter("client.queries_stalled");
-    h_turnaround_ = &registry_.histogram("client.turnaround_seconds");
-  }
+  c_submitted_ = &registry_.counter("client.queries_submitted");
+  c_completed_ = &registry_.counter("client.queries_completed");
+  c_stalled_ = &registry_.counter("client.queries_stalled");
+  h_turnaround_ = &registry_.histogram("client.turnaround_seconds");
   client_actor_ = std::make_unique<net::FunctionActor>(
       [this](const net::Message& message, net::Context& ctx) {
         if (message.type == kTraceReport) {
@@ -110,17 +107,12 @@ StorageNodeConfig Client::node_config() {
   config.topology = topology_.get();
   config.prefix_tree = prefix_tree_.get();
   config.distance = distance_.get();
+  config.metrics = &registry_;
   config.alphabet = alphabet_;
   config.bucket_capacity = options_.bucket_capacity;
   config.database_residues = database_residues_;
   config.search_pool = search_pool_.get();
-  config.nn_cache_capacity = options_.runtime.nn_cache_capacity;
-  config.metrics = options_.runtime.enable_metrics ? &registry_ : nullptr;
-  config.trace_buffer_capacity = options_.runtime.trace_buffer_capacity;
-  config.arena_resident_budget = options_.runtime.arena_resident_budget;
-  config.arena_packing = options_.runtime.arena_packing;
-  config.arena_segment_bytes = options_.runtime.arena_segment_bytes;
-  config.prune_extensions = options_.runtime.prune_extensions;
+  config.node = options_.runtime.node;
   return config;
 }
 
@@ -333,7 +325,7 @@ QueryTicket Client::submit(const seq::Sequence& query, QueryParams params) {
 
   // Open this query's exact traffic bucket before the first message flows.
   transport_->begin_query_stats(query_id);
-  if (c_submitted_ != nullptr) c_submitted_->add();
+  c_submitted_->add();
 
   send(entry, kQueryRequest, query_id, encode_payload(request));
   return ticket;
@@ -386,21 +378,15 @@ QueryOutcome Client::finish_outcome(const QueryTicket& ticket,
   // this request_id into the bucket opened at submit). The stalled branch
   // above runs first, so the abort's cancel broadcast is included.
   outcome.traffic = transport_->take_query_stats(ticket.id);
-  if (h_turnaround_ != nullptr) {
-    h_turnaround_->record_seconds(outcome.turnaround);
-  }
-  if (outcome.completed) {
-    if (c_completed_ != nullptr) c_completed_->add();
-  } else if (c_stalled_ != nullptr) {
-    c_stalled_->add();
-  }
+  h_turnaround_->record_seconds(outcome.turnaround);
+  (outcome.completed ? c_completed_ : c_stalled_)->add();
   return outcome;
 }
 
 void Client::publish_load_gauges() {
   // Socket mode hosts no local nodes, so there is no placement to report
   // (nodes_ is empty; the daemons see their own shards only).
-  if (!options_.runtime.enable_metrics || nodes_.empty()) return;
+  if (nodes_.empty()) return;
   const auto counts = block_counts();
   cluster::publish_load(cluster::analyze_load(counts), registry_);
 }

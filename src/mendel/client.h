@@ -78,7 +78,7 @@ using TransportMode = net::TransportMode;
 
 // Runtime knobs, grouped apart from the index-shape options: everything
 // here may differ between two deployments of the same index (transport,
-// parallelism, caching, observability) without affecting results. Plain
+// parallelism, node settings, tracing) without affecting results. Plain
 // aggregate with member defaults, so `RuntimeOptions{}` and partial
 // designated initialization both work.
 struct RuntimeOptions {
@@ -88,39 +88,17 @@ struct RuntimeOptions {
   // fan-out (0 = serial searches). Only useful with real CPU parallelism;
   // results are identical either way.
   unsigned search_threads = 0;
-  // Per-node subquery NN cache entries (0 disables the cache).
-  std::size_t nn_cache_capacity = 4096;
-  // Registers pipeline-stage latency histograms and client counters in the
-  // metrics registry. Off, the hot paths skip even the clock reads.
-  bool enable_metrics = true;
+  // Settings of every storage node this Client hosts (see NodeSettings).
+  // In kSocket mode it configures no node: the daemons take theirs from
+  // mendel-node flags. The MENDEL_ARENA_BUDGET environment variable (see
+  // parse_arena_budget) overrides node.arena_resident_budget at Client
+  // construction — CI uses it to force spilling without touching call
+  // sites.
+  NodeSettings node;
   // Stamps every submitted query's dataflow with an enabled TraceContext so
   // nodes record spans (collect with Client::collect_trace). Off, no spans
   // are recorded anywhere.
   bool enable_tracing = false;
-  // Bound on each node's span buffer (see obs::SpanBuffer).
-  std::size_t trace_buffer_capacity = 1 << 16;
-  // Per-node resident-byte budget for the window arena (0 = keep every
-  // block in memory). A positive budget backs each node's arena with the
-  // mmap'd block store: rows past the budget spill to an unlinked temp
-  // file and fault back in on access, LRU-evicted around pinned leaf
-  // scans. Ranked results are byte-identical either way. The
-  // MENDEL_ARENA_BUDGET environment variable (see parse_arena_budget)
-  // overrides this at Client construction — CI uses it to force spilling
-  // without touching call sites.
-  std::size_t arena_resident_budget = 0;
-  // Store arena rows bit-packed (2-bit DNA, 4-bit small alphabets) with
-  // the decode fused into the SIMD scan kernels — ~4x less window memory
-  // for DNA, byte-identical results. Off stores one code per byte.
-  bool arena_packing = true;
-  // Spill-segment granularity for the arena block store (0 = the default
-  // BlockStore::kDefaultSegmentBytes). Mostly for benches/tests that need
-  // eviction pressure on small per-node arenas.
-  std::size_t arena_segment_bytes = 0;
-  // Score-bounded pruning of coordinator-side gapped extension (see
-  // StorageNodeConfig::prune_extensions). Exact — ranked hits are
-  // identical with it off; the switch exists for A/B benchmarking and for
-  // tests that pin that equivalence.
-  bool prune_extensions = true;
   // Schedule exploration (TransportMode::kSim only): nonzero seeds a
   // deterministic per-delivery jitter in the simulator so near-tied
   // message arrivals land in a seed-dependent order. Ranked results must
@@ -351,7 +329,7 @@ class Client {
 
   // --- observability state ------------------------------------------------
   obs::MetricsRegistry registry_;
-  // Client counters / turnaround histogram; null when metrics are off.
+  // Client counters / turnaround histogram, resolved at construction.
   obs::Counter* c_submitted_ = nullptr;
   obs::Counter* c_completed_ = nullptr;
   obs::Counter* c_stalled_ = nullptr;

@@ -127,10 +127,8 @@ void StorageNode::on_group_result(const net::Message& message,
     pending.binned[anchor.sequence].push_back(anchor);
   }
   if (!last) return;
-  if (h_coord_fanin_ != nullptr) {
-    // Route → last group result; virtual seconds under the simulator.
-    h_coord_fanin_->record_seconds(ctx.now() - pending.created);
-  }
+  // Route → last group result; virtual seconds under the simulator.
+  h_coord_fanin_->record_seconds(ctx.now() - pending.created);
   coordinator_bin_and_fetch(message.request_id, pending, ctx);
 }
 
@@ -218,7 +216,7 @@ void StorageNode::coordinator_bin_and_fetch(std::uint64_t query_id,
   // E-value lower bound is strictly above both C and the filter can only
   // produce hits that rank past the top max_hits, so skipping its fetch
   // and DP cannot change the reply.
-  if (config_.prune_extensions) {
+  if (config_.node.prune_extensions) {
     const auto& matrix = score::matrix_by_name(pending.params.matrix);
     const auto karlin = score::gapped_params(matrix);
     const std::uint64_t db_residues =
@@ -311,7 +309,6 @@ void StorageNode::coordinator_bin_and_fetch(std::uint64_t query_id,
       }
     }
     counters_.anchors_pruned += pruned_anchors;
-    if (c_anchors_pruned_ != nullptr) c_anchors_pruned_->add(pruned_anchors);
     record_span("coord.prune", query_id, pending.trace, ctx.now(), 0,
                 pruned_bins);
   }
@@ -331,7 +328,7 @@ void StorageNode::extend_range(PendingQuery& pending, std::size_t token,
   const std::uint64_t db_residues =
       config_.database_residues > 0 ? config_.database_residues : 1;
   std::optional<Stopwatch> watch;
-  if (wall_timing && h_coord_extend_ != nullptr) watch.emplace();
+  if (wall_timing) watch.emplace();
 
   std::vector<align::GappedAlignment> accepted;
   // True when the [qb, qe) x [sb, se) box overlaps an accepted alignment.

@@ -91,10 +91,8 @@ void StorageNode::on_node_search_result(const net::Message& message,
   pending.seeds.insert(pending.seeds.end(), payload.seeds.begin(),
                        payload.seeds.end());
   if (!last) return;
-  if (h_group_fanin_ != nullptr) {
-    // Broadcast → last search result; virtual seconds under the simulator.
-    h_group_fanin_->record_seconds(ctx.now() - pending.created);
-  }
+  // Broadcast → last search result; virtual seconds under the simulator.
+  h_group_fanin_->record_seconds(ctx.now() - pending.created);
   group_entry_merge_and_fetch(message.request_id, pending, ctx);
 }
 
@@ -176,9 +174,7 @@ void StorageNode::group_entry_merge_and_fetch(std::uint64_t query_id,
     group_entry_reply_empty(query_id, pending.reply_to, ctx);
     return;
   }
-  const std::uint64_t saved = member_requests - sent;
-  counters_.fetch_ranges_coalesced += saved;
-  if (c_ranges_coalesced_ != nullptr) c_ranges_coalesced_->add(saved);
+  counters_.fetch_ranges_coalesced += member_requests - sent;
 }
 
 void StorageNode::extend_range(PendingGroupQuery& pending, std::size_t token,
@@ -188,7 +184,7 @@ void StorageNode::extend_range(PendingGroupQuery& pending, std::size_t token,
   const auto& matrix = score::matrix_by_name(pending.params.matrix);
   const std::uint32_t margin = pending.params.extension_margin;
   std::optional<Stopwatch> watch;
-  if (wall_timing && h_group_extend_ != nullptr) watch.emplace();
+  if (wall_timing) watch.emplace();
   const std::uint64_t data_begin = range.start;
   const std::uint64_t data_end = range.start + range.codes.size();
   // A reply shorter than requested means the home clamped at the end of

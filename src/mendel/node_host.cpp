@@ -23,6 +23,7 @@ NodeHost::NodeHost(net::Transport* transport, NodeHostOptions options)
     : options_(std::move(options)) {
   require(transport != nullptr, "NodeHost: null transport");
   require(!options_.node_ids.empty(), "NodeHost: no node ids to host");
+  require(options_.metrics != nullptr, "NodeHost: null metrics registry");
   if (options_.search_threads > 0) {
     search_pool_ = std::make_unique<ThreadPool>(options_.search_threads);
   }
@@ -119,18 +120,13 @@ void NodeHost::apply_init(const NodeInitPayload& payload) {
   node_config.topology = topology_.get();
   node_config.prefix_tree = prefix_tree_.get();
   node_config.distance = distance_.get();
+  node_config.metrics = options_.metrics;
   node_config.alphabet = alphabet;
   node_config.bucket_capacity =
       static_cast<std::size_t>(payload.bucket_capacity);
   node_config.database_residues = payload.database_residues;
   node_config.search_pool = search_pool_.get();
-  node_config.nn_cache_capacity = options_.nn_cache_capacity;
-  node_config.metrics = options_.metrics;
-  node_config.trace_buffer_capacity = options_.trace_buffer_capacity;
-  node_config.arena_resident_budget = options_.arena_resident_budget;
-  node_config.arena_packing = options_.arena_packing;
-  node_config.arena_segment_bytes = options_.arena_segment_bytes;
-  node_config.prune_extensions = options_.prune_extensions;
+  node_config.node = options_.node;
 
   for (net::NodeId id : options_.node_ids) {
     auto node = std::make_unique<StorageNode>(id, node_config);

@@ -42,16 +42,11 @@ struct NodeHostOptions {
   // Worker threads shared by the hosted nodes' intra-node subquery fan-out
   // (0 = serial searches).
   unsigned search_threads = 0;
-  // StorageNodeConfig knobs not carried by kNodeInit (deployment-local,
-  // like the arena budget; the index-shape knobs all travel in-band).
-  std::size_t nn_cache_capacity = 4096;
-  std::size_t trace_buffer_capacity = 1 << 16;
-  std::size_t arena_resident_budget = 0;
-  bool arena_packing = true;
-  std::size_t arena_segment_bytes = 0;
-  bool prune_extensions = true;
-  // Shared metrics registry for the hosted nodes' histograms and counters;
-  // nullptr disables instrumentation.
+  // Settings of every hosted node. kNodeInit does not carry them: they are
+  // deployment-local, while the index-shape knobs all travel in-band.
+  NodeSettings node;
+  // Shared metrics registry for the hosted nodes' histograms and counters
+  // (required).
   obs::MetricsRegistry* metrics = nullptr;
 };
 

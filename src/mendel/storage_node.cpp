@@ -33,13 +33,11 @@ const score::ScoringMatrix& StorageNode::matrix_from_wire(
 StorageNode::StorageNode(net::NodeId id, StorageNodeConfig config)
     : id_(id),
       config_(config),
-      tree_(BlockRefMetric{config.distance, &arena_},
-            vpt::DynamicVpTreeOptions{config.bucket_capacity, true, 2.0,
-                                      0x6e6f6465ULL + id}),
-      span_buffer_(config.trace_buffer_capacity) {
+      tree_(make_tree()) {
   require(config_.topology != nullptr, "StorageNode: null topology");
   require(config_.prefix_tree != nullptr, "StorageNode: null prefix tree");
   require(config_.distance != nullptr, "StorageNode: null distance matrix");
+  require(config_.metrics != nullptr, "StorageNode: null metrics registry");
   max_residue_distance_ = config_.distance->max_entry();
   // Arena encoding and storage are fixed before the first admitted block.
   // DNA starts 2-bit (its unambiguous core) and widens automatically when
@@ -47,7 +45,7 @@ StorageNode::StorageNode(net::NodeId id, StorageNodeConfig config)
   // wider alphabets (protein's 24 codes) stay byte-per-residue.
   {
     vpt::WindowArena::Config acfg;
-    if (config_.arena_packing) {
+    if (config_.node.arena_packing) {
       const std::size_t core = seq::core_cardinality(config_.alphabet);
       const std::size_t full = seq::cardinality(config_.alphabet);
       if (core <= 4 && full <= 16) {
@@ -56,32 +54,29 @@ StorageNode::StorageNode(net::NodeId id, StorageNodeConfig config)
         acfg.packed_bits = 4;
       }
     }
-    acfg.resident_budget = config_.arena_resident_budget;
-    if (config_.arena_segment_bytes > 0) {
-      acfg.segment_bytes = config_.arena_segment_bytes;
+    acfg.resident_budget = config_.node.arena_resident_budget;
+    if (config_.node.arena_segment_bytes > 0) {
+      acfg.segment_bytes = config_.node.arena_segment_bytes;
     }
     arena_.configure(acfg);
   }
-  if (config_.metrics != nullptr) {
-    // Handles resolved once; the per-message path never touches the
-    // registry's name table.
-    h_handler_ = &config_.metrics->histogram("node.handler_seconds");
-    h_search_ = &config_.metrics->histogram("node.search_seconds");
-    h_subquery_ = &config_.metrics->histogram("node.subquery_seconds");
-    h_group_fanin_ = &config_.metrics->histogram("group.fanin_wait_seconds");
-    h_coord_fanin_ = &config_.metrics->histogram("coord.fanin_wait_seconds");
-    h_group_extend_ = &config_.metrics->histogram("group.extend_seconds");
-    h_coord_extend_ = &config_.metrics->histogram("coord.extend_seconds");
-    c_batched_scans_ = &config_.metrics->counter("kernel.batched_scans");
-    c_scalar_fallbacks_ = &config_.metrics->counter("kernel.scalar_fallbacks");
-    c_ranges_coalesced_ = &config_.metrics->counter("fetch.ranges_coalesced");
-    c_anchors_pruned_ = &config_.metrics->counter("extend.anchors_pruned");
-    c_decode_errors_ = &config_.metrics->counter("net.decode_errors");
-    // Process-wide dispatch level; every node in a process reports the
-    // same value, which is exactly the property worth asserting on.
-    config_.metrics->gauge("kernel.simd_level")
-        .set(static_cast<std::int64_t>(simd::active_level()));
-  }
+  // Handles resolved once; the per-message path never touches the
+  // registry's name table.
+  obs::MetricsRegistry& metrics = *config_.metrics;
+  h_handler_ = &metrics.histogram("node.handler_seconds");
+  h_search_ = &metrics.histogram("node.search_seconds");
+  h_subquery_ = &metrics.histogram("node.subquery_seconds");
+  h_group_fanin_ = &metrics.histogram("group.fanin_wait_seconds");
+  h_coord_fanin_ = &metrics.histogram("coord.fanin_wait_seconds");
+  h_group_extend_ = &metrics.histogram("group.extend_seconds");
+  h_coord_extend_ = &metrics.histogram("coord.extend_seconds");
+  c_batched_scans_ = &metrics.counter("kernel.batched_scans");
+  c_scalar_fallbacks_ = &metrics.counter("kernel.scalar_fallbacks");
+  c_decode_errors_ = &metrics.counter("net.decode_errors");
+  // Process-wide dispatch level; every node in a process reports the
+  // same value, which is exactly the property worth asserting on.
+  metrics.gauge("kernel.simd_level")
+      .set(static_cast<std::int64_t>(simd::active_level()));
 }
 
 std::uint64_t StorageNode::record_span(const char* name,
@@ -110,9 +105,9 @@ std::vector<StorageNode::BlockRef> StorageNode::admit_blocks(
   std::vector<BlockRef> fresh;
   fresh.reserve(blocks.size());
   for (const Block& block : blocks) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(block.sequence) << 32) | block.start;
-    if (!block_keys_.insert(key).second) continue;
+    if (!block_keys_.insert(block_key(block.sequence, block.start)).second) {
+      continue;
+    }
     const std::uint32_t slot = arena_.append(block.window);
     fresh.push_back({block.sequence, block.start, slot});
   }
@@ -169,9 +164,9 @@ void StorageNode::handle(const net::Message& message, net::Context& ctx) {
   // Sampled 1-in-16: a query dispatches on the order of a thousand messages
   // (per-subquery fetches), so two clock reads on every one is measurable
   // against the observability overhead budget. Uniform sampling keeps the
-  // distribution shape; a null histogram makes ScopedTimer skip the clock.
-  const bool time_dispatch =
-      h_handler_ != nullptr && (handler_ticks_++ % kHandlerSample) == 0;
+  // distribution shape; unsampled messages hand ScopedTimer no histogram,
+  // so it skips the clock.
+  const bool time_dispatch = (handler_ticks_++ % kHandlerSample) == 0;
   const obs::ScopedTimer dispatch_timer(time_dispatch ? h_handler_ : nullptr);
   try {
     dispatch(message, ctx);
@@ -180,7 +175,7 @@ void StorageNode::handle(const net::Message& message, net::Context& ctx) {
     // (CheckError, ProtocolError, bad_alloc) propagates — those mean an
     // internal bug or resource exhaustion, not hostile input.
     ++counters_.decode_errors;
-    if (c_decode_errors_ != nullptr) c_decode_errors_->add(1);
+    c_decode_errors_->add(1);
     last_decode_error_ = net::describe(message) + ": " + e.what();
   }
 }
@@ -454,7 +449,7 @@ void StorageNode::on_node_search(const net::Message& message,
   std::vector<const std::vector<Seed>*> cached(count, nullptr);
   std::vector<std::string> keys(count);
   std::vector<std::size_t> misses;
-  const bool cache_enabled = config_.nn_cache_capacity > 0;
+  const bool cache_enabled = config_.node.nn_cache_capacity > 0;
   {
     // The handler thread is the cache's only mutator, so the pointers
     // captured here stay valid past the lock: nothing erases or rehashes
@@ -511,11 +506,9 @@ void StorageNode::on_node_search(const net::Message& message,
     for (std::size_t j = begin; j < end; ++j) {
       fresh[misses[j]] = std::move(seeds[j - begin]);
     }
-    if (h_subquery_ != nullptr) {
-      const double share = watch.seconds() / static_cast<double>(end - begin);
-      for (std::size_t j = begin; j < end; ++j) {
-        h_subquery_->record_seconds(share);
-      }
+    const double share = watch.seconds() / static_cast<double>(end - begin);
+    for (std::size_t j = begin; j < end; ++j) {
+      h_subquery_->record_seconds(share);
     }
   };
   if (config_.search_pool != nullptr && batches > 1) {
@@ -526,7 +519,9 @@ void StorageNode::on_node_search(const net::Message& message,
 
   // Phase 3 (handler thread): emit every subquery's seeds in subquery
   // order — byte-identical to the serial path regardless of pool size or
-  // hit/miss pattern — then admit the fresh results into the cache.
+  // hit/miss pattern — then admit the fresh results into the cache, each
+  // as an exact-size copy: the cache outlives the search, so the slack
+  // push_back left in a fresh list would stay resident with it.
   NodeSearchResultPayload reply;
   for (std::size_t i = 0; i < count; ++i) {
     const std::vector<Seed>* seeds = cached[i] != nullptr ? cached[i]
@@ -540,11 +535,11 @@ void StorageNode::on_node_search(const net::Message& message,
   if (cache_enabled) {
     std::lock_guard cache_lock(nn_cache_mu_);
     for (std::size_t i : misses) {
-      if (nn_cache_.size() >= config_.nn_cache_capacity) {
+      if (nn_cache_.size() >= config_.node.nn_cache_capacity) {
         // Wholesale eviction: simple, rare, and never serves stale seeds.
         nn_cache_.clear();
       }
-      nn_cache_[std::move(keys[i])] = std::move(fresh[i]);
+      nn_cache_[std::move(keys[i])] = std::vector<Seed>(fresh[i]);
     }
   }
   counters_.seeds_emitted += reply.seeds.size();
@@ -619,9 +614,7 @@ void StorageNode::on_rebalance(net::Context& ctx) {
       kept.push_back(materialize(ref));
       continue;
     }
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(ref.sequence) << 32) | ref.start;
-    block_keys_.erase(key);
+    block_keys_.erase(block_key(ref.sequence, ref.start));
     Block moved = materialize(ref);
     for (net::NodeId owner : owners) {
       outgoing[owner].blocks.push_back(moved);
@@ -630,10 +623,7 @@ void StorageNode::on_rebalance(net::Context& ctx) {
   if (!outgoing.empty()) {
     block_keys_.clear();
     arena_.clear();
-    tree_ = vpt::DynamicVpTree<BlockRef, BlockRefMetric>(
-        BlockRefMetric{config_.distance, &arena_},
-        vpt::DynamicVpTreeOptions{config_.bucket_capacity, true, 2.0,
-                                  0x6e6f6465ULL + id_});
+    tree_ = make_tree();
     auto fresh = admit_blocks(std::move(kept));
     if (!fresh.empty()) tree_.insert_batch(std::move(fresh));
   }
@@ -710,9 +700,10 @@ void StorageNode::load(const SnapshotShard& shard) {
   std::vector<BlockRef> fresh;
   fresh.reserve(shard.blocks.size());
   for (const auto& block : shard.blocks) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(block.sequence) << 32) | block.start;
-    if (!block_keys_.insert(key).second) continue;  // idempotent re-delivery
+    // Idempotent re-delivery.
+    if (!block_keys_.insert(block_key(block.sequence, block.start)).second) {
+      continue;
+    }
     const std::uint32_t slot =
         arena_.append_row(block.row.data(), block.row.size(),
                           shard.window_length, shard.packed_bits);
@@ -840,9 +831,7 @@ std::vector<std::string> StorageNode::audit(std::size_t max_violations) const {
                     " past the arena end");
       return out;  // placement below would read out of bounds
     }
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(ref.sequence) << 32) | ref.start;
-    if (!block_keys_.contains(key)) {
+    if (!block_keys_.contains(block_key(ref.sequence, ref.start))) {
       out.push_back(me + ": block (seq " + std::to_string(ref.sequence) +
                     ", start " + std::to_string(ref.start) +
                     ") is missing from the dedup key set");

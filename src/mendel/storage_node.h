@@ -46,6 +46,7 @@
 #include <mutex>
 
 #include "src/cluster/topology.h"
+#include "src/common/check.h"
 #include "src/common/thread_annotations.h"
 #include "src/common/thread_pool.h"
 #include "src/mendel/fetch_plan.h"
@@ -62,37 +63,15 @@
 
 namespace mendel::core {
 
-struct StorageNodeConfig {
-  const cluster::Topology* topology = nullptr;
-  const vpt::VpPrefixTree* prefix_tree = nullptr;
-  const score::DistanceMatrix* distance = nullptr;
-  seq::Alphabet alphabet = seq::Alphabet::kProtein;
-  std::size_t bucket_capacity = kDefaultBucketCapacity;
-  // Total residues across the indexed database; set by the client after
-  // indexing (used for Karlin–Altschul E-values at the coordinator).
-  std::uint64_t database_residues = 0;
-  // Shared worker pool for intra-node subquery fan-out in on_node_search.
-  // nullptr keeps the serial path. Either way the seed lists are merged in
-  // subquery order, so replies are byte-identical for every pool size.
-  ThreadPool* search_pool = nullptr;
+// The settings a StorageNode reads that a deployment chooses per node.
+// None of them changes a ranked hit; they trade memory against work.
+// StorageNodeConfig, RuntimeOptions and NodeHostOptions each
+// hold one record, so every setting is stated and defaulted here only.
+struct NodeSettings {
   // Entries held by the node-local subquery NN cache (0 disables caching).
   // Query windows are stride-k k-mers, so concurrent and repeated queries
   // share windows; a hit skips the vp-tree search entirely.
   std::size_t nn_cache_capacity = 4096;
-  // MENDEL_CHECKED builds audit the two-tier DHT placement of freshly
-  // admitted blocks after every insert batch (senders route with the
-  // shared topology, so misplacement means corrupted routing state).
-  // Unit tests that address a node directly with unrouted blocks can opt
-  // out; the vp-tree structural audit still runs. No effect outside
-  // MENDEL_CHECKED builds.
-  bool checked_placement_audit = true;
-  // Shared metrics registry for pipeline-stage latency histograms. nullptr
-  // (the default) disables histogram instrumentation entirely — the hot
-  // paths then skip even the clock reads.
-  obs::MetricsRegistry* metrics = nullptr;
-  // Bound on this node's trace span buffer; spans past it are counted as
-  // dropped rather than growing node memory while no collector runs.
-  std::size_t trace_buffer_capacity = 1 << 16;
   // Resident-byte budget for the window arena. 0 (the default) keeps the
   // original all-resident heap arena; > 0 spills rows to a memory-mapped
   // BlockStore whose LRU-pinned hot set is bounded by this many bytes
@@ -115,6 +94,32 @@ struct StorageNodeConfig {
   // switch off — which MENDEL_CHECKED builds verify by extending every bin
   // and comparing rankings. Off restores the extend-everything dataflow.
   bool prune_extensions = true;
+};
+
+struct StorageNodeConfig {
+  const cluster::Topology* topology = nullptr;
+  const vpt::VpPrefixTree* prefix_tree = nullptr;
+  const score::DistanceMatrix* distance = nullptr;
+  // Shared registry for the node's latency histograms and counters
+  // (required; nodes of one process share one).
+  obs::MetricsRegistry* metrics = nullptr;
+  seq::Alphabet alphabet = seq::Alphabet::kProtein;
+  std::size_t bucket_capacity = kDefaultBucketCapacity;
+  // Total residues across the indexed database; set by the client after
+  // indexing (used for Karlin–Altschul E-values at the coordinator).
+  std::uint64_t database_residues = 0;
+  // Shared worker pool for intra-node subquery fan-out in on_node_search.
+  // nullptr keeps the serial path. Either way the seed lists are merged in
+  // subquery order, so replies are byte-identical for every pool size.
+  ThreadPool* search_pool = nullptr;
+  // MENDEL_CHECKED builds audit the two-tier DHT placement of freshly
+  // admitted blocks after every insert batch (senders route with the
+  // shared topology, so misplacement means corrupted routing state).
+  // Unit tests that address a node directly with unrouted blocks can opt
+  // out; the vp-tree structural audit still runs. No effect outside
+  // MENDEL_CHECKED builds.
+  bool checked_placement_audit = true;
+  NodeSettings node;
 };
 
 // Per-node work counters (telemetry for benches and tests).
@@ -253,16 +258,15 @@ class StorageNode final : public net::Actor {
     const score::DistanceMatrix* distance;
     const vpt::WindowArena* arena;
     // The search's probe windows: probe ref {0, b, kProbeSlot} has codes
-    // probes[b]. Null on the tree's internal metric, which only ever
-    // compares stored blocks.
+    // probes[b]. The fields from here on are null on the tree's internal
+    // metric, which only ever compares stored blocks and never scans a
+    // leaf; search_subqueries' per-search metric sets them all.
     const seq::CodeSpan* probes = nullptr;
-    // Kernel observability (kernel.batched_scans / kernel.scalar_fallbacks);
-    // null on metrics-less nodes and on the tree's internal rebuild metric.
+    // Kernel observability (kernel.batched_scans / kernel.scalar_fallbacks).
     obs::Counter* batched_scans = nullptr;
     obs::Counter* scalar_fallbacks = nullptr;
     // The probes' kernel tables (qprobes[b] for probes[b]), built once per
-    // search; null on the tree's internal metric (a leaf scan then builds
-    // its own).
+    // search; null when the matrix has no quantized twin.
     const score::QProbe* qprobes = nullptr;
 
     // Item-wise code access. The all-resident unpacked arena hands out
@@ -336,43 +340,32 @@ class StorageNode final : public net::Actor {
       };
       std::array<double, kMax> bound;
       std::copy(bounds + first, bounds + first + k, bound.begin());
-      auto item_wise = [&](std::size_t t, std::size_t begin,
-                           std::size_t end) {
-        for (std::size_t j = begin; j < end; ++j) {
-          const double d = bounded(*targets[t], items[j], bound[t]);
-          if (d <= bound[t]) bound[t] = admit(t, j, d);
-        }
-      };
+      // search_subqueries is the only caller: every target is one of its
+      // probes, with a kernel table whenever the matrix has a quantized
+      // twin.
+      for (std::size_t t = 0; t < k; ++t) {
+        MENDEL_DCHECK(targets[t]->slot == BlockRef::kProbeSlot,
+                      "scan_leaf: target " << t << " is not a search probe");
+      }
       const score::QuantizedDistance* q = distance->quantized();
       const bool gatherable =
           arena->size() * arena->stride() <
           static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()) -
               vpt::WindowArena::kGuardTail;
       if (q == nullptr || !gatherable) {
-        if (q == nullptr && scalar_fallbacks != nullptr) {
-          scalar_fallbacks->add();
+        if (q == nullptr) scalar_fallbacks->add();
+        for (std::size_t t = 0; t < k; ++t) {
+          for (std::size_t j = 0; j < count; ++j) {
+            const double d = bounded(*targets[t], items[j], bound[t]);
+            if (d <= bound[t]) bound[t] = admit(t, j, d);
+          }
         }
-        for (std::size_t t = 0; t < k; ++t) item_wise(t, 0, count);
         return;
       }
-      // Kernel tables per target: the search's own, or built here over a
-      // copy of the target's codes (item-wise access hands out scratch).
-      const std::size_t length = arena->window_length();
+      MENDEL_DCHECK(qprobes != nullptr, "scan_leaf: probes lack kernel tables");
       std::array<const score::QProbe*, kMax> probe;
-      std::vector<seq::Code> own_codes;
-      std::vector<score::QProbe> own;
       for (std::size_t t = 0; t < k; ++t) {
-        if (qprobes != nullptr && targets[t]->slot == BlockRef::kProbeSlot) {
-          probe[t] = &qprobes[targets[t]->start];
-          continue;
-        }
-        if (own.empty()) {
-          own_codes.resize(k * length);
-          own.reserve(k);
-        }
-        seq::Code* copy = own_codes.data() + t * length;
-        std::copy_n(codes(*targets[t], 0), length, copy);
-        probe[t] = &own.emplace_back(*q, copy, length);
+        probe[t] = &qprobes[targets[t]->start];
       }
       const score::QKernelTable& kernels = score::qkernels();
       std::array<std::uint32_t, kBatchChunk> slots;
@@ -383,19 +376,10 @@ class StorageNode final : public net::Actor {
       const score::QScanOut out{pass.data(), dist.data(), kBatchChunk};
       for (std::size_t offset = 0; offset < count;) {
         const std::size_t run = std::min(count - offset, kBatchChunk);
-        bool arena_only = true;
         for (std::size_t j = 0; j < run; ++j) {
           slots[j] = items[offset + j].slot;
-          arena_only = arena_only && slots[j] != BlockRef::kProbeSlot;
-        }
-        if (!arena_only) {
-          // A probe sentinel never lives in tree buckets, but the metric
-          // contract doesn't depend on that: route odd chunks item-wise.
-          for (std::size_t t = 0; t < k; ++t) {
-            item_wise(t, offset, offset + run);
-          }
-          offset += run;
-          continue;
+          MENDEL_DCHECK(slots[j] != BlockRef::kProbeSlot,
+                        "scan_leaf: a probe sentinel sits in a tree bucket");
         }
         // Spilled arenas: pin the chunk's rows once for every target so
         // the kernels can never touch an evicted (PROT_NONE) segment
@@ -414,7 +398,7 @@ class StorageNode final : public net::Actor {
                 : kernels.probes_batch(probe.data(), qthresh.data(), k,
                                        arena->base(), arena->stride(),
                                        slots.data(), run, out);
-        if (batched_scans != nullptr) batched_scans->add(k);
+        batched_scans->add(k);
         for (std::size_t t = 0; t < k; ++t) {
           auto admit_at = [&](std::size_t j, std::int64_t qd) {
             if (qd <= qthresh[t]) {
@@ -561,6 +545,17 @@ class StorageNode final : public net::Actor {
   bool is_down(net::NodeId node) const { return down_.contains(node); }
   std::vector<net::NodeId> alive_group_members(std::uint32_t group) const;
 
+  // Identity of a stored block in block_keys_.
+  static std::uint64_t block_key(std::uint32_t sequence, std::uint32_t start) {
+    return (static_cast<std::uint64_t>(sequence) << 32) | start;
+  }
+  // An empty local vp-tree over arena_, seeded per node id.
+  vpt::DynamicVpTree<BlockRef, BlockRefMetric> make_tree() const {
+    return vpt::DynamicVpTree<BlockRef, BlockRefMetric>(
+        BlockRefMetric{config_.distance, &arena_},
+        {.bucket_capacity = config_.bucket_capacity,
+         .seed = 0x6e6f6465ULL + id_});
+  }
   // Admits blocks this node does not yet store: dedups against
   // block_keys_, appends windows to the arena, returns the new refs.
   std::vector<BlockRef> admit_blocks(std::vector<Block> blocks);
@@ -604,8 +599,8 @@ class StorageNode final : public net::Actor {
   // whose metric points at it.
   vpt::WindowArena arena_;
   vpt::DynamicVpTree<BlockRef, BlockRefMetric> tree_;
-  // Identities of stored blocks ((sequence << 32) | start) so re-deliveries
-  // during replication and rebalance stay idempotent.
+  // block_key()s of stored blocks, so re-deliveries during replication
+  // and rebalance stay idempotent.
   std::unordered_set<std::uint64_t> block_keys_;
   std::unordered_map<std::uint32_t, StoredSequence> sequences_;
   std::set<net::NodeId> down_;
@@ -627,9 +622,8 @@ class StorageNode final : public net::Actor {
   std::unordered_map<std::string, std::vector<Seed>> nn_cache_
       MENDEL_GUARDED_BY(nn_cache_mu_);
 
-  // Observability: span storage for traced queries and cached histogram
-  // handles (null when config_.metrics is null — instrumentation then
-  // costs a single pointer test per site).
+  // Observability: span storage for traced queries and the instrument
+  // handles, resolved from config_.metrics once at construction.
   obs::SpanBuffer span_buffer_;
   // Dispatch-time histogram sampling (handler thread only): every
   // kHandlerSample-th message pays the two clock reads.
@@ -648,10 +642,6 @@ class StorageNode final : public net::Actor {
   // and how often searches take the batched vs scalar-fallback path.
   obs::Counter* c_batched_scans_ = nullptr;
   obs::Counter* c_scalar_fallbacks_ = nullptr;
-  // Extension-pipeline savings (mirrors of the NodeCounters fields so the
-  // cluster-wide registry aggregates them).
-  obs::Counter* c_ranges_coalesced_ = nullptr;
-  obs::Counter* c_anchors_pruned_ = nullptr;
   // Frames rejected by the bad-frame guard (mirror of
   // counters_.decode_errors for the cluster-wide registry).
   obs::Counter* c_decode_errors_ = nullptr;

@@ -121,7 +121,7 @@ TEST(NnCache, CachedSeedsProduceIdenticalHits) {
 
   // Cache-off client: every query runs fresh vp-tree searches.
   auto cold_options = cluster_options();
-  cold_options.runtime.nn_cache_capacity = 0;
+  cold_options.runtime.node.nn_cache_capacity = 0;
   core::Client cold(cold_options);
   cold.index(store);
   const auto fresh = cold.query(query);
@@ -187,7 +187,7 @@ TEST(NnCache, InvalidatedByRebalance) {
 
 TEST(NnCache, CapacityBoundsEntries) {
   auto options = cluster_options();
-  options.runtime.nn_cache_capacity = 4;
+  options.runtime.node.nn_cache_capacity = 4;
   const auto store = workload::generate_database(database_spec());
   core::Client client(options);
   client.index(store);
@@ -198,7 +198,7 @@ TEST(NnCache, CapacityBoundsEntries) {
     // Wholesale eviction at capacity: a node may briefly exceed the cap by
     // the in-flight batch but never unboundedly.
     EXPECT_LE(client.node(id).nn_cache_entries(),
-              options.runtime.nn_cache_capacity + 64);
+              options.runtime.node.nn_cache_capacity + 64);
   }
 }
 
@@ -216,7 +216,7 @@ TEST(ConcurrentQuery, ParallelSubquerySearchIsDeterministic) {
   // (cache off so every subquery actually exercises the pool path).
   auto pooled_options = cluster_options();
   pooled_options.runtime.search_threads = 3;
-  pooled_options.runtime.nn_cache_capacity = 0;
+  pooled_options.runtime.node.nn_cache_capacity = 0;
   core::Client pooled(pooled_options);
   pooled.index(store);
   const auto pooled_outcome = pooled.query(query);

@@ -492,8 +492,8 @@ TEST(Metrics, ExtensionPipelineCountersAndHistograms) {
   EXPECT_FALSE(outcome.hits.empty());
 
   const auto snap = client.metrics();
-  EXPECT_GT(snap.counter("fetch.ranges_coalesced"), 0u);
-  EXPECT_GT(snap.counter("extend.anchors_pruned"), 0u);
+  EXPECT_GT(snap.counter("node.fetch_ranges_coalesced"), 0u);
+  EXPECT_GT(snap.counter("node.anchors_pruned"), 0u);
   // The registry view agrees with the nodes' own NodeCounters.
   EXPECT_EQ(snap.counter("node.fetch_ranges_coalesced"),
             node_total(client, &core::NodeCounters::fetch_ranges_coalesced));

@@ -505,10 +505,12 @@ TEST(Pipeline, ThreadTransportEndToEnd) {
       indexer.build_prefix_tree(store, {.cutoff_depth = 4});
   topology.bind_prefixes(prefix_tree.leaf_prefixes());
 
+  obs::MetricsRegistry registry;
   core::StorageNodeConfig node_config;
   node_config.topology = &topology;
   node_config.prefix_tree = &prefix_tree;
   node_config.distance = &distance;
+  node_config.metrics = &registry;
   node_config.alphabet = store.alphabet();
   node_config.database_residues = store.total_residues();
 

@@ -527,8 +527,10 @@ TEST(Settle, SocketSettleWithGoneDaemonReturnsWithinTimeout) {
 TEST(Settle, UninitializedNodeHostStillSettles) {
   const std::string ep = uds_endpoint("settle_host", 0);
   net::SocketTransport daemon(socket_options({ep}));
+  obs::MetricsRegistry registry;
   core::NodeHostOptions host_options;
   host_options.node_ids = {0};
+  host_options.metrics = &registry;
   core::NodeHost host(&daemon, host_options);
   daemon.start();
 

@@ -106,6 +106,7 @@ struct BasicMiniCluster {
   const score::DistanceMatrix& distance;
   seq::SequenceStore store;
   vpt::VpPrefixTree prefix_tree;
+  obs::MetricsRegistry registry;
   std::unique_ptr<ThreadPool> pool;
   std::vector<std::unique_ptr<StorageNode>> nodes;
   std::vector<std::unique_ptr<HostileReplies>> hostile;
@@ -127,6 +128,7 @@ struct BasicMiniCluster {
     config.topology = &topology;
     config.prefix_tree = &prefix_tree;
     config.distance = &distance;
+    config.metrics = &registry;
     config.alphabet = seq::Alphabet::kProtein;
     config.database_residues = store.total_residues();
     // These tests address nodes directly with hand-crafted, unrouted
@@ -472,6 +474,7 @@ TEST(StorageNode, SaveLoadRoundTripPreservesState) {
   config.topology = &mini.topology;
   config.prefix_tree = &mini.prefix_tree;
   config.distance = &mini.distance;
+  config.metrics = &mini.registry;
   config.alphabet = seq::Alphabet::kProtein;
   StorageNode restored(1, config);
   restored.load(node.save());
@@ -487,6 +490,7 @@ TEST(StorageNode, LoadRejectsWrongNodeId) {
   config.topology = &mini.topology;
   config.prefix_tree = &mini.prefix_tree;
   config.distance = &mini.distance;
+  config.metrics = &mini.registry;
   StorageNode other(2, config);
   EXPECT_THROW(other.load(shard), InvalidArgument);
 }
@@ -524,7 +528,7 @@ TEST(StorageNode, SnapshotRoundTripUnderSpillBudgetMatchesAllResident) {
   resident.save_index(path);
 
   auto spill_options = options;
-  spill_options.runtime.arena_resident_budget = 1;  // clamps to store floor
+  spill_options.runtime.node.arena_resident_budget = 1;  // clamps to floor
   Client restored(spill_options);
   restored.load_index(path);
   EXPECT_TRUE(restored.indexed());
@@ -581,7 +585,7 @@ TEST(StorageNode, SpilledClusterSavesByteIdenticalSnapshot) {
   resident.save_index(resident_path);
 
   auto spill_options = options;
-  spill_options.runtime.arena_resident_budget = 1;
+  spill_options.runtime.node.arena_resident_budget = 1;
   Client spilled(spill_options);
   spilled.index(store);
   const std::string spilled_path = "/tmp/mendel_snap_spilled.bin";

@@ -50,10 +50,12 @@ core::QueryResultPayload run_threaded(const seq::SequenceStore& store,
   const auto tree = indexer.build_prefix_tree(store, {.cutoff_depth = 4});
   topology.bind_prefixes(tree.leaf_prefixes());
 
+  obs::MetricsRegistry registry;
   core::StorageNodeConfig config;
   config.topology = &topology;
   config.prefix_tree = &tree;
   config.distance = &distance;
+  config.metrics = &registry;
   config.alphabet = store.alphabet();
   config.database_residues = store.total_residues();
 
@@ -263,13 +265,15 @@ TEST(TransportParity, DnaBatchMatchesAcrossTransports) {
 // nodes over Unix-domain sockets, wired exactly as mendel-node processes
 // would be (separate SocketTransport + NodeHost per daemon, the client
 // reaching them only through real sockets and the kNodeInit protocol).
+// Daemon d hosts the node ids congruent to d, each under `settings`.
 struct SocketCluster {
   std::vector<std::string> endpoints;
+  obs::MetricsRegistry registry;
   std::vector<std::unique_ptr<core::NodeHost>> hosts;
   std::vector<std::unique_ptr<net::SocketTransport>> transports;
 
   SocketCluster(const std::string& tag, std::size_t total_nodes,
-                std::size_t daemons) {
+                std::size_t daemons, const core::NodeSettings& settings = {}) {
     for (std::size_t id = 0; id < total_nodes; ++id) {
       endpoints.push_back("unix:" + testing::TempDir() + "mendel_parity_" +
                           std::to_string(::getpid()) + "_" + tag + "_" +
@@ -284,6 +288,8 @@ struct SocketCluster {
       for (std::size_t id = daemon; id < total_nodes; id += daemons) {
         host_options.node_ids.push_back(static_cast<net::NodeId>(id));
       }
+      host_options.node = settings;
+      host_options.metrics = &registry;
       hosts.push_back(std::make_unique<core::NodeHost>(
           transports.back().get(), std::move(host_options)));
     }
@@ -296,29 +302,31 @@ struct SocketCluster {
     }
     for (auto& starter : starters) starter.join();
   }
-  ~SocketCluster() {
+  ~SocketCluster() { stop(); }
+
+  // Joins every daemon's threads, so the test thread may then read what
+  // their handlers wrote.
+  void stop() {
     for (auto& transport : transports) transport->stop();
+  }
+  core::StorageNode* node(net::NodeId id) {
+    return hosts[id % hosts.size()]->node(id);
   }
 };
 
-void run_socket_parity(seq::Alphabet alphabet, const std::string& tag) {
-  auto dbspec = spec();
-  dbspec.alphabet = alphabet;
-  const auto store = workload::generate_database(dbspec);
-  const auto queries = parity_queries(store);
-  core::QueryParams params;
-  if (alphabet == seq::Alphabet::kDna) {
-    params.matrix = "DNA";
-    params.identity = 0.6;
-    params.c_score = 0.4;
-    params.gapped_trigger = 1.0;
-  }
-
+// Expects `cluster`'s ranked hits for `queries` to equal a simulator
+// client's at the default settings; `sim_metrics`, when given, receives
+// the simulator client's metrics.
+void expect_socket_matches_sim(SocketCluster& cluster,
+                               const seq::SequenceStore& store,
+                               const std::vector<seq::Sequence>& queries,
+                               const core::QueryParams& params,
+                               obs::MetricsSnapshot* sim_metrics = nullptr) {
   core::Client sim_client(parity_options(core::TransportMode::kSim));
   sim_client.index(store);
   const auto sim_outcomes = sim_client.query_batch(queries, params);
+  if (sim_metrics != nullptr) *sim_metrics = sim_client.metrics();
 
-  SocketCluster cluster(tag, 6, 3);
   auto options = parity_options(core::TransportMode::kSocket);
   options.runtime.socket.endpoints = cluster.endpoints;
   core::Client socket_client(options);
@@ -339,6 +347,21 @@ void run_socket_parity(seq::Alphabet alphabet, const std::string& tag) {
   }
 }
 
+void run_socket_parity(seq::Alphabet alphabet, const std::string& tag) {
+  auto dbspec = spec();
+  dbspec.alphabet = alphabet;
+  const auto store = workload::generate_database(dbspec);
+  core::QueryParams params;
+  if (alphabet == seq::Alphabet::kDna) {
+    params.matrix = "DNA";
+    params.identity = 0.6;
+    params.c_score = 0.4;
+    params.gapped_trigger = 1.0;
+  }
+  SocketCluster cluster(tag, 6, 3);
+  expect_socket_matches_sim(cluster, store, parity_queries(store), params);
+}
+
 // The tentpole guarantee: real sockets are just another transport — the
 // ranked hits a multi-daemon socket cluster produces must be exactly the
 // deterministic simulator's, for both alphabets.
@@ -350,10 +373,6 @@ TEST(TransportParity, SocketClusterMatchesSimDna) {
   run_socket_parity(seq::Alphabet::kDna, "dna");
 }
 
-// Arena residency is a memory policy, not a results policy: a clamped
-// resident budget (packed rows spilled through the block store) must
-// reproduce the all-resident ranked hits exactly, on both transports and
-// for both the packed (DNA) and unpacked (protein) row formats.
 // A node searches its NN-cache misses kSearchBatch at a time in one
 // vp-tree walk, so which subqueries share a walk depends on the cache (it
 // decides what misses) and on nothing else; the search pool only runs
@@ -374,7 +393,7 @@ std::vector<std::vector<std::uint8_t>> hits_with_runtime(
   auto options = parity_options(core::TransportMode::kSim);
   options.topology.num_groups = 1;
   options.runtime.search_threads = search_threads;
-  options.runtime.nn_cache_capacity = nn_cache_capacity;
+  options.runtime.node.nn_cache_capacity = nn_cache_capacity;
   core::Client client(options);
   client.index(store);
 
@@ -408,7 +427,7 @@ std::vector<std::vector<std::uint8_t>> hits_with_runtime(
 }
 
 TEST(TransportParity, RankedHitsDoNotDependOnSearchBatching) {
-  const std::size_t default_cache = core::RuntimeOptions{}.nn_cache_capacity;
+  const std::size_t default_cache = core::NodeSettings{}.nn_cache_capacity;
   for (const auto alphabet : {seq::Alphabet::kProtein, seq::Alphabet::kDna}) {
     const auto reference = hits_with_runtime(alphabet, 0, 0);
     std::size_t with_hits = 0;
@@ -429,6 +448,10 @@ TEST(TransportParity, RankedHitsDoNotDependOnSearchBatching) {
   }
 }
 
+// Arena residency is a memory policy, not a results policy: a clamped
+// resident budget (packed rows spilled through the block store) must
+// reproduce the all-resident ranked hits exactly, on both transports and
+// for both the packed (DNA) and unpacked (protein) row formats.
 TEST(TransportParity, SpillForcedBudgetMatchesAllResident) {
   for (const auto alphabet : {seq::Alphabet::kDna, seq::Alphabet::kProtein}) {
     auto dbspec = spec();
@@ -454,7 +477,7 @@ TEST(TransportParity, SpillForcedBudgetMatchesAllResident) {
       const auto resident = resident_client.query_batch(queries, params);
 
       auto spill_options = resident_options;
-      spill_options.runtime.arena_resident_budget = 1;  // clamps to floor
+      spill_options.runtime.node.arena_resident_budget = 1;  // clamps to floor
       core::Client spill_client(spill_options);
       spill_client.index(store);
       const auto spilled = spill_client.query_batch(queries, params);
@@ -468,49 +491,60 @@ TEST(TransportParity, SpillForcedBudgetMatchesAllResident) {
   }
 }
 
+// Long homologous families plus short unrelated subjects, searched by
+// top-2 queries cut from the long ones: a short subject cannot outscore
+// a long query's strong hit, so the coordinator's pruning has real prey.
+struct PruneCase {
+  seq::SequenceStore store;
+  std::vector<seq::Sequence> queries;
+  core::QueryParams params;
+};
+
+PruneCase prune_case(seq::Alphabet alphabet) {
+  auto long_spec = spec();
+  long_spec.alphabet = alphabet;
+  long_spec.families = 2;
+  long_spec.background_sequences = 0;
+  long_spec.min_length = 350;
+  long_spec.max_length = 420;
+  auto short_spec = long_spec;
+  short_spec.families = 3;
+  short_spec.members_per_family = 2;
+  short_spec.background_sequences = 6;
+  short_spec.min_length = 40;
+  short_spec.max_length = 60;
+  short_spec.seed = 78;
+  PruneCase out{seq::SequenceStore(alphabet), {}, {}};
+  for (const auto& s : workload::generate_database(long_spec)) {
+    out.store.add(s);
+  }
+  for (const auto& s : workload::generate_database(short_spec)) {
+    out.store.add(s);
+  }
+  for (std::size_t donor : {1u, 4u}) {
+    const auto region = out.store.at(donor).window(5, 345);
+    out.queries.emplace_back(
+        alphabet, "probe" + std::to_string(out.queries.size()),
+        std::vector<seq::Code>{region.begin(), region.end()});
+  }
+  out.params.gapped_trigger = 0.1;
+  out.params.max_hits = 2;
+  if (alphabet == seq::Alphabet::kDna) {
+    out.params.matrix = "DNA";
+    out.params.identity = 0.6;
+    out.params.c_score = 0.4;
+  }
+  return out;
+}
+
 // Score-bounded pruning is a work policy, not a results policy: skipping
 // bins whose score ceiling cannot crack the top-k must reproduce the
 // unpruned ranked hits exactly, on both transports and both alphabets.
-// The mixed-length store (long homologous family + short unrelated
-// subjects) gives the pruner real prey; the counter assertion keeps the
-// equivalence check from passing vacuously.
+// The counter assertion keeps the equivalence check from passing
+// vacuously.
 TEST(TransportParity, PruningMatchesUnprunedExactly) {
   for (const auto alphabet : {seq::Alphabet::kDna, seq::Alphabet::kProtein}) {
-    auto long_spec = spec();
-    long_spec.alphabet = alphabet;
-    long_spec.families = 2;
-    long_spec.background_sequences = 0;
-    long_spec.min_length = 350;
-    long_spec.max_length = 420;
-    auto short_spec = long_spec;
-    short_spec.families = 3;
-    short_spec.members_per_family = 2;
-    short_spec.background_sequences = 6;
-    short_spec.min_length = 40;
-    short_spec.max_length = 60;
-    short_spec.seed = 78;
-    seq::SequenceStore store(alphabet);
-    for (const auto& s : workload::generate_database(long_spec)) store.add(s);
-    for (const auto& s : workload::generate_database(short_spec)) {
-      store.add(s);
-    }
-
-    std::vector<seq::Sequence> queries;
-    for (std::size_t donor : {1u, 4u}) {
-      const auto region = store.at(donor).window(5, 345);
-      queries.emplace_back(
-          store.alphabet(), "probe" + std::to_string(queries.size()),
-          std::vector<seq::Code>{region.begin(), region.end()});
-    }
-    core::QueryParams params;
-    params.gapped_trigger = 0.1;
-    params.max_hits = 2;
-    if (alphabet == seq::Alphabet::kDna) {
-      params.matrix = "DNA";
-      params.identity = 0.6;
-      params.c_score = 0.4;
-    }
-
+    const auto [store, queries, params] = prune_case(alphabet);
     for (const auto mode :
          {core::TransportMode::kSim, core::TransportMode::kThreaded}) {
       auto options = parity_options(mode);
@@ -524,7 +558,7 @@ TEST(TransportParity, PruningMatchesUnprunedExactly) {
                 0u);
 
       auto unpruned_options = options;
-      unpruned_options.runtime.prune_extensions = false;
+      unpruned_options.runtime.node.prune_extensions = false;
       core::Client unpruned_client(unpruned_options);
       unpruned_client.index(store);
       const auto unpruned = unpruned_client.query_batch(queries, params);
@@ -549,6 +583,32 @@ TEST(TransportParity, PruningMatchesUnprunedExactly) {
       }
     }
   }
+}
+
+// A NodeHost builds its nodes with its own NodeSettings, not the
+// defaults: hosts with the NN cache and extension pruning off still give
+// the simulator's ranked hits, and not one hosted node caches a seed list
+// or prunes an anchor, although the simulator at the defaults does both.
+TEST(TransportParity, SocketHostsApplyTheirNodeSettings) {
+  core::NodeSettings settings;
+  settings.nn_cache_capacity = 0;
+  settings.prune_extensions = false;
+  SocketCluster cluster("settings", 6, 3, settings);
+  const auto [store, queries, params] = prune_case(seq::Alphabet::kProtein);
+  obs::MetricsSnapshot sim;
+  expect_socket_matches_sim(cluster, store, queries, params, &sim);
+  EXPECT_GT(sim.counter("node.nn_cache_misses"), 0u);
+  EXPECT_GT(sim.counter("node.anchors_pruned"), 0u);
+  cluster.stop();
+  std::uint64_t searches = 0;
+  for (net::NodeId id = 0; id < cluster.endpoints.size(); ++id) {
+    const core::StorageNode* node = cluster.node(id);
+    ASSERT_NE(node, nullptr) << "node " << id;
+    searches += node->counters().nn_searches;
+    EXPECT_EQ(node->nn_cache_entries(), 0u) << "node " << id;
+    EXPECT_EQ(node->counters().anchors_pruned, 0u) << "node " << id;
+  }
+  EXPECT_GT(searches, 0u);
 }
 
 // Schedule exploration: the simulator normally breaks delivery-time ties

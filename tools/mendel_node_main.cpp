@@ -29,6 +29,7 @@
 #include "src/common/error.h"
 #include "src/mendel/node_host.h"
 #include "src/net/socket_transport.h"
+#include "src/obs/metrics.h"
 
 namespace {
 
@@ -98,12 +99,15 @@ int main(int argc, char** argv) {
       return 0;
     }
 
+    // The hosted nodes' instruments: every daemon keeps its own registry.
+    obs::MetricsRegistry registry;
     core::NodeHostOptions host_options;
     host_options.node_ids = parse_node_ids(flags.str_required("nodes"));
     host_options.search_threads =
         static_cast<unsigned>(flags.integer("search-threads", 0));
-    host_options.arena_resident_budget =
+    host_options.node.arena_resident_budget =
         static_cast<std::size_t>(flags.integer("arena-budget", 0));
+    host_options.metrics = &registry;
 
     net::SocketOptions socket;
     socket.endpoints = net::endpoints_from_env(
