@@ -325,23 +325,23 @@ BENCHMARK(BM_LeafScanMultiProbePacked)
 // --- 2b. banded gapped extension ----------------------------------------
 
 // The gapped-extension kernel on realistic anchor extensions: ~70%
-// identity pairs, paper-default band radius. Counts alignments per second
-// through the dispatched entry point (force scalar via MENDEL_SIMD_LEVEL
-// to record the baseline side).
-void BM_BandedExtend(benchmark::State& state) {
+// identity pairs of `length` residues, centered band. Counts alignments per
+// second through the dispatched entry point (force scalar via
+// MENDEL_SIMD_LEVEL to record the baseline side); `cells_per_second`
+// counts DP band cells, m * (2 * radius + 1) per alignment.
+void run_banded_extend(benchmark::State& state, const score::ScoringMatrix& scores,
+                       std::size_t length, std::size_t radius) {
   Rng rng(110);
-  const auto& scores = score::blosum62();
   constexpr std::size_t kPairs = 64;
   std::vector<std::pair<seq::Sequence, seq::Sequence>> pairs;
   pairs.reserve(kPairs);
   for (std::size_t i = 0; i < kPairs; ++i) {
-    auto a = workload::random_sequence(seq::Alphabet::kProtein, 400, "a",
-                                       rng);
+    auto a = workload::random_sequence(scores.alphabet(), length, "a", rng);
     auto b = workload::mutate_to_similarity(a, 0.7, "b", rng);
     pairs.emplace_back(std::move(a), std::move(b));
   }
   align::BandedParams params;
-  params.band_radius = static_cast<std::size_t>(state.range(0));
+  params.band_radius = radius;
   params.center_diag = 0;
   std::size_t i = 0;
   std::int64_t sink = 0;
@@ -354,8 +354,34 @@ void BM_BandedExtend(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations());
+  state.counters["cells_per_second"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) *
+          static_cast<double>(length * (2 * radius + 1)),
+      benchmark::Counter::kIsRate);
+}
+
+// 400-residue protein pairs; the argument is the band radius.
+void BM_BandedExtend(benchmark::State& state) {
+  run_banded_extend(state, score::blosum62(), 400,
+                    static_cast<std::size_t>(state.range(0)));
 }
 BENCHMARK(BM_BandedExtend)->Arg(16)->Arg(64);
+
+// Protein pairs at the default radius 16; the argument is the length
+// (the pipeline extends queries of a few hundred to ~1,000 residues).
+void BM_BandedExtendLength(benchmark::State& state) {
+  run_banded_extend(state, score::blosum62(),
+                    static_cast<std::size_t>(state.range(0)), 16);
+}
+BENCHMARK(BM_BandedExtendLength)->Arg(300)->Arg(900);
+
+// 400-residue DNA pairs under the DNA matrix, as dna-ingest-sim extends;
+// the argument is the band radius.
+void BM_BandedExtendDna(benchmark::State& state) {
+  static const score::ScoringMatrix dna = score::dna_matrix();
+  run_banded_extend(state, dna, 400, static_cast<std::size_t>(state.range(0)));
+}
+BENCHMARK(BM_BandedExtendDna)->Arg(16)->Arg(64);
 
 // --- 3. vp-tree k-NN over block windows ---------------------------------
 

@@ -50,6 +50,8 @@ struct GappedAlignment {
                ? 0.0
                : static_cast<double>(identities) / static_cast<double>(columns);
   }
+
+  bool operator==(const GappedAlignment&) const = default;
 };
 
 // Final ranked hit returned to clients (both Mendel and the baseline).

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/align/banded_detail.h"
+#include "src/common/check.h"
 #include "src/common/simd.h"
 
 namespace mendel::align {
@@ -31,8 +32,23 @@ GappedAlignment banded_local_align(seq::CodeSpan query, seq::CodeSpan subject,
                                    const BandedParams& params) {
   if (detail::banded_simd_compiled() &&
       simd::active_level() == simd::Level::kAVX2) {
-    return detail::banded_local_align_simd(query, subject, scores, gaps,
-                                           params);
+    GappedAlignment got = detail::banded_local_align_simd(
+        query, subject, scores, gaps, params);
+#ifdef MENDEL_CHECKED
+    // Kernel audit: every extension a checked build runs is also run by
+    // the oracle, so pipeline and parity suites pin the kernel on real
+    // extension shapes.
+    const GappedAlignment want =
+        banded_local_align_reference(query, subject, scores, gaps, params);
+    MENDEL_CHECK(got == want,
+                 "banded kernel audit: " << query.size() << " x "
+                     << subject.size() << " center " << params.center_diag
+                     << " radius " << params.band_radius << ": kernel score "
+                     << got.hsp.score << " cigar " << got.cigar
+                     << ", reference score " << want.hsp.score << " cigar "
+                     << want.cigar);
+#endif
+    return got;
   }
   return banded_local_align_reference(query, subject, scores, gaps, params);
 }
@@ -49,7 +65,9 @@ GappedAlignment banded_local_align_reference(seq::CodeSpan query,
 
   const int open = gaps.open + gaps.extend;
   const int extend = gaps.extend;
-  const auto radius = static_cast<std::ptrdiff_t>(params.band_radius);
+  const std::ptrdiff_t radius =
+      detail::clamp_band_radius(m, n, params.center_diag, params.band_radius);
+  if (radius < 0) return result;
   // Band width in cells per row. Index b maps to subject position
   // s = q + center - radius + b (1-based DP coordinates).
   const std::size_t width = static_cast<std::size_t>(2 * radius + 1);
@@ -152,7 +170,7 @@ GappedAlignment banded_local_align_reference(seq::CodeSpan query,
     std::swap(prev, curr);
   }
 
-  return detail::banded_traceback(query, subject, tb, width,
+  return detail::banded_traceback(query, subject, tb.data(), width,
                                   params.center_diag, radius, best, best_q,
                                   best_s);
 }

@@ -9,6 +9,9 @@
 //
 // With a band that covers the whole rectangle this is exactly
 // smith_waterman() — the property test in tests/align_test.cpp pins that.
+// A radius reaching past the rectangle is clamped to the smallest one that
+// covers the same cells, so the DP never exceeds (m + 1) * (2 (m + n) + 1)
+// cells whatever radius a request carries.
 #pragma once
 
 #include "src/align/alignment.h"
@@ -24,11 +27,13 @@ struct BandedParams {
   std::size_t band_radius = 16;
 };
 
-// Dispatched entry point: runs the striped SIMD row fill when the active
+// Dispatched entry point: runs the AVX2 row kernel when the active
 // dispatch level supports it, the scalar reference otherwise. Both produce
-// identical alignments (score, coordinates, CIGAR) — the SIMD fill keeps
-// exact kNegInf dead-cell discipline and replicates the reference's
-// tie-break order bit for bit; tests/simd_kernel_test.cpp pins this.
+// identical alignments (score, coordinates, CIGAR, column stats): the
+// kernel computes every cell and traceback byte the reference does, dead
+// cells at exactly kNegInf and ties broken the reference's way;
+// tests/simd_kernel_test.cpp pins this, and MENDEL_CHECKED builds run the
+// reference beside the kernel on every call and check the two agree.
 GappedAlignment banded_local_align(seq::CodeSpan query, seq::CodeSpan subject,
                                    const score::ScoringMatrix& scores,
                                    score::GapPenalties gaps,
@@ -44,13 +49,13 @@ GappedAlignment banded_local_align_reference(seq::CodeSpan query,
 
 namespace detail {
 
-// True when this binary carries the vectorized banded fill (x86 with the
+// True when this binary carries the AVX2 row kernel (x86 with the
 // MENDEL_SIMD option on). Defined in banded_simd.cpp.
 bool banded_simd_compiled();
 
-// The striped implementation; falls back to the reference when not
-// compiled in. Callers normally go through banded_local_align(); the fuzz
-// test calls this directly to pin SIMD == reference.
+// The AVX2 row kernel; falls back to the reference when not compiled in.
+// Callers normally go through banded_local_align(); the fuzz tests call
+// this directly to pin kernel == reference.
 GappedAlignment banded_local_align_simd(seq::CodeSpan query,
                                         seq::CodeSpan subject,
                                         const score::ScoringMatrix& scores,

@@ -1,10 +1,12 @@
-// Shared internals of the banded local aligner: the packed traceback cell
-// encoding and the traceback walk itself. Both the scalar reference
-// (banded.cpp) and the striped SIMD row fill (banded_simd.cpp) produce the
-// same (m + 1) * width traceback matrix layout, so they share one decoder —
-// and the exactness fuzz test can compare their outputs cell for cell.
+// Shared internals of the banded local aligner: the band clamp, the packed
+// traceback cell encoding and the traceback walk itself. Both the scalar
+// reference (banded.cpp) and the AVX2 row kernel (banded_simd.cpp) clamp the
+// band the same way and write the same (m + 1) * width traceback layout, so
+// they share one decoder.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -25,13 +27,37 @@ enum : std::uint8_t {
 
 constexpr int kNegInf = std::numeric_limits<int>::min() / 4;
 
+// The smallest band radius that covers the same cells of the m x n DP
+// rectangle as `radius` around `center_diag`, or -1 when the band misses
+// the rectangle. The rectangle's diagonals s - q run from 1 - m to n - 1;
+// a wider band adds only cells outside it, which are dead, so clamping is
+// exact and bounds the DP at (m + 1) * (2 * (m + n) + 1) cells whatever
+// radius a caller asks for. Requires m, n >= 1.
+inline std::ptrdiff_t clamp_band_radius(std::size_t m, std::size_t n,
+                                        std::ptrdiff_t center_diag,
+                                        std::size_t radius) {
+  const auto lowest = 1 - static_cast<std::ptrdiff_t>(m);
+  const auto highest = static_cast<std::ptrdiff_t>(n) - 1;
+  // Distance from the center to the far end of the diagonal range; at
+  // least 0 because highest - lowest = m + n - 2 >= 0.
+  const std::ptrdiff_t reach =
+      std::max(center_diag - lowest, highest - center_diag);
+  const auto clamped = static_cast<std::ptrdiff_t>(
+      std::min(radius, static_cast<std::size_t>(reach)));
+  if (center_diag - clamped > highest || center_diag + clamped < lowest) {
+    return -1;
+  }
+  return clamped;
+}
+
 // Traceback over the packed band matrix: bits 0-1 are the M source, bits
 // 2-3 the Ix source, bits 4-5 the Iy source. `band_start_of(q)` = q +
 // center_diag - radius maps band index b to subject position s =
-// band_start_of(q) + b (1-based DP coordinates).
+// band_start_of(q) + b (1-based DP coordinates). Row q of `tb` starts at
+// q * width; row 0 is never read.
 inline GappedAlignment banded_traceback(
-    seq::CodeSpan query, seq::CodeSpan subject,
-    const std::vector<std::uint8_t>& tb, std::size_t width,
+    seq::CodeSpan query, seq::CodeSpan subject, const std::uint8_t* tb,
+    std::size_t width,
     std::ptrdiff_t center_diag, std::ptrdiff_t radius, int best,
     std::size_t best_q, std::ptrdiff_t best_s) {
   GappedAlignment result;

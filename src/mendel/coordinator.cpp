@@ -181,9 +181,9 @@ void StorageNode::coordinator_bin_and_fetch(std::uint64_t query_id,
   }
 
   // Per-bin fetch windows and homes, needed by both the pruning bound and
-  // the fetch stage.
-  const std::uint32_t margin =
-      pending.params.extension_margin + pending.params.band;
+  // the fetch stage: margin below the anchors, twice the margin past them.
+  const std::uint64_t margin =
+      std::uint64_t{pending.params.extension_margin} + pending.params.band;
   std::vector<PlannedFetch> plan(pending.bins.size());
   for (std::size_t i = 0; i < pending.bins.size(); ++i) {
     const SequenceBin& bin = pending.bins[i];
@@ -196,8 +196,9 @@ void StorageNode::coordinator_bin_and_fetch(std::uint64_t query_id,
       lo = std::min(lo, a.s_begin);
       hi = std::max(hi, a.s_end);
     }
-    f.start = lo > margin ? lo - margin : 0;
-    f.length = (lo - f.start) + (hi - lo) + 2 * margin;
+    const PaddedWindow window = padded_window(lo, hi, margin, 2 * margin);
+    f.start = window.start;
+    f.length = window.length();
   }
 
   // ---- score-bounded pruning (exact — see docs/architecture.md) --------

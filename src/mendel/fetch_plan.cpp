@@ -34,7 +34,7 @@ std::vector<CoalescedRange> coalesce_ranges(
       const std::uint64_t cur_end =
           static_cast<std::uint64_t>(cur.start) + cur.length;
       const std::uint64_t merged_end = std::max(cur_end, req_end);
-      cur.length = static_cast<std::uint32_t>(merged_end - cur.start);
+      cur.length = saturate_length(merged_end - cur.start);
       cur.members.push_back(idx);
       continue;
     }

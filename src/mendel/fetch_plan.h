@@ -15,9 +15,11 @@
 // tests can pin its rules directly (tests/fetch_plan_test.cpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,6 +29,29 @@
 #include "src/net/message.h"
 
 namespace mendel::core {
+
+// Window lengths travel in u32 fields. A longer window is saturated, which
+// loses nothing: the home clamps every window to its sequence.
+inline std::uint32_t saturate_length(std::uint64_t length) {
+  return static_cast<std::uint32_t>(std::min<std::uint64_t>(
+      length, std::numeric_limits<std::uint32_t>::max()));
+}
+
+// A subject window [start, end): `before` codes below `lo` (clamped at 0)
+// to `after` codes past `hi`. The margins come from a request's
+// QueryParams, so the sums run in 64 bits and cannot wrap.
+struct PaddedWindow {
+  std::uint32_t start = 0;
+  std::uint64_t end = 0;
+
+  std::uint32_t length() const { return saturate_length(end - start); }
+};
+
+inline PaddedWindow padded_window(std::uint32_t lo, std::uint64_t hi,
+                                  std::uint64_t before, std::uint64_t after) {
+  return {lo > before ? static_cast<std::uint32_t>(lo - before) : 0U,
+          hi + after};
+}
 
 // One requester-side range want: `length` codes of `sequence` from `start`
 // (already margin-padded and clamped at zero by the caller).

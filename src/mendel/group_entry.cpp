@@ -13,6 +13,18 @@
 
 namespace mendel::core {
 
+namespace {
+
+// The window a group entry fetches and extends a merged seed in:
+// extension_margin codes either side of the seed's subject span.
+PaddedWindow seed_window(std::uint32_t s_begin, std::uint32_t span,
+                         std::uint32_t margin) {
+  return padded_window(s_begin, std::uint64_t{s_begin} + span, margin,
+                       margin);
+}
+
+}  // namespace
+
 void StorageNode::on_group_query(const net::Message& message,
                                  net::Context& ctx) {
   auto request = decode_payload<GroupQueryPayload>(message.payload);
@@ -147,13 +159,12 @@ void StorageNode::group_entry_merge_and_fetch(std::uint64_t query_id,
   // into one kFetchRange per covering range and issue everything up front.
   // Extension runs per arrival instead of behind the last fetch,
   // overlapping fetch latency with compute.
-  const std::uint32_t margin = pending.params.extension_margin;
   std::vector<RangeRequest> requests;
   requests.reserve(pending.merged.size());
   for (const MergedSeed& m : pending.merged) {
-    const std::uint32_t start = m.s_begin > margin ? m.s_begin - margin : 0;
-    requests.push_back({m.sequence, start,
-                        (m.s_begin - start) + (m.q_end - m.q_begin) + margin});
+    const PaddedWindow window = seed_window(
+        m.s_begin, m.q_end - m.q_begin, pending.params.extension_margin);
+    requests.push_back({m.sequence, window.start, window.length()});
   }
   pending.fetch_plan = coalesce_ranges(requests);
   pending.anchor_slots.assign(pending.merged.size(), std::nullopt);
@@ -182,7 +193,6 @@ void StorageNode::extend_range(PendingGroupQuery& pending, std::size_t token,
   const FetchedRange& range = pending.fetch.range(token);
   if (range.codes.empty()) return;
   const auto& matrix = score::matrix_by_name(pending.params.matrix);
-  const std::uint32_t margin = pending.params.extension_margin;
   std::optional<Stopwatch> watch;
   if (wall_timing) watch.emplace();
   const std::uint64_t data_begin = range.start;
@@ -201,13 +211,11 @@ void StorageNode::extend_range(PendingGroupQuery& pending, std::size_t token,
     // never perturb where X-drop terminates (anchors stay byte-identical
     // to the one-fetch-per-seed dataflow).
     const std::uint32_t span = m.q_end - m.q_begin;
-    const std::uint32_t w_start = m.s_begin > margin ? m.s_begin - margin : 0;
-    const std::uint64_t w_end =
-        static_cast<std::uint64_t>(w_start) + (m.s_begin - w_start) + span +
-        margin;
-    const std::uint64_t view_begin = std::max<std::uint64_t>(w_start,
-                                                             data_begin);
-    const std::uint64_t view_end = std::min(w_end, data_end);
+    const PaddedWindow window =
+        seed_window(m.s_begin, span, pending.params.extension_margin);
+    const std::uint64_t view_begin =
+        std::max<std::uint64_t>(window.start, data_begin);
+    const std::uint64_t view_end = std::min(window.end, data_end);
     if (view_begin >= view_end) continue;
     if (m.s_begin < view_begin) continue;  // defensive: clamp mismatch
     const std::size_t s_local = m.s_begin - view_begin;

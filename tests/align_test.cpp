@@ -1,6 +1,8 @@
 // Unit and property tests for src/align: ungapped X-drop extension, full
 // Smith–Waterman, and the banded gapped aligner (including the
 // banded == SW oracle property from DESIGN.md §4).
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "src/align/banded.h"
@@ -253,6 +255,40 @@ TEST(Banded, EmptyInputs) {
   const auto q = dna("ACGT");
   EXPECT_EQ(banded_local_align(q, empty, m, {5, 2}, {0, 4}).hsp.score, 0);
   EXPECT_EQ(banded_local_align(empty, q, m, {5, 2}, {0, 4}).hsp.score, 0);
+}
+
+// A radius far past m + n is clamped to the rectangle: the DP stays
+// (m + 1) x (2 (m + n) + 1) and returns exactly the result of the
+// smallest band that covers every cell.
+TEST(Banded, RadiusPastTheRectangleIsClamped) {
+  Rng rng(91);
+  const auto& m = score::blosum62();
+  for (int i = 0; i < 8; ++i) {
+    const auto base = workload::random_sequence(
+        Alphabet::kProtein, 60 + 20 * static_cast<std::size_t>(i), "b", rng);
+    const auto mutated = workload::mutate(base, {0.1, 0.03, 0.5}, "m", rng);
+    const std::size_t covering = base.size() + mutated.size();
+    const std::ptrdiff_t center = i - 4;
+    const auto want = banded_local_align(base.codes(), mutated.codes(), m,
+                                         m.default_gaps(), {center, covering});
+    ASSERT_GT(want.hsp.score, 0);
+    for (std::size_t radius :
+         {std::size_t{1} << 40, std::size_t{0xFFFFFFFF},
+          std::numeric_limits<std::size_t>::max() / 4}) {
+      EXPECT_EQ(banded_local_align(base.codes(), mutated.codes(), m,
+                                   m.default_gaps(), {center, radius}),
+                want);
+      EXPECT_EQ(banded_local_align_reference(base.codes(), mutated.codes(), m,
+                                             m.default_gaps(),
+                                             {center, radius}),
+                want);
+    }
+  }
+  // A band that misses the rectangle has no cells at all.
+  const auto q = dna("ACGTACGT");
+  const auto dm = score::dna_matrix();
+  EXPECT_EQ(banded_local_align(q, q, dm, {5, 2}, {100, 50}).hsp.score, 0);
+  EXPECT_EQ(banded_local_align(q, q, dm, {5, 2}, {-100, 50}).hsp.score, 0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdio>
 #include <future>
+#include <limits>
 
 #include "src/mendel/client.h"
 #include "src/mendel/indexer.h"
@@ -199,6 +200,43 @@ TEST(Pipeline, RankedHitsDoNotDependOnLeafSize) {
       EXPECT_EQ(ranked_hits_per_round(alphabet, leaf), reference)
           << seq::name(alphabet) << " leaf size " << leaf;
     }
+  }
+}
+
+// ---------- request-supplied extension geometry ----------
+
+// `band` and `extension_margin` arrive in any peer's request. Values past
+// every sequence, up to UINT32_MAX, must neither wrap the fetch windows nor
+// size the DP on their own: the windows clamp to the sequence and the band
+// to the DP rectangle, so the hits equal those of a 10,000 band and margin
+// on a database of 150-400 residue sequences.
+TEST(Pipeline, HugeBandAndMarginGiveTheHitsOfCoveringOnes) {
+  const auto store = workload::generate_database(database_spec());
+  core::Client client(cluster_options());
+  client.index(store);
+  constexpr std::uint32_t kHuge = std::numeric_limits<std::uint32_t>::max();
+  core::QueryParams covering;
+  covering.band = 10000;
+  covering.extension_margin = 10000;
+  const auto ranked = [&](const seq::Sequence& query,
+                          const core::QueryParams& params) {
+    core::QueryResultPayload payload;
+    payload.hits = client.query(query, params).hits;
+    return core::encode_payload(payload);
+  };
+  for (const auto& query :
+       {probe_of(store, 5, 20, 120), probe_of(store, 13, 0, 140)}) {
+    const auto want = ranked(query, covering);
+    ASSERT_FALSE(client.query(query, covering).hits.empty());
+    core::QueryParams huge_band = covering;
+    huge_band.band = kHuge;
+    EXPECT_EQ(ranked(query, huge_band), want);
+    core::QueryParams huge_margin = covering;
+    huge_margin.extension_margin = kHuge;
+    EXPECT_EQ(ranked(query, huge_margin), want);
+    core::QueryParams both = huge_band;
+    both.extension_margin = kHuge;
+    EXPECT_EQ(ranked(query, both), want);
   }
 }
 

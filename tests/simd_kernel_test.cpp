@@ -276,6 +276,76 @@ TEST(SimdKernels, BandedAlignmentIdenticalToReference) {
   }
 }
 
+// A copy of `source` with substitutions and indel runs, flanked by random
+// residues: the subject of an anchor's fetch window.
+std::vector<seq::Code> indel_mutated(Rng& rng, const std::vector<seq::Code>& source,
+                                     std::size_t card, std::size_t flank_lo,
+                                     std::size_t flank_hi) {
+  std::vector<seq::Code> out = random_window(rng, flank_lo, card);
+  for (std::size_t i = 0; i < source.size(); ++i) {
+    if (rng.chance(0.02)) {  // insertion run
+      for (std::size_t k = 1 + rng.below(6); k > 0; --k) {
+        out.push_back(static_cast<seq::Code>(rng.below(card)));
+      }
+    }
+    if (rng.chance(0.02)) {  // deletion run
+      i += rng.below(6);
+      continue;
+    }
+    out.push_back(rng.chance(0.2) ? static_cast<seq::Code>(rng.below(card))
+                                  : source[i]);
+  }
+  const auto tail = random_window(rng, flank_hi, card);
+  out.insert(out.end(), tail.begin(), tail.end());
+  return out;
+}
+
+// The shapes the coordinator extends: queries up to ~1,200 residues against
+// indel-mutated windows with flanks, radii up to 72 (19 vectors a row, so
+// the Iy carry crosses many vectors), every matrix at its default gaps, and
+// bands that hang off either end of the subject.
+TEST(SimdKernels, BandedAlignmentIdenticalToReferenceOnExtensionShapes) {
+  Rng rng(0x51D0005);
+  const score::ScoringMatrix dna = score::dna_matrix();
+  const std::vector<const score::ScoringMatrix*> matrices = {
+      &score::blosum62(), &score::blosum80(), &score::pam250(), &dna};
+  for (int iter = 0; iter < 240; ++iter) {
+    const score::ScoringMatrix& scores = *matrices[iter % matrices.size()];
+    const std::size_t card = seq::cardinality(scores.alphabet());
+    const std::size_t qlen = 1 + rng.below(1200);
+    const std::vector<seq::Code> query = random_window(rng, qlen, card);
+    const std::size_t flank = rng.below(300);
+    const std::vector<seq::Code> subject =
+        iter % 8 == 7 ? random_window(rng, 1 + rng.below(1200), card)
+                      : indel_mutated(rng, query, card, flank,
+                                      rng.below(300));
+    const auto slen = static_cast<std::ptrdiff_t>(subject.size());
+    align::BandedParams params;
+    params.band_radius = 1 + rng.below(72);
+    const auto radius = static_cast<std::ptrdiff_t>(params.band_radius);
+    // Mostly near the planted diagonal; otherwise anywhere from past the
+    // bottom-left corner to past the top-right one.
+    params.center_diag =
+        iter % 3 != 2
+            ? static_cast<std::ptrdiff_t>(flank) - radius +
+                  static_cast<std::ptrdiff_t>(rng.below(2 * params.band_radius + 1))
+            : static_cast<std::ptrdiff_t>(rng.below(
+                  static_cast<std::uint64_t>(slen) + qlen + 2 * 72)) -
+                  static_cast<std::ptrdiff_t>(qlen) - 72;
+    const auto ref = align::banded_local_align_reference(
+        seq::CodeSpan(query), seq::CodeSpan(subject), scores,
+        scores.default_gaps(), params);
+    const auto got = align::detail::banded_local_align_simd(
+        seq::CodeSpan(query), seq::CodeSpan(subject), scores,
+        scores.default_gaps(), params);
+    ASSERT_EQ(got, ref) << "iter " << iter << ": " << qlen << " x " << slen
+                        << " center " << params.center_diag << " radius "
+                        << radius << ": ref score " << ref.hsp.score
+                        << " cigar " << ref.cigar << " vs kernel score "
+                        << got.hsp.score << " cigar " << got.cigar;
+  }
+}
+
 // The public entry point must dispatch consistently at every level.
 TEST(SimdKernels, BandedDispatchMatchesReferenceAtEveryLevel) {
   SimdLevelGuard guard;
