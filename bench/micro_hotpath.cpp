@@ -6,10 +6,12 @@
 // driven through real wire messages. Baseline/after numbers for each
 // optimization PR are recorded in BENCH_hotpath.json.
 //
-// Everything here goes through public, layout-agnostic APIs (distance
+// Most of it goes through public, layout-agnostic APIs (distance
 // functions, DynamicVpTree with a bench-local metric, StorageNode via
 // kInsertBlocks/kNodeSearch messages), so the same binary measures the
-// code before and after internal data-layout changes.
+// code before and after internal data-layout changes. The leaf scans drive
+// the node's own search metric (core::BlockRefMetric) and top-n state, so
+// they time the admission path a node runs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include "src/align/banded.h"
 #include "src/cluster/topology.h"
 #include "src/mendel/block.h"
+#include "src/mendel/block_metric.h"
 #include "src/mendel/protocol.h"
 #include "src/mendel/storage_node.h"
 #include "src/net/sim_transport.h"
@@ -155,90 +158,29 @@ void BM_LeafScan(benchmark::State& state) {
 }
 BENCHMARK(BM_LeafScan)->Arg(4096);
 
-// Top-16 lists of a batch of probes, kept the way a node's leaf scan
-// keeps them: scaled integer thresholds, converted to doubles on admission.
-struct TopLists {
-  static constexpr std::size_t kNeighbors = 16;
-  const score::QuantizedDistance* q;
-  std::vector<std::vector<double>> best;
-  std::vector<std::int64_t> qthresh;
-
-  TopLists(const score::QuantizedDistance* quantized, std::size_t probes)
-      : q(quantized),
-        best(probes),
-        qthresh(probes, std::numeric_limits<std::int64_t>::max()) {
-    for (auto& b : best) b.reserve(kNeighbors + 1);
-  }
-  void admit(std::size_t p, std::int64_t qd) {
-    if (qd > qthresh[p]) return;
-    auto& b = best[p];
-    const double d = q->to_double(qd);
-    b.insert(std::upper_bound(b.begin(), b.end(), d), d);
-    if (b.size() > kNeighbors) b.pop_back();
-    if (b.size() == kNeighbors) qthresh[p] = q->threshold(b.back());
-  }
-};
-
-// The top-16 scan of `count` arena rows for a batch of probes, the way a
-// node's leaf scan runs it: 256-row chunks through the multi-probe kernel
-// (QKernelTable::probes_batch / probes_batch_packed), admission by walking
-// each probe's pass mask, and QProbe::scan for any probe the kernel
-// declines.
-void scan_batch(const vpt::WindowArena& arena,
-                const std::vector<std::uint32_t>& slots,
-                const std::vector<const score::QProbe*>& probes,
-                TopLists& top) {
-  constexpr std::size_t kChunk = 256;
-  const auto& kernels = score::qkernels();
-  std::vector<std::uint64_t> pass(probes.size() * kChunk / 64);
-  std::vector<std::uint8_t> dist(probes.size() * kChunk);
-  const score::QScanOut out{pass.data(), dist.data(), kChunk};
-  std::int64_t qdists[kChunk];
-  for (std::size_t offset = 0; offset < slots.size(); offset += kChunk) {
-    const std::size_t run = std::min(slots.size() - offset, kChunk);
-    const std::uint32_t* chunk = slots.data() + offset;
-    const std::uint64_t served =
-        arena.packed()
-            ? kernels.probes_batch_packed(
-                  probes.data(), top.qthresh.data(), probes.size(),
-                  arena.base(), arena.stride(), arena.packed_bits(), chunk,
-                  run, out)
-            : kernels.probes_batch(probes.data(), top.qthresh.data(),
-                                   probes.size(), arena.base(),
-                                   arena.stride(), chunk, run, out);
-    for (std::size_t p = 0; p < probes.size(); ++p) {
-      if ((served >> p) & 1) {
-        for (std::size_t w = 0; w * 64 < run; ++w) {
-          for (std::uint64_t bits = pass[p * kChunk / 64 + w]; bits != 0;
-               bits &= bits - 1) {
-            const std::size_t j =
-                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-            top.admit(p, dist[p * kChunk + j]);
-          }
-        }
-        continue;
-      }
-      if (arena.packed()) {
-        probes[p]->scan_packed(arena.base(), arena.stride(),
-                               arena.packed_bits(), chunk, run,
-                               top.qthresh[p], qdists);
-      } else {
-        probes[p]->scan(arena.base(), arena.stride(), chunk, run,
-                        top.qthresh[p], qdists);
-      }
-      for (std::size_t j = 0; j < run; ++j) top.admit(p, qdists[j]);
-    }
-  }
-}
-
-// Leaf-scan rows and probe windows for one alphabet's bench arena.
+// Leaf-scan rows and probe windows for one alphabet's bench arena, with
+// the storage node's own search pieces over them: a BlockRef per row, the
+// probes' kernel tables, and a BlockRefMetric like the one
+// StorageNode::search_subqueries builds per search.
 struct ScanFixture {
+  static constexpr std::size_t kNeighbors = 16;
+
   vpt::WindowArena arena;
+  std::vector<core::BlockRef> items;
   std::vector<std::uint32_t> slots;
   std::vector<vpt::Window> probes;
+  std::vector<seq::CodeSpan> spans;
   const score::QuantizedDistance* q;
+  std::vector<score::QProbe> qprobes;
+  obs::MetricsRegistry registry;
+  core::BlockRefMetric metric;
+  // Each probe's 16th-neighbour threshold over all rows: the fixed
+  // threshold of the no-admission kernel floor.
+  std::vector<std::int64_t> final_threshold;
 
-  ScanFixture(seq::Alphabet alphabet, std::size_t count) {
+  ScanFixture(seq::Alphabet alphabet, std::size_t count)
+      : q(score::default_distance(alphabet).quantized()),
+        metric{&score::default_distance(alphabet), &arena} {
     std::vector<vpt::Window> rows;
     if (alphabet == seq::Alphabet::kDna) {
       Rng rng(111);
@@ -255,15 +197,53 @@ struct ScanFixture {
       probes = make_windows(64, 104);
     }
     for (std::size_t i = 0; i < count; ++i) {
-      arena.append(seq::CodeSpan(rows[i]));
-      slots.push_back(static_cast<std::uint32_t>(i));
+      const std::uint32_t slot = arena.append(seq::CodeSpan(rows[i]));
+      items.push_back({0, static_cast<std::uint32_t>(i), slot});
+      slots.push_back(slot);
     }
-    q = score::default_distance(alphabet).quantized();
+    if (q == nullptr) return;
+    for (const auto& probe : probes) {
+      spans.emplace_back(probe);
+      qprobes.emplace_back(*q, probe.data(), probe.size());
+    }
+    metric.probes = spans.data();
+    metric.batched_scans = &registry.counter("kernel.batched_scans");
+    metric.scalar_fallbacks = &registry.counter("kernel.scalar_fallbacks");
+    metric.qprobes = qprobes.data();
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+      const auto tops = scan(p, 1);
+      final_threshold.push_back(static_cast<std::int64_t>(tops[0].threshold()));
+    }
+  }
+
+  // Probes first .. first + batch (mod 64) against every row through
+  // BlockRefMetric::scan_leaf, each into its own uncapped top 16.
+  std::vector<vpt::TopN<core::BlockRef>> scan(std::size_t first,
+                                              std::size_t batch) const {
+    std::vector<core::BlockRef> targets;
+    std::vector<vpt::TopN<core::BlockRef>> tops;
+    tops.reserve(batch);
+    for (std::size_t b = 0; b < batch; ++b) {
+      targets.push_back({0, static_cast<std::uint32_t>((first + b) % 64),
+                         core::BlockRef::kProbeSlot});
+      tops.emplace_back(kNeighbors,
+                        metric.rank_domain().at_most(
+                            std::numeric_limits<double>::infinity()));
+    }
+    std::vector<const core::BlockRef*> target_ptrs;
+    std::vector<vpt::TopN<core::BlockRef>*> top_ptrs;
+    for (std::size_t b = 0; b < batch; ++b) {
+      target_ptrs.push_back(&targets[b]);
+      top_ptrs.push_back(&tops[b]);
+    }
+    metric.scan_leaf(target_ptrs.data(), batch, items.data(), items.size(),
+                     top_ptrs.data());
+    return tops;
   }
 };
 
-// `batch` probes per iteration, each with its own top-16 list over the
-// same 4,096 rows; items are probe-row pairs.
+// `batch` probes per iteration, each with its own top-16 over the same
+// 4,096 rows, admitted by the node's leaf scan; items are probe-row pairs.
 void run_leaf_scan(benchmark::State& state, seq::Alphabet alphabet,
                    std::size_t batch) {
   const ScanFixture fix(alphabet, static_cast<std::size_t>(state.range(0)));
@@ -273,17 +253,62 @@ void run_leaf_scan(benchmark::State& state, seq::Alphabet alphabet,
   }
   std::size_t p = 0;
   for (auto _ : state) {
-    std::vector<score::QProbe> owned;
-    owned.reserve(batch);
-    std::vector<const score::QProbe*> probes;
-    for (std::size_t b = 0; b < batch; ++b) {
-      const auto& probe = fix.probes[p++ % fix.probes.size()];
-      probes.push_back(&owned.emplace_back(*fix.q, probe.data(), probe.size()));
-    }
-    TopLists top(fix.q, batch);
-    scan_batch(fix.arena, fix.slots, probes, top);
-    benchmark::DoNotOptimize(top.best.data());
+    const auto tops = fix.scan(p, batch);
+    p += batch;
+    benchmark::DoNotOptimize(tops.data());
   }
+  state.SetLabel("row bytes " + std::to_string(fix.arena.row_bytes()));
+  state.SetItemsProcessed(state.iterations() * state.range(0) *
+                          static_cast<std::int64_t>(batch));
+}
+
+// The kernel floor under run_leaf_scan: the same multi-probe kernel calls
+// over the same 256-row chunks, each probe at the fixed threshold its
+// scan ends with, and no admission (the pass bits are only counted).
+void run_leaf_kernel(benchmark::State& state, seq::Alphabet alphabet,
+                     std::size_t batch) {
+  const ScanFixture fix(alphabet, static_cast<std::size_t>(state.range(0)));
+  if (fix.q == nullptr) {
+    state.SkipWithError("distance matrix has no quantized twin");
+    return;
+  }
+  constexpr std::size_t kChunk = core::BlockRefMetric::kBatchChunk;
+  const auto& kernels = score::qkernels();
+  std::vector<std::uint64_t> pass(batch * kChunk / 64);
+  std::vector<std::uint8_t> dist(batch * kChunk);
+  const score::QScanOut out{pass.data(), dist.data(), kChunk};
+  std::vector<const score::QProbe*> probes(batch);
+  std::vector<std::int64_t> qthresh(batch);
+  std::size_t p = 0;
+  std::uint64_t passed = 0;
+  for (auto _ : state) {
+    for (std::size_t b = 0; b < batch; ++b) {
+      probes[b] = &fix.qprobes[(p + b) % 64];
+      qthresh[b] = fix.final_threshold[(p + b) % 64];
+    }
+    p += batch;
+    for (std::size_t offset = 0; offset < fix.slots.size(); offset += kChunk) {
+      const std::size_t run = std::min(fix.slots.size() - offset, kChunk);
+      const std::uint32_t* chunk = fix.slots.data() + offset;
+      const std::uint64_t served =
+          fix.arena.packed()
+              ? kernels.probes_batch_packed(
+                    probes.data(), qthresh.data(), batch, fix.arena.base(),
+                    fix.arena.stride(), fix.arena.packed_bits(), chunk, run,
+                    out)
+              : kernels.probes_batch(probes.data(), qthresh.data(), batch,
+                                     fix.arena.base(), fix.arena.stride(),
+                                     chunk, run, out);
+      for (std::size_t b = 0; b < batch; ++b) {
+        if (((served >> b) & 1) == 0) continue;
+        for (std::size_t w = 0; w * 64 < run; ++w) {
+          passed += static_cast<std::uint64_t>(
+              std::popcount(pass[b * kChunk / 64 + w]));
+        }
+      }
+    }
+  }
+  benchmark::DoNotOptimize(passed);
   state.SetLabel("row bytes " + std::to_string(fix.arena.row_bytes()));
   state.SetItemsProcessed(state.iterations() * state.range(0) *
                           static_cast<std::int64_t>(batch));
@@ -320,6 +345,22 @@ void BM_LeafScanMultiProbePacked(benchmark::State& state) {
                 static_cast<std::size_t>(state.range(1)));
 }
 BENCHMARK(BM_LeafScanMultiProbePacked)
+    ->Args({4096, 1})->Args({4096, 8})->Args({4096, 32});
+
+// The kernel floor of BM_LeafScanMultiProbe and its packed twin: what the
+// leaf scan costs with admission taken out.
+void BM_LeafScanMultiProbeKernel(benchmark::State& state) {
+  run_leaf_kernel(state, seq::Alphabet::kProtein,
+                  static_cast<std::size_t>(state.range(1)));
+}
+BENCHMARK(BM_LeafScanMultiProbeKernel)
+    ->Args({4096, 1})->Args({4096, 8})->Args({4096, 32});
+
+void BM_LeafScanMultiProbeKernelPacked(benchmark::State& state) {
+  run_leaf_kernel(state, seq::Alphabet::kDna,
+                  static_cast<std::size_t>(state.range(1)));
+}
+BENCHMARK(BM_LeafScanMultiProbeKernelPacked)
     ->Args({4096, 1})->Args({4096, 8})->Args({4096, 32});
 
 // --- 2b. banded gapped extension ----------------------------------------

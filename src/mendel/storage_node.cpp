@@ -100,7 +100,7 @@ std::uint64_t StorageNode::record_span(const char* name,
   return span_id;
 }
 
-std::vector<StorageNode::BlockRef> StorageNode::admit_blocks(
+std::vector<BlockRef> StorageNode::admit_blocks(
     std::vector<Block> blocks) {
   std::vector<BlockRef> fresh;
   fresh.reserve(blocks.size());
@@ -378,10 +378,11 @@ std::vector<std::vector<Seed>> StorageNode::search_subqueries(
   spans.reserve(windows.size());
   targets.reserve(windows.size());
   const auto* q = config_.distance->quantized();
-  if (q != nullptr) qprobes.reserve(windows.size());
+  const bool kernels = q != nullptr && BlockRefMetric::gatherable(arena_);
+  if (kernels) qprobes.reserve(windows.size());
   for (std::size_t b = 0; b < windows.size(); ++b) {
     spans.emplace_back(*windows[b]);
-    if (q != nullptr) {
+    if (kernels) {
       qprobes.emplace_back(*q, windows[b]->data(), windows[b]->size());
     }
     targets.push_back({0, static_cast<std::uint32_t>(b), BlockRef::kProbeSlot});
@@ -389,7 +390,7 @@ std::vector<std::vector<Seed>> StorageNode::search_subqueries(
   const BlockRefMetric metric{config_.distance,   &arena_,
                               spans.data(),       c_batched_scans_,
                               c_scalar_fallbacks_,
-                              q != nullptr ? qprobes.data() : nullptr};
+                              kernels ? qprobes.data() : nullptr};
   // Exact radius cap from the identity filter: a candidate passing
   // identity >= i differs in at most (1-i)*k positions, each costing at
   // most max_entry — anything farther is filtered later anyway, so the
@@ -397,12 +398,18 @@ std::vector<std::vector<Seed>> StorageNode::search_subqueries(
   const double cap = (1.0 - params.identity) *
                      static_cast<double>(arena_.window_length()) *
                      max_residue_distance_;
+  // n comes off the wire unchecked; the walk bounds its per-probe state
+  // by the stored block count.
   const auto neighbors =
       tree_.nearest_batch_with(metric, std::span<const BlockRef>(targets),
                                params.n, cap);
+#ifdef MENDEL_CHECKED
+  checked_nearest(windows, params.n, cap, neighbors);
+#endif
   std::vector<seq::Code> decoded(arena_.window_length());
   for (std::size_t b = 0; b < windows.size(); ++b) {
     const vpt::Window& window = *windows[b];
+    seeds[b].reserve(neighbors[b].size());
     for (const auto& neighbor : neighbors[b]) {
       const BlockRef& block = *neighbor.item;
       arena_.copy_row(block.slot, decoded.data());
@@ -901,6 +908,46 @@ void StorageNode::checked_audit_fresh(
                "node " << id_ << " failed the invariant audit after insert ("
                        << out.size() << " violation(s)), first: "
                        << out.front());
+}
+
+void StorageNode::checked_nearest(
+    std::span<const vpt::Window* const> windows, std::size_t n, double cap,
+    const std::vector<std::vector<vpt::Neighbor<BlockRef>>>& got) const {
+  struct Ranked {
+    double distance;
+    std::uint64_t key;
+    bool operator<(const Ranked& other) const {
+      return distance != other.distance ? distance < other.distance
+                                        : key < other.key;
+    }
+  };
+  std::vector<seq::Code> row(arena_.window_length());
+  for (std::size_t b = 0; b < windows.size(); ++b) {
+    std::vector<Ranked> want;
+    tree_.for_each([&](const BlockRef& ref) {
+      arena_.copy_row(ref.slot, row.data());
+      const double d = score::detail::window_distance_scalar(
+          *config_.distance, windows[b]->data(), row.data(), row.size());
+      if (d <= cap) want.push_back({d, block_key(ref.sequence, ref.start)});
+    });
+    std::sort(want.begin(), want.end());
+    want.resize(std::min(want.size(), n));
+    MENDEL_CHECK(got[b].size() == want.size(),
+                 "node " << id_ << ": probe " << b << " got "
+                         << got[b].size() << " neighbours, the scan "
+                         << want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const BlockRef& ref = *got[b][i].item;
+      MENDEL_CHECK(got[b][i].distance == want[i].distance &&
+                       block_key(ref.sequence, ref.start) == want[i].key,
+                   "node " << id_ << ": probe " << b << " neighbour " << i
+                           << " is (" << got[b][i].distance << ", "
+                           << ref.sequence << ":" << ref.start
+                           << "), the scan's (" << want[i].distance << ", "
+                           << (want[i].key >> 32) << ":"
+                           << (want[i].key & 0xffffffffu) << ")");
+    }
+  }
 }
 #endif
 

@@ -30,10 +30,7 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -49,6 +46,7 @@
 #include "src/common/check.h"
 #include "src/common/thread_annotations.h"
 #include "src/common/thread_pool.h"
+#include "src/mendel/block_metric.h"
 #include "src/mendel/fetch_plan.h"
 #include "src/mendel/protocol.h"
 #include "src/mendel/snapshot.h"
@@ -231,209 +229,6 @@ class StorageNode final : public net::Actor {
     std::vector<seq::Code> codes;
   };
 
-  // What the local vp-tree stores: block identity plus the slot of its
-  // window payload in the node's SoA arena. 12 bytes instead of a Block
-  // with a heap-allocated window, so tree rebuilds shuffle indices and
-  // bucket scans read one contiguous code buffer.
-  struct BlockRef {
-    // Sentinel slot marking a search probe; the ref's `start` indexes the
-    // searching metric's probe windows rather than the arena.
-    static constexpr std::uint32_t kProbeSlot = 0xffffffffu;
-
-    seq::SequenceId sequence = seq::kInvalidSequenceId;
-    std::uint32_t start = 0;
-    std::uint32_t slot = 0;
-  };
-
-  // Metric adapter: L1 window distance between arena-resident windows,
-  // with the early-abandoning variant the vp-tree uses for vantage pruning,
-  // plus the leaf scan that runs the SIMD kernels over whole buckets for a
-  // batch of probes. Lengths are validated once at admission (arena
-  // append) and search entry, so the kernels skip the per-call check.
-  struct BlockRefMetric {
-    // Bucket chunk handed to one batched kernel call (a multiple of 64:
-    // the multi-probe kernels' pass masks are 64-row words).
-    static constexpr std::size_t kBatchChunk = 256;
-
-    const score::DistanceMatrix* distance;
-    const vpt::WindowArena* arena;
-    // The search's probe windows: probe ref {0, b, kProbeSlot} has codes
-    // probes[b]. The fields from here on are null on the tree's internal
-    // metric, which only ever compares stored blocks and never scans a
-    // leaf; search_subqueries' per-search metric sets them all.
-    const seq::CodeSpan* probes = nullptr;
-    // Kernel observability (kernel.batched_scans / kernel.scalar_fallbacks).
-    obs::Counter* batched_scans = nullptr;
-    obs::Counter* scalar_fallbacks = nullptr;
-    // The probes' kernel tables (qprobes[b] for probes[b]), built once per
-    // search; null when the matrix has no quantized twin.
-    const score::QProbe* qprobes = nullptr;
-
-    // Item-wise code access. The all-resident unpacked arena hands out
-    // direct row pointers (the original zero-copy path); packed or spilled
-    // arenas decode into per-thread scratch — `side` keeps the two
-    // operands of a distance call in separate buffers. Copying (rather
-    // than pointing) is what makes item-wise access safe against
-    // concurrent LRU eviction: the bytes are captured under the store
-    // lock.
-    const seq::Code* codes(const BlockRef& ref, int side) const {
-      if (ref.slot == BlockRef::kProbeSlot) return probes[ref.start].data();
-      if (!arena->packed() && !arena->spilled()) return arena->at(ref.slot);
-      thread_local std::vector<seq::Code> scratch[2];
-      auto& buf = scratch[side];
-      buf.resize(arena->window_length());
-      arena->copy_row(ref.slot, buf.data());
-      return buf.data();
-    }
-    double operator()(const BlockRef& a, const BlockRef& b) const {
-      return score::window_distance_unchecked(*distance, codes(a, 0),
-                                              codes(b, 1),
-                                              arena->window_length());
-    }
-    // Total order over stored blocks for n-NN distance ties. Block identity
-    // (sequence, start) is unique per node (dedup keys), so the tie class at
-    // the n-th-neighbor boundary resolves identically on every tree shape —
-    // required for sim/threaded transport parity on DNA, whose 4-letter
-    // alphabet makes exact window-distance ties pervasive.
-    bool tie_before(const BlockRef& a, const BlockRef& b) const {
-      if (a.sequence != b.sequence) return a.sequence < b.sequence;
-      return a.start < b.start;
-    }
-    double bounded(const BlockRef& a, const BlockRef& b,
-                   double bound) const {
-      return score::window_distance_bounded_unchecked(
-          *distance, codes(a, 0), codes(b, 1), arena->window_length(), bound);
-    }
-    // Leaf scan (the vp-tree's scan_leaf hook): for each of the k targets,
-    // calls admit(t, j, d) for every item whose distance d is within t's
-    // current bound, in item order; admit returns t's new bound. Each
-    // bucket chunk is scored against all targets by one multi-probe kernel
-    // call, so rows are moved once per chunk rather than once per target;
-    // a target the kernel declines takes its QProbe's gather-kernel scan
-    // for that chunk. Distances stay scaled integers through the kernels
-    // and the admission test, since (q <= threshold(bound)) == (q / scale
-    // <= bound); only admitted ones become doubles, and a threshold is
-    // re-derived only after an admission, the one event that changes its
-    // bound. Falls back to item-wise bounded() when the matrix has no
-    // quantized twin or the arena is too large for 32-bit gather offsets.
-    template <typename Admit>
-    void scan_leaf(const BlockRef* const* targets, std::size_t k,
-                   const BlockRef* items, std::size_t count,
-                   const double* bounds, Admit&& admit) const {
-      constexpr std::size_t kMax = score::QProbe::kMaxBatch;
-      for (std::size_t first = 0; first < k; first += kMax) {
-        scan_group(targets, first, std::min(kMax, k - first), items, count,
-                   bounds, admit);
-      }
-    }
-
-   private:
-    // scan_leaf over targets [first, first + k), at most kMaxBatch.
-    template <typename Admit>
-    void scan_group(const BlockRef* const* all_targets, std::size_t first,
-                    std::size_t k, const BlockRef* items, std::size_t count,
-                    const double* bounds, Admit& admit_any) const {
-      constexpr std::size_t kMax = score::QProbe::kMaxBatch;
-      const BlockRef* const* targets = all_targets + first;
-      auto admit = [&](std::size_t t, std::size_t j, double d) {
-        return admit_any(first + t, j, d);
-      };
-      std::array<double, kMax> bound;
-      std::copy(bounds + first, bounds + first + k, bound.begin());
-      // search_subqueries is the only caller: every target is one of its
-      // probes, with a kernel table whenever the matrix has a quantized
-      // twin.
-      for (std::size_t t = 0; t < k; ++t) {
-        MENDEL_DCHECK(targets[t]->slot == BlockRef::kProbeSlot,
-                      "scan_leaf: target " << t << " is not a search probe");
-      }
-      const score::QuantizedDistance* q = distance->quantized();
-      const bool gatherable =
-          arena->size() * arena->stride() <
-          static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()) -
-              vpt::WindowArena::kGuardTail;
-      if (q == nullptr || !gatherable) {
-        if (q == nullptr) scalar_fallbacks->add();
-        for (std::size_t t = 0; t < k; ++t) {
-          for (std::size_t j = 0; j < count; ++j) {
-            const double d = bounded(*targets[t], items[j], bound[t]);
-            if (d <= bound[t]) bound[t] = admit(t, j, d);
-          }
-        }
-        return;
-      }
-      MENDEL_DCHECK(qprobes != nullptr, "scan_leaf: probes lack kernel tables");
-      std::array<const score::QProbe*, kMax> probe;
-      for (std::size_t t = 0; t < k; ++t) {
-        probe[t] = &qprobes[targets[t]->start];
-      }
-      const score::QKernelTable& kernels = score::qkernels();
-      std::array<std::uint32_t, kBatchChunk> slots;
-      std::array<std::int64_t, kBatchChunk> qdists;
-      std::array<std::int64_t, kMax> qthresh;
-      std::array<std::uint64_t, kMax * kBatchChunk / 64> pass;
-      std::array<std::uint8_t, kMax * kBatchChunk> dist;
-      const score::QScanOut out{pass.data(), dist.data(), kBatchChunk};
-      for (std::size_t offset = 0; offset < count;) {
-        const std::size_t run = std::min(count - offset, kBatchChunk);
-        for (std::size_t j = 0; j < run; ++j) {
-          slots[j] = items[offset + j].slot;
-          MENDEL_DCHECK(slots[j] != BlockRef::kProbeSlot,
-                        "scan_leaf: a probe sentinel sits in a tree bucket");
-        }
-        // Spilled arenas: pin the chunk's rows once for every target so
-        // the kernels can never touch an evicted (PROT_NONE) segment
-        // mid-scan; no-op for heap arenas. Packed arenas route to the
-        // fused-decode kernels.
-        const auto pin = arena->pin_scan(slots.data(), run);
-        for (std::size_t t = 0; t < k; ++t) {
-          qthresh[t] = q->threshold(bound[t]);
-        }
-        const std::uint64_t served =
-            arena->packed()
-                ? kernels.probes_batch_packed(
-                      probe.data(), qthresh.data(), k, arena->base(),
-                      arena->stride(), arena->packed_bits(), slots.data(),
-                      run, out)
-                : kernels.probes_batch(probe.data(), qthresh.data(), k,
-                                       arena->base(), arena->stride(),
-                                       slots.data(), run, out);
-        batched_scans->add(k);
-        for (std::size_t t = 0; t < k; ++t) {
-          auto admit_at = [&](std::size_t j, std::int64_t qd) {
-            if (qd <= qthresh[t]) {
-              bound[t] = admit(t, offset + j, q->to_double(qd));
-              qthresh[t] = q->threshold(bound[t]);
-            }
-          };
-          if ((served >> t) & 1) {
-            const std::uint64_t* words = pass.data() + t * (kBatchChunk / 64);
-            const std::uint8_t* row_dist = dist.data() + t * kBatchChunk;
-            for (std::size_t w = 0; w * 64 < run; ++w) {
-              for (std::uint64_t bits = words[w]; bits != 0;
-                   bits &= bits - 1) {
-                const std::size_t j =
-                    w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-                admit_at(j, row_dist[j]);
-              }
-            }
-            continue;
-          }
-          if (arena->packed()) {
-            probe[t]->scan_packed(arena->base(), arena->stride(),
-                                  arena->packed_bits(), slots.data(), run,
-                                  qthresh[t], qdists.data());
-          } else {
-            probe[t]->scan(arena->base(), arena->stride(), slots.data(), run,
-                           qthresh[t], qdists.data());
-          }
-          for (std::size_t j = 0; j < run; ++j) admit_at(j, qdists[j]);
-        }
-        offset += run;
-      }
-    }
-  };
-
   // Seeds merged on one (sequence, diagonal) run, pre-extension.
   struct MergedSeed {
     std::uint32_t sequence = 0;
@@ -571,6 +366,12 @@ class StorageNode final : public net::Actor {
   // eviction wave drains; the fresh ones were routed with the current
   // topology and must already be placed correctly.
   void checked_audit_fresh(const std::vector<BlockRef>& fresh) const;
+  // Search-time cross-check: each window's top n by a scalar scan of every
+  // stored block, sorted by (distance, sequence, start) within the cap,
+  // must equal the walk's neighbour list `got[b]`.
+  void checked_nearest(
+      std::span<const vpt::Window* const> windows, std::size_t n, double cap,
+      const std::vector<std::vector<vpt::Neighbor<BlockRef>>>& got) const;
 #endif
   // Reconstitutes the wire-format Block of a stored ref (codec paths).
   Block materialize(const BlockRef& ref) const;

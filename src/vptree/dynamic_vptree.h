@@ -33,13 +33,13 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <queue>
 #include <span>
 #include <string>
 #include <utility>
@@ -56,6 +56,161 @@ template <typename T>
 struct Neighbor {
   const T* item = nullptr;
   double distance = 0.0;
+};
+
+// The integer domain an n-NN search ranks distances in. With scale > 0
+// every distance the metric returns is a multiple of 1/scale, a power of
+// two, so rank = distance * scale is an exact integer (the quantized
+// window kernels' scaled distances). With scale == 0 the rank is the
+// distance's IEEE bit pattern, which orders non-negative doubles as their
+// values do. Either way a rank converts back to its distance exactly, so a
+// search keeps its candidates as integers and makes doubles only for the
+// walk's pruning tests and its results.
+struct RankDomain {
+  std::int64_t scale = 0;
+
+  std::uint64_t rank(double distance) const {
+    if (scale == 0) return std::bit_cast<std::uint64_t>(distance + 0.0);
+    const double scaled = distance * static_cast<double>(scale);
+    if (!(scaled < 1.8e19)) return std::numeric_limits<std::uint64_t>::max();
+    return static_cast<std::uint64_t>(scaled);
+  }
+  double distance(std::uint64_t rank) const {
+    if (scale == 0) return std::bit_cast<double>(rank);
+    return static_cast<double>(rank) / static_cast<double>(scale);
+  }
+  // The largest rank whose distance is <= bound (bound >= 0). Scaled
+  // ranks stop at INT64_MAX, the quantized kernels' threshold type.
+  std::uint64_t at_most(double bound) const {
+    if (scale == 0) return std::bit_cast<std::uint64_t>(bound + 0.0);
+    const double scaled = bound * static_cast<double>(scale);
+    if (!(scaled < 9.0e18)) {
+      return static_cast<std::uint64_t>(
+          std::numeric_limits<std::int64_t>::max());
+    }
+    return static_cast<std::uint64_t>(std::floor(scaled));
+  }
+};
+
+// One target's n best candidates during a search, kept as a max-heap over
+// the keys (rank, tie): the metric's rank of the distance, then its tie
+// key of the item. Every admitted candidate's rank is <= the cap rank.
+// For a metric whose tie keys are unique per stored item the key order is
+// total, so the held set is the unique n smallest of everything offered;
+// with one tie key for all (a metric without tie_key), equal keys at the
+// n-th place are kept in offer order.
+template <typename T>
+class TopN {
+ public:
+  struct Entry {
+    std::uint64_t rank;
+    std::uint64_t tie;
+    const T* item;
+  };
+
+  // Holds at most n candidates (n > 0) of rank <= cap; reserves n, so the
+  // caller bounds n by the candidates that exist.
+  TopN(std::size_t n, std::uint64_t cap)
+      : n_(n),
+        threshold_(cap),
+        bound_(static_cast<Key>(cap + 1) << 64),
+        keys_(n + 4, 0),
+        items_(n + 4, nullptr) {}
+
+  // The largest rank an offer can still be admitted at: the cap until n
+  // candidates are held, then the worst held rank. At exactly this rank
+  // an offer is admitted only when its tie key is smaller than the worst.
+  std::uint64_t threshold() const { return threshold_; }
+  std::size_t size() const { return size_; }
+
+  // Admits the candidate if its key ranks among the n best offered so
+  // far; returns the threshold the next offer is tested against.
+  std::uint64_t offer(std::uint64_t rank, std::uint64_t tie, const T* item) {
+    const Key key = (static_cast<Key>(rank) << 64) | tie;
+    if (key >= bound_) return threshold_;
+    if (size_ < n_) {
+      push(key, item);
+      if (size_ == n_) tighten();
+    } else {
+      replace_top(key, item);
+      tighten();
+    }
+    return threshold_;
+  }
+
+  // The held candidates in ascending (rank, tie) order.
+  std::vector<Entry> sorted() const {
+    std::vector<Entry> out;
+    out.reserve(size_);
+    for (std::size_t i = 0; i < size_; ++i) {
+      out.push_back({rank_of(keys_[i]),
+                     static_cast<std::uint64_t>(keys_[i]), items_[i]});
+    }
+    std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
+      return a.rank != b.rank ? a.rank < b.rank : a.tie < b.tie;
+    });
+    return out;
+  }
+
+ private:
+  // (rank, tie) as one 128-bit integer, so every key compare is one
+  // branch-free integer compare.
+  __extension__ using Key = unsigned __int128;
+  static std::uint64_t rank_of(Key key) {
+    return static_cast<std::uint64_t>(key >> 64);
+  }
+  // Full: only keys below the worst held are admitted from now on.
+  void tighten() {
+    bound_ = keys_[0];
+    threshold_ = rank_of(bound_);
+  }
+
+  // A 4-ary heap: half the levels of a binary one, and the four children
+  // of a node are compared independently of each other.
+  static std::size_t parent_of(std::size_t i) { return (i - 1) / 4; }
+
+  void push(Key key, const T* item) {
+    std::size_t i = size_++;
+    while (i > 0 && keys_[parent_of(i)] < key) {
+      keys_[i] = keys_[parent_of(i)];
+      items_[i] = items_[parent_of(i)];
+      i = parent_of(i);
+    }
+    keys_[i] = key;
+    items_[i] = item;
+  }
+  // Replaces the root (the worst held) with a smaller key, bottom-up: the
+  // hole at the root sinks along largest children to a leaf, then the key
+  // rises from there. keys_[n_ .. n_ + 3) stay 0, the smallest key, so the
+  // last parent reads four children without a bounds test.
+  void replace_top(Key key, const T* item) {
+    std::size_t i = 0;
+    for (std::size_t first = 1; first < n_; first = 4 * i + 1) {
+      const std::size_t a = first + (keys_[first] < keys_[first + 1] ? 1 : 0);
+      const std::size_t b =
+          first + 2 + (keys_[first + 2] < keys_[first + 3] ? 1 : 0);
+      const std::size_t child = keys_[a] < keys_[b] ? b : a;
+      keys_[i] = keys_[child];
+      items_[i] = items_[child];
+      i = child;
+    }
+    while (i > 0 && keys_[parent_of(i)] < key) {
+      keys_[i] = keys_[parent_of(i)];
+      items_[i] = items_[parent_of(i)];
+      i = parent_of(i);
+    }
+    keys_[i] = key;
+    items_[i] = item;
+  }
+
+  std::size_t n_;
+  std::size_t size_ = 0;
+  std::uint64_t threshold_;
+  // Offers with key >= bound_ are refused: (cap + 1, 0) until n are held,
+  // then the worst held key.
+  Key bound_;
+  std::vector<Key> keys_;
+  std::vector<const T*> items_;
 };
 
 struct DynamicVpTreeOptions {
@@ -205,36 +360,39 @@ class DynamicVpTree {
   }
 
   // The n nearest neighbors of every target, found in one walk of the tree
-  // (nearest_with is the batch of one). Each target keeps its own n-NN
-  // state and enters a subtree only when its own pruning test admits it at
-  // that moment, so the walk prunes per target; what the targets share is
-  // the visit order and each leaf visit, where the metric's scan_leaf hook
-  // scores the bucket against all of them at once. With a tie_before
-  // metric every target's result is the unique n smallest by (distance,
-  // tie order) within the cap, so it does not depend on which other
-  // targets share the batch.
+  // (nearest_with is the batch of one). Each target keeps its own TopN
+  // and enters a subtree only when its own pruning test admits it at that
+  // moment, so the walk prunes per target; what the targets share is the
+  // visit order and each leaf visit, where the metric's scan_leaf hook
+  // scores the bucket against all of them at once. With a tie_key metric
+  // every target's result is the unique n smallest by (distance, tie key)
+  // within the cap, so it does not depend on which other targets share the
+  // batch. A negative or NaN cap admits nothing.
   template <typename M>
   std::vector<std::vector<Neighbor<T>>> nearest_batch_with(
       const M& metric, std::span<const T> targets, std::size_t n,
       double max_distance = std::numeric_limits<double>::infinity()) const {
     std::vector<std::vector<Neighbor<T>>> out(targets.size());
-    if (n == 0 || !root_ || targets.empty()) return out;
-    BatchWalk<M> walk{metric, targets, {}, {}, {}, {}, {}};
-    walk.states.reserve(targets.size());
+    if (n == 0 || !root_ || targets.empty() || !(max_distance >= 0.0)) {
+      return out;
+    }
+    // More than size() neighbours never exist; the states reserve n.
+    n = std::min(n, size_);
+    BatchWalk<M> walk{metric, domain_of(metric), targets, {}, {}, {}, {}, {}};
+    const std::uint64_t cap = walk.domain.at_most(max_distance);
+    walk.tops.reserve(targets.size());
     for (std::size_t t = 0; t < targets.size(); ++t) {
-      walk.states.emplace_back(metric, n, max_distance);
+      walk.tops.emplace_back(n, cap);
       walk.ids.push_back(static_cast<std::uint32_t>(t));
       walk.dists.push_back(0.0);
     }
     search(walk, root_.get(), 0, targets.size());
     for (std::size_t t = 0; t < targets.size(); ++t) {
-      auto& heap = walk.states[t].heap;
-      out[t].reserve(heap.size());
-      while (!heap.empty()) {
-        out[t].push_back(heap.top());
-        heap.pop();
+      const auto held = walk.tops[t].sorted();
+      out[t].reserve(held.size());
+      for (const auto& entry : held) {
+        out[t].push_back({entry.item, walk.domain.distance(entry.rank)});
       }
-      std::reverse(out[t].begin(), out[t].end());
     }
     return out;
   }
@@ -335,108 +493,107 @@ class DynamicVpTree {
     bool is_leaf() const { return !has_vantage; }
   };
 
-  // Detects a Metric that defines a total tie order over stored elements:
-  // tie_before(a, b) == true when `a` precedes `b` among equidistant
-  // candidates. With it, the n-NN result is the unique n smallest under the
-  // lexicographic (distance, tie order) — independent of tree shape and
-  // therefore of insertion order. Without it, equidistant candidates at the
-  // n-th-neighbor boundary are admitted in traversal order (fine for
-  // metrics whose real-valued distances make exact ties negligible; wrong
-  // for small-alphabet workloads like DNA where ties are pervasive).
+  // Detects a Metric that keys stored elements for n-NN distance ties:
+  // tie_key(item) is a u64, and among equidistant candidates the smaller
+  // key wins. Keys unique per element make the result the unique n
+  // smallest by (distance, tie key), independent of tree shape and
+  // therefore of insertion order. Without it every element has key 0, so
+  // equidistant candidates at the n-th-neighbor boundary are admitted in
+  // traversal order (fine for metrics whose real-valued distances make
+  // exact ties negligible; wrong for small-alphabet workloads like DNA
+  // where ties are pervasive).
   template <typename M>
-  static constexpr bool has_tie_break =
-      requires(const M& m, const T& a, const T& b) {
-        { m.tie_before(a, b) } -> std::convertible_to<bool>;
-      };
-
-  template <typename M>
-  struct KnnState {
-    const M* metric;
-    std::size_t n;
-    double cap;  // hard search-radius ceiling (inclusive)
-    struct Farther {
-      const M* metric;
-      bool operator()(const Neighbor<T>& a, const Neighbor<T>& b) const {
-        if (a.distance != b.distance) return a.distance < b.distance;
-        if constexpr (has_tie_break<M>) {
-          return metric->tie_before(*a.item, *b.item);
-        } else {
-          return false;
-        }
-      }
-    };
-    std::priority_queue<Neighbor<T>, std::vector<Neighbor<T>>, Farther> heap;
-
-    KnnState(const M& m, std::size_t n_, double cap_)
-        : metric(&m), n(n_), cap(cap_), heap(Farther{&m}) {}
-
-    double tau() const {
-      return heap.size() < n ? cap : std::min(cap, heap.top().distance);
-    }
-    void offer(const T* item, double distance) {
-      if (distance > cap) return;
-      if (heap.size() < n) {
-        heap.push({item, distance});
-        return;
-      }
-      const Neighbor<T>& worst = heap.top();
-      bool better;
-      if (distance != worst.distance) {
-        better = distance < worst.distance;
-      } else if constexpr (has_tie_break<M>) {
-        // Both distances were admitted under tau, so both are exact and the
-        // equality is real — break it with the metric's total order.
-        better = metric->tie_before(*item, *worst.item);
-      } else {
-        better = false;
-      }
-      if (better) {
-        heap.pop();
-        heap.push({item, distance});
-      }
-    }
+  static constexpr bool has_tie_key = requires(const M& m, const T& a) {
+    { m.tie_key(a) } -> std::convertible_to<std::uint64_t>;
   };
+  template <typename M>
+  static std::uint64_t tie_key(const M& metric, const T& item) {
+    if constexpr (has_tie_key<M>) {
+      return metric.tie_key(item);
+    } else {
+      return 0;
+    }
+  }
+
+  // Detects a Metric whose distances are exact multiples of 1/scale:
+  // rank_domain() returns the RankDomain its search ranks in. Without it
+  // ranks are bit patterns (RankDomain{}).
+  template <typename M>
+  static constexpr bool has_rank_domain = requires(const M& m) {
+    { m.rank_domain() } -> std::convertible_to<RankDomain>;
+  };
+  template <typename M>
+  static RankDomain domain_of(const M& metric) {
+    if constexpr (has_rank_domain<M>) {
+      return metric.rank_domain();
+    } else {
+      return {};
+    }
+  }
 
   // Detects a Metric that offers an early-abandoning variant:
   // bounded(a, b, bound) returning a value > bound as soon as the running
-  // distance exceeds `bound` (exact when <= bound). Used for bucket scans,
-  // where the returned distance only gates admission into the heap.
+  // distance exceeds `bound` (exact when <= bound). Used for vantage and
+  // bucket scans, where the returned distance only gates admission.
   template <typename M>
   static constexpr bool has_bounded_metric =
       requires(const M& m, const T& a, const T& b, double bound) {
         { m.bounded(a, b, bound) } -> std::convertible_to<double>;
       };
 
+  // Detects a Metric that evaluates in its rank domain directly:
+  // rank_bounded(target, item, limit) is the rank of their distance when
+  // it is <= limit, otherwise any value > limit.
+  template <typename M>
+  static constexpr bool has_rank_bounded =
+      requires(const M& m, const T& a, const T& b, std::uint64_t limit) {
+        { m.rank_bounded(a, b, limit) } -> std::convertible_to<std::uint64_t>;
+      };
+
   // Detects a Metric that scans a whole leaf bucket against a batch of
-  // targets per call (the SIMD leaf scan):
-  // scan_leaf(targets, k, items, count, bounds, admit) gets the k targets
-  // at this leaf and each one's bound on entry, and must call admit(t, j, d)
-  // — with the exact distance d — for exactly the items whose distance to
-  // targets[t] is <= the bound of t current at that item, in item order
-  // per target; admit returns t's new bound. Admission is the only event
-  // that shrinks a target's tau, so every heap evolves exactly as in the
-  // item-at-a-time path.
+  // targets per call (the SIMD leaf scan): scan_leaf(targets, k, items,
+  // count, tops) gets the k targets at this leaf and their TopN states
+  // (tops[t] for targets[t]), and must offer each target every item whose
+  // rank is <= that state's threshold() at the item, in item order per
+  // target, with the item's tie key. Offers are the only events that move
+  // a threshold, so every state evolves exactly as in the item-at-a-time
+  // path.
   template <typename M>
   static constexpr bool has_leaf_scan =
       requires(const M& m, const T* const* targets, std::size_t k,
-               const T* items, std::size_t count, const double* bounds) {
-        m.scan_leaf(targets, k, items, count, bounds,
-                    [](std::size_t, std::size_t, double d) { return d; });
+               const T* items, std::size_t count, TopN<T>* const* tops) {
+        m.scan_leaf(targets, k, items, count, tops);
       };
 
-  // A batched search in progress: every target's n-NN state, plus a stack
-  // of frames, one per open node, each listing the targets active there
+  // A batched search in progress: every target's TopN, plus a stack of
+  // frames, one per open node, each listing the targets active there
   // (ids) with their distance to that node's vantage point (dists).
   template <typename M>
   struct BatchWalk {
     const M& metric;
+    RankDomain domain;
     std::span<const T> targets;
-    std::vector<KnnState<M>> states;
+    std::vector<TopN<T>> tops;
     std::vector<std::uint32_t> ids;
     std::vector<double> dists;
     std::vector<const T*> leaf_targets;
-    std::vector<double> leaf_bounds;
+    std::vector<TopN<T>*> leaf_tops;
   };
+
+  // The rank of d(target, item) when it is <= limit, else a value > limit.
+  template <typename M>
+  static std::uint64_t rank_within(const BatchWalk<M>& walk,
+                                   const T& target, const T& item,
+                                   std::uint64_t limit) {
+    if constexpr (has_rank_bounded<M>) {
+      return walk.metric.rank_bounded(target, item, limit);
+    } else if constexpr (has_bounded_metric<M>) {
+      return walk.domain.rank(
+          walk.metric.bounded(target, item, walk.domain.distance(limit)));
+    } else {
+      return walk.domain.rank(walk.metric(target, item));
+    }
+  }
 
   using Iter = typename std::vector<T>::iterator;
 
@@ -755,32 +912,30 @@ class DynamicVpTree {
   template <typename M>
   void search(BatchWalk<M>& walk, const Node* node, std::size_t begin,
               std::size_t end) const {
-    const M& metric = walk.metric;
     if (node->is_leaf()) {
       scan_bucket(walk, node, begin, end);
       return;
     }
     // The targets the vantage point does not prune open this node's frame.
+    // A vantage point farther than max(mu, child maxima) + tau offers
+    // nothing: it is outside tau itself and the tau-ball cannot reach
+    // either child's [*, max] interval, so the whole subtree is pruned for
+    // this target and the evaluation may abandon mid-window.
+    const double reach =
+        std::max(node->mu, std::max(node->left_max, node->right_max));
+    const std::uint64_t tie = tie_key(walk.metric, node->vantage);
     const std::size_t frame = walk.ids.size();
     std::size_t near_left = 0;
     for (std::size_t i = begin; i < end; ++i) {
       const std::uint32_t t = walk.ids[i];
-      KnnState<M>& state = walk.states[t];
-      double d;
-      if constexpr (has_bounded_metric<M>) {
-        // A vantage point farther than max(mu, child maxima) + tau offers
-        // nothing: it is outside tau itself and the tau-ball cannot reach
-        // either child's [*, max] interval, so the whole subtree is pruned
-        // for this target and the bounded metric may abandon mid-window.
-        const double bound =
-            std::max(node->mu, std::max(node->left_max, node->right_max)) +
-            state.tau();
-        d = metric.bounded(walk.targets[t], node->vantage, bound);
-        if (d > bound) continue;
-      } else {
-        d = metric(walk.targets[t], node->vantage);
-      }
-      state.offer(&node->vantage, d);
+      TopN<T>& top = walk.tops[t];
+      const std::uint64_t limit = walk.domain.at_most(
+          reach + walk.domain.distance(top.threshold()));
+      const std::uint64_t rank =
+          rank_within(walk, walk.targets[t], node->vantage, limit);
+      if (rank > limit) continue;
+      top.offer(rank, tie, &node->vantage);
+      const double d = walk.domain.distance(rank);
       walk.ids.push_back(t);
       walk.dists.push_back(d);
       if (d <= node->mu) ++near_left;
@@ -799,7 +954,7 @@ class DynamicVpTree {
       for (std::size_t i = frame; i < open; ++i) {
         const std::uint32_t t = walk.ids[i];
         const double d = walk.dists[i];
-        const double tau = walk.states[t].tau();
+        const double tau = walk.domain.distance(walk.tops[t].threshold());
         if (d - tau <= hi && d + tau >= lo) {
           walk.ids.push_back(t);
           walk.dists.push_back(d);
@@ -816,34 +971,23 @@ class DynamicVpTree {
   template <typename M>
   void scan_bucket(BatchWalk<M>& walk, const Node* node, std::size_t begin,
                    std::size_t end) const {
-    const M& metric = walk.metric;
     const T* items = node->bucket.data();
     if constexpr (has_leaf_scan<M>) {
       walk.leaf_targets.clear();
-      walk.leaf_bounds.clear();
+      walk.leaf_tops.clear();
       for (std::size_t i = begin; i < end; ++i) {
         walk.leaf_targets.push_back(&walk.targets[walk.ids[i]]);
-        walk.leaf_bounds.push_back(walk.states[walk.ids[i]].tau());
+        walk.leaf_tops.push_back(&walk.tops[walk.ids[i]]);
       }
-      metric.scan_leaf(walk.leaf_targets.data(), end - begin, items,
-                       node->bucket.size(), walk.leaf_bounds.data(),
-                       [&](std::size_t t, std::size_t j, double d) {
-                         KnnState<M>& state = walk.states[walk.ids[begin + t]];
-                         state.offer(&items[j], d);
-                         return state.tau();
-                       });
+      walk.metric.scan_leaf(walk.leaf_targets.data(), end - begin, items,
+                            node->bucket.size(), walk.leaf_tops.data());
     } else {
       for (std::size_t i = begin; i < end; ++i) {
         const T& target = walk.targets[walk.ids[i]];
-        KnnState<M>& state = walk.states[walk.ids[i]];
+        TopN<T>& top = walk.tops[walk.ids[i]];
         for (const T& item : node->bucket) {
-          if constexpr (has_bounded_metric<M>) {
-            const double tau = state.tau();
-            const double d = metric.bounded(target, item, tau);
-            if (d <= tau) state.offer(&item, d);
-          } else {
-            state.offer(&item, metric(target, item));
-          }
+          top.offer(rank_within(walk, target, item, top.threshold()),
+                    tie_key(walk.metric, item), &item);
         }
       }
     }

@@ -183,7 +183,7 @@ std::vector<std::vector<std::uint8_t>> ranked_hits_per_round(
   return rounds;
 }
 
-// n-NN ties break on block identity (BlockRefMetric::tie_before), so the
+// n-NN ties break on block identity (BlockRefMetric::tie_key), so the
 // hits must not depend on the vp-tree's shape: leaf sizes from 4 (deep
 // trees) to 1024 (one leaf per node) give byte-identical results.
 TEST(Pipeline, RankedHitsDoNotDependOnLeafSize) {

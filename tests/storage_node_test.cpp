@@ -3,11 +3,14 @@
 // deterministic SimTransport.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <type_traits>
 
 #include "src/common/error.h"
@@ -18,6 +21,8 @@
 #include "src/mendel/storage_node.h"
 #include "src/net/sim_transport.h"
 #include "src/net/thread_transport.h"
+#include "src/scoring/distance.h"
+#include "src/scoring/matrix.h"
 #include "src/workload/generator.h"
 
 namespace mendel::core {
@@ -626,6 +631,256 @@ TEST(StorageNode, DownNodesExcludedFromFanOut) {
   ASSERT_EQ(mini.client_inbox.size(), 1u);
 }
 
+
+// ---------- node search against a brute-force oracle ----------
+
+// One node behind a simulator, fed hand-built blocks and answering
+// hand-built kNodeSearch payloads; the NN cache is off, so every search
+// walks the tree.
+struct SearchOnlyNode {
+  cluster::Topology topology{{.num_groups = 1, .nodes_per_group = 1}};
+  const score::DistanceMatrix& distance;
+  vpt::VpPrefixTree prefix_tree;
+  obs::MetricsRegistry registry;
+  std::unique_ptr<StorageNode> node;
+  std::vector<net::Message> inbox;
+  net::FunctionActor client{[this](const net::Message& m, net::Context&) {
+    inbox.push_back(m);
+  }};
+  net::SimTransport transport{net::CostModel{.measured_cpu = false}};
+
+  SearchOnlyNode(const score::DistanceMatrix& d, seq::Alphabet alphabet,
+                 std::size_t resident_budget)
+      : distance(d), prefix_tree(&d, {.cutoff_depth = 1}) {
+    StorageNodeConfig config;
+    config.topology = &topology;
+    config.prefix_tree = &prefix_tree;
+    config.distance = &distance;
+    config.metrics = &registry;
+    config.alphabet = alphabet;
+    config.bucket_capacity = 32;
+    config.checked_placement_audit = false;
+    config.node.nn_cache_capacity = 0;
+    config.node.arena_resident_budget = resident_budget;
+    config.node.arena_segment_bytes = 256;
+    node = std::make_unique<StorageNode>(0, config);
+    transport.register_actor(0, node.get());
+    transport.register_actor(net::kClientNode, &client);
+  }
+
+  void insert(const std::vector<Block>& blocks) {
+    InsertBlocksPayload payload;
+    payload.blocks = blocks;
+    transport.send({.from = net::kClientNode,
+                    .to = 0,
+                    .type = kInsertBlocks,
+                    .request_id = 0,
+                    .payload = encode_payload(payload)});
+    transport.run_until_idle();
+  }
+
+  // The seeds of each window, searched in one message (subquery i at
+  // query offset i).
+  std::vector<std::vector<Seed>> search(const std::vector<vpt::Window>& windows,
+                                        const QueryParams& params) {
+    NodeSearchPayload request;
+    request.params = params;
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+      request.subqueries.push_back({static_cast<std::uint32_t>(i), windows[i]});
+    }
+    inbox.clear();
+    transport.send({.from = net::kClientNode,
+                    .to = 0,
+                    .type = kNodeSearch,
+                    .request_id = 1,
+                    .payload = encode_payload(request)});
+    transport.run_until_idle();
+    std::vector<std::vector<Seed>> out(windows.size());
+    EXPECT_EQ(inbox.size(), 1u);
+    if (inbox.size() != 1) return out;
+    for (const Seed& seed :
+         decode_payload<NodeSearchResultPayload>(inbox[0].payload).seeds) {
+      out.at(seed.query_offset).push_back(seed);
+    }
+    return out;
+  }
+};
+
+// The node's answer by definition: every stored block within the identity
+// cap, sorted by (distance, sequence, start), the first n, then the
+// identity and c-score filters. `cut` counts the top-n members the
+// filters dropped.
+std::vector<Seed> oracle_seeds(const score::DistanceMatrix& distance,
+                               const std::vector<Block>& blocks,
+                               const vpt::Window& window,
+                               const QueryParams& params, std::size_t& cut) {
+  const double cap = (1.0 - params.identity) *
+                     static_cast<double>(window.size()) * distance.max_entry();
+  std::vector<std::tuple<double, std::uint32_t, std::uint32_t, const Block*>>
+      ranked;
+  for (const Block& block : blocks) {
+    const double d = score::detail::window_distance_scalar(
+        distance, window.data(), block.window.data(), window.size());
+    if (d <= cap) ranked.emplace_back(d, block.sequence, block.start, &block);
+  }
+  std::sort(ranked.begin(), ranked.end());
+  ranked.resize(std::min<std::size_t>(ranked.size(), params.n));
+  const auto& matrix = score::matrix_by_name(params.matrix);
+  std::vector<Seed> seeds;
+  for (const auto& entry : ranked) {
+    const Block& block = *std::get<3>(entry);
+    const double identity = score::percent_identity(window, block.window);
+    const double c = score::consecutivity_score(window, block.window, matrix);
+    if (identity < params.identity || c < params.c_score) {
+      ++cut;
+      continue;
+    }
+    Seed seed;
+    seed.sequence = block.sequence;
+    seed.subject_start = block.start;
+    seed.length = static_cast<std::uint32_t>(window.size());
+    seed.identity = identity;
+    seed.c_score = c;
+    seeds.push_back(seed);
+  }
+  return seeds;
+}
+
+// Blocks over `letters` codes: random windows, each stored under several
+// (sequence, start) identities in scrambled order so equal distances tie
+// at every n-th place, plus probes that are stored windows with a few
+// substitutions.
+struct OracleData {
+  std::vector<Block> blocks;
+  std::vector<vpt::Window> probes;
+};
+
+OracleData oracle_data(std::size_t letters, std::uint64_t seed) {
+  constexpr std::size_t kLength = 8;
+  Rng rng(seed);
+  OracleData data;
+  std::vector<vpt::Window> distinct(150);
+  for (auto& window : distinct) {
+    window.resize(kLength);
+    for (auto& c : window) c = static_cast<seq::Code>(rng.below(letters));
+  }
+  for (std::uint32_t i = 0; i < 400; ++i) {
+    Block block;
+    block.sequence = static_cast<seq::SequenceId>(rng.below(40));
+    block.start = i;
+    block.window = distinct[rng.below(distinct.size())];
+    data.blocks.push_back(std::move(block));
+  }
+  for (std::size_t i = 0; i < 40; ++i) {
+    vpt::Window probe = distinct[rng.below(distinct.size())];
+    for (std::size_t m = rng.below(4); m > 0; --m) {
+      probe[rng.below(kLength)] = static_cast<seq::Code>(rng.below(letters));
+    }
+    data.probes.push_back(std::move(probe));
+  }
+  return data;
+}
+
+void expect_search_matches_oracle(const score::DistanceMatrix& distance,
+                                  seq::Alphabet alphabet,
+                                  const std::string& matrix,
+                                  std::size_t letters,
+                                  const std::string& what) {
+  const OracleData data = oracle_data(letters, 77);
+  std::size_t cut = 0;
+  // A resident arena and one spilled to a 1-byte budget.
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{1}}) {
+    SearchOnlyNode node(distance, alphabet, budget);
+    node.insert(data.blocks);
+    ASSERT_EQ(node.node->block_count(), data.blocks.size()) << what;
+    // 33 is the leaf size + 1; 1,000 is more than the blocks stored.
+    for (const std::uint32_t n : {1u, 16u, 33u, 1000u}) {
+      for (const double identity : {0.3, 0.5}) {
+        for (const double c_score : {0.0, 0.4}) {
+          QueryParams params;
+          params.matrix = matrix;
+          params.n = n;
+          params.identity = identity;
+          params.c_score = c_score;
+          const auto got = node.search(data.probes, params);
+          for (std::size_t p = 0; p < data.probes.size(); ++p) {
+            const auto want =
+                oracle_seeds(distance, data.blocks, data.probes[p], params, cut);
+            const std::string where =
+                what + " budget " + std::to_string(budget) + " n " +
+                std::to_string(n) + " identity " + std::to_string(identity) +
+                " c " + std::to_string(c_score) + " probe " +
+                std::to_string(p);
+            ASSERT_EQ(got[p].size(), want.size()) << where;
+            for (std::size_t i = 0; i < want.size(); ++i) {
+              EXPECT_EQ(got[p][i].sequence, want[i].sequence) << where;
+              EXPECT_EQ(got[p][i].subject_start, want[i].subject_start)
+                  << where;
+              EXPECT_EQ(got[p][i].query_offset, p) << where;
+              EXPECT_EQ(got[p][i].length, want[i].length) << where;
+              EXPECT_EQ(got[p][i].identity, want[i].identity) << where;
+              EXPECT_EQ(got[p][i].c_score, want[i].c_score) << where;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The filters cut inside the top n somewhere, so the order they are
+  // applied in was exercised.
+  EXPECT_GT(cut, 0u) << what;
+}
+
+TEST(StorageNode, NodeSearchMatchesBruteForceOracle) {
+  const auto& protein = score::default_distance(seq::Alphabet::kProtein);
+  ASSERT_NE(protein.quantized(), nullptr);
+  expect_search_matches_oracle(protein, seq::Alphabet::kProtein, "BLOSUM62",
+                               20, "protein");
+  const auto& dna = score::default_distance(seq::Alphabet::kDna);
+  ASSERT_NE(dna.quantized(), nullptr);
+  expect_search_matches_oracle(dna, seq::Alphabet::kDna, "DNA", 4,
+                               "packed DNA");
+  // Sixteenths of the protein metric: exact sums (so still a metric) but
+  // no quantized twin, so every distance takes the double path.
+  score::DistanceMatrix sixteenths = protein;
+  for (seq::Code a = 0; a < seq::cardinality(seq::Alphabet::kProtein); ++a) {
+    for (seq::Code b = 0; b < seq::cardinality(seq::Alphabet::kProtein);
+         ++b) {
+      sixteenths.set(a, b, protein.at(a, b) / 16.0);
+    }
+  }
+  ASSERT_FALSE(sixteenths.requantize());
+  expect_search_matches_oracle(sixteenths, seq::Alphabet::kProtein,
+                               "BLOSUM62", 20, "no quantized twin");
+}
+
+// n comes off the wire unchecked: a peer asking for UINT32_MAX neighbours
+// gets exactly the answer of n = every stored block, with per-probe state
+// sized by the blocks, not by n.
+TEST(StorageNode, HugeNeighbourCountEqualsEveryBlock) {
+  const auto& protein = score::default_distance(seq::Alphabet::kProtein);
+  const OracleData data = oracle_data(20, 78);
+  SearchOnlyNode node(protein, seq::Alphabet::kProtein, 0);
+  node.insert(data.blocks);
+  QueryParams params;
+  params.identity = 0.0;
+  params.c_score = 0.0;
+  params.n = static_cast<std::uint32_t>(node.node->block_count());
+  const auto all = node.search(data.probes, params);
+  params.n = std::numeric_limits<std::uint32_t>::max();
+  const auto huge = node.search(data.probes, params);
+  ASSERT_EQ(huge.size(), all.size());
+  for (std::size_t p = 0; p < all.size(); ++p) {
+    ASSERT_EQ(huge[p].size(), all[p].size()) << "probe " << p;
+    for (std::size_t i = 0; i < all[p].size(); ++i) {
+      EXPECT_EQ(huge[p][i].sequence, all[p][i].sequence) << "probe " << p;
+      EXPECT_EQ(huge[p][i].subject_start, all[p][i].subject_start)
+          << "probe " << p;
+    }
+  }
+  // Identity 0 caps nothing, so every block is every probe's neighbour.
+  EXPECT_EQ(all[0].size(), node.node->block_count());
+}
 
 // ---------- duplicate and unissued replies at every fan-in ----------
 

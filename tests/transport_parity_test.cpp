@@ -227,7 +227,7 @@ TEST(TransportParity, ManyThreadsDrivingSubmitWaitAgreeWithSim) {
 // the n-NN boundary used to be resolved by vp-tree traversal order — which
 // depends on insertion order and therefore on transport message timing
 // (ROADMAP item 7: sim "7 9 6 7" vs threaded "6 9 6 6" hit counts). The
-// metric's tie_before total order resolves equidistant candidates by block
+// metric's tie_key order resolves equidistant candidates by block
 // identity on every tree shape; this pin holds the cross-transport
 // guarantee for DNA params, which the protein-only suite above misses.
 TEST(TransportParity, DnaBatchMatchesAcrossTransports) {

@@ -262,25 +262,23 @@ struct HammingTie {
     }
     return d;
   }
-  bool tie_before(const DnaItem& a, const DnaItem& b) const {
-    return a.id < b.id;
-  }
+  std::uint64_t tie_key(const DnaItem& a) const { return a.id; }
 };
 
 // The same metric plus a batch leaf-scan hook, which also records the
 // widest batch a leaf saw.
 struct HammingScan : HammingTie {
   std::size_t* widest = nullptr;
-  template <typename Admit>
   void scan_leaf(const DnaItem* const* targets, std::size_t k,
                  const DnaItem* items, std::size_t count,
-                 const double* bounds, Admit&& admit) const {
+                 TopN<DnaItem>* const* tops) const {
     if (widest != nullptr) *widest = std::max(*widest, k);
+    const RankDomain domain;
     for (std::size_t t = 0; t < k; ++t) {
-      double bound = bounds[t];
       for (std::size_t j = 0; j < count; ++j) {
-        const double d = bounded(*targets[t], items[j], bound);
-        if (d <= bound) bound = admit(t, j, d);
+        const double bound = domain.distance(tops[t]->threshold());
+        tops[t]->offer(domain.rank(bounded(*targets[t], items[j], bound)),
+                       tie_key(items[j]), &items[j]);
       }
     }
   }
@@ -390,7 +388,7 @@ TEST(DynamicVpTreeBatch, MoreNeighborsThanItemsAndEmptyTree) {
   EXPECT_TRUE(zero.empty());
 }
 
-// A real-valued metric without tie_before or a leaf hook: distances do not
+// A real-valued metric without tie_key or a leaf hook: distances do not
 // tie, so the batch walk must still find the exact n nearest.
 TEST(DynamicVpTreeBatch, PlainMetricBatchesMatchBruteForce) {
   const auto points = random_points(900, 87);
@@ -408,6 +406,39 @@ TEST(DynamicVpTreeBatch, PlainMetricBatchesMatchBruteForce) {
       for (std::size_t i = 0; i < want.size(); ++i) {
         EXPECT_EQ(got[t][i].distance, want[i]) << "cap " << cap << " t " << t;
       }
+    }
+  }
+}
+
+// ---------- TopN ----------
+
+// A stream of offers from a few ranks (so most keys tie on rank, and key 0
+// is offered) must leave exactly the n smallest (rank, tie) keys within the
+// cap, whatever n is relative to the 4-ary heap's levels.
+TEST(TopN, HoldsTheNSmallestKeysWithinTheCap) {
+  Rng rng(91);
+  for (const std::size_t n : {1u, 2u, 4u, 5u, 16u, 21u, 64u}) {
+    for (const std::uint64_t cap : {std::uint64_t{3}, std::uint64_t{9}}) {
+      std::vector<std::uint32_t> ids(300);
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> offered;
+      TopN<std::uint32_t> top(n, cap);
+      for (std::uint32_t i = 0; i < ids.size(); ++i) {
+        ids[i] = i;
+        const std::uint64_t rank = rng.below(12);
+        const std::uint64_t tie = rng.below(ids.size());
+        const std::uint64_t threshold = top.offer(rank, tie, &ids[i]);
+        EXPECT_EQ(threshold, top.threshold());
+        if (rank <= cap) offered.emplace_back(rank, tie);
+      }
+      std::sort(offered.begin(), offered.end());
+      offered.resize(std::min(offered.size(), n));
+      const auto held = top.sorted();
+      ASSERT_EQ(held.size(), offered.size()) << "n " << n << " cap " << cap;
+      for (std::size_t i = 0; i < held.size(); ++i) {
+        EXPECT_EQ(held[i].rank, offered[i].first) << "n " << n << " i " << i;
+        EXPECT_EQ(held[i].tie, offered[i].second) << "n " << n << " i " << i;
+      }
+      EXPECT_EQ(top.threshold(), held.size() == n ? held.back().rank : cap);
     }
   }
 }
