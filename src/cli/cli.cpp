@@ -55,40 +55,37 @@ void apply_runtime_flags(const Flags& flags, core::ClientOptions& options) {
 core::ClientOptions client_options_from(const Flags& flags) {
   core::ClientOptions options;
   apply_runtime_flags(flags, options);
-  options.topology.num_groups =
-      static_cast<std::uint32_t>(flags.integer("groups", 10));
+  options.topology.num_groups = flags.integer_as<std::uint32_t>("groups", 10);
   options.topology.nodes_per_group =
-      static_cast<std::uint32_t>(flags.integer("nodes-per-group", 5));
+      flags.integer_as<std::uint32_t>("nodes-per-group", 5);
   options.topology.replication =
-      static_cast<std::uint32_t>(flags.integer("replication", 1));
-  options.topology.sequence_replication = static_cast<std::uint32_t>(
-      flags.integer("sequence-replication", 1));
-  options.indexing.window_length =
-      static_cast<std::size_t>(flags.integer("window", 8));
+      flags.integer_as<std::uint32_t>("replication", 1);
+  options.topology.sequence_replication =
+      flags.integer_as<std::uint32_t>("sequence-replication", 1);
+  options.indexing.window_length = flags.integer_as<std::size_t>("window", 8);
   options.indexing.sample_size =
-      static_cast<std::size_t>(flags.integer("sample", 4000));
+      flags.integer_as<std::size_t>("sample", 4000);
   options.prefix_tree.cutoff_depth =
-      static_cast<std::size_t>(flags.integer("cutoff-depth", 6));
+      flags.integer_as<std::size_t>("cutoff-depth", 6);
   return options;
 }
 
 core::QueryParams query_params_from(const Flags& flags) {
   core::QueryParams params;
-  params.k = static_cast<std::uint32_t>(flags.integer("k", params.k));
-  params.n = static_cast<std::uint32_t>(flags.integer("n", params.n));
+  params.k = flags.integer_as<std::uint32_t>("k", params.k);
+  params.n = flags.integer_as<std::uint32_t>("n", params.n);
   params.identity = flags.real("identity", params.identity);
   params.c_score = flags.real("c-score", params.c_score);
   params.matrix = flags.str("matrix", params.matrix);
   params.gapped_trigger = flags.real("trigger", params.gapped_trigger);
-  params.band =
-      static_cast<std::uint32_t>(flags.integer("band", params.band));
+  params.band = flags.integer_as<std::uint32_t>("band", params.band);
   params.evalue = flags.real("evalue", params.evalue);
   params.branch_epsilon =
       flags.real("branch-epsilon", params.branch_epsilon);
   params.max_hits =
-      static_cast<std::uint32_t>(flags.integer("max-hits", params.max_hits));
-  params.min_anchor_span = static_cast<std::uint32_t>(
-      flags.integer("min-anchor-span", params.min_anchor_span));
+      flags.integer_as<std::uint32_t>("max-hits", params.max_hits);
+  params.min_anchor_span = flags.integer_as<std::uint32_t>(
+      "min-anchor-span", params.min_anchor_span);
   return params;
 }
 
@@ -116,20 +113,18 @@ int run_generate(const Flags& flags, std::ostream& out) {
   const std::string db_path = flags.str_required("out");
   workload::DatabaseSpec spec;
   spec.alphabet = alphabet_from(flags);
-  spec.families = static_cast<std::size_t>(flags.integer("families", 20));
-  spec.members_per_family =
-      static_cast<std::size_t>(flags.integer("members", 6));
+  spec.families = flags.integer_as<std::size_t>("families", 20);
+  spec.members_per_family = flags.integer_as<std::size_t>("members", 6);
   spec.background_sequences =
-      static_cast<std::size_t>(flags.integer("background", 40));
-  spec.min_length = static_cast<std::size_t>(flags.integer("min-len", 300));
-  spec.max_length = static_cast<std::size_t>(flags.integer("max-len", 1200));
+      flags.integer_as<std::size_t>("background", 40);
+  spec.min_length = flags.integer_as<std::size_t>("min-len", 300);
+  spec.max_length = flags.integer_as<std::size_t>("max-len", 1200);
   spec.seed = static_cast<std::uint64_t>(flags.integer("seed", 42));
 
   const std::string query_path = flags.str("queries", "");
-  const auto query_count =
-      static_cast<std::size_t>(flags.integer("query-count", 10));
+  const auto query_count = flags.integer_as<std::size_t>("query-count", 10);
   const auto query_length =
-      static_cast<std::size_t>(flags.integer("query-length", 500));
+      flags.integer_as<std::size_t>("query-length", 500);
   const double query_noise = flags.real("query-noise", 0.05);
   flags.reject_unconsumed();
 
@@ -358,9 +353,8 @@ int run_add(const Flags& flags, std::ostream& out) {
 int run_grow(const Flags& flags, std::ostream& out) {
   const std::string index_path = flags.str_required("index");
   const std::string out_path = flags.str("out", index_path);
-  const auto group = static_cast<std::uint32_t>(
-      flags.integer("group", 0));
-  const auto count = static_cast<std::uint32_t>(flags.integer("count", 1));
+  const auto group = flags.integer_as<std::uint32_t>("group", 0);
+  const auto count = flags.integer_as<std::uint32_t>("count", 1);
   flags.reject_unconsumed();
 
   core::Client client(core::ClientOptions{});

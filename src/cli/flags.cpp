@@ -1,5 +1,6 @@
 #include "src/cli/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "src/common/error.h"
@@ -60,10 +61,13 @@ long long Flags::integer(const std::string& key, long long fallback) const {
   if (it == values_.end()) return fallback;
   it->second.second = true;
   char* end = nullptr;
+  errno = 0;
   const long long value = std::strtoll(it->second.first.c_str(), &end, 10);
   require(end != nullptr && *end == '\0' && !it->second.first.empty(),
           "flag --" + key + " expects an integer, got '" + it->second.first +
               "'");
+  require(errno != ERANGE,
+          "flag --" + key + " is out of range: " + it->second.first);
   return value;
 }
 

@@ -5,10 +5,14 @@
 // command declares its contract where it consumes it.
 #pragma once
 
+#include <concepts>
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "src/common/error.h"
 
 namespace mendel::cli {
 
@@ -26,6 +30,16 @@ class Flags {
   std::string str(const std::string& key, const std::string& fallback) const;
   std::string str_required(const std::string& key) const;
   long long integer(const std::string& key, long long fallback) const;
+  // integer() for a destination of type T: a value T cannot hold (a
+  // negative count, 2^32 for a uint32_t) throws instead of wrapping.
+  template <std::integral T>
+  T integer_as(const std::string& key, T fallback) const {
+    if (!has(key)) return fallback;
+    const long long value = integer(key, 0);
+    require(std::in_range<T>(value), "flag --" + key + " is out of range: " +
+                                         std::to_string(value));
+    return static_cast<T>(value);
+  }
   double real(const std::string& key, double fallback) const;
   // Boolean flag: present (with no value or "true"/"1") => true.
   bool boolean(const std::string& key) const;

@@ -1,8 +1,8 @@
 // Fixed-size worker pool.
 //
-// Used by the ThreadTransport integration runtime and by embarrassingly
-// parallel benchmark harness phases (e.g. generating workload cohorts).
-// Tasks are type-erased std::function<void()>; submit() returns a
+// Used by the Indexer's parallel sampling and placement planning. Storage
+// nodes never use it: each does all of its work on its own dispatch
+// thread. Tasks are type-erased std::function<void()>; submit() returns a
 // std::future for the task's result.
 #pragma once
 

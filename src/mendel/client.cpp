@@ -50,10 +50,6 @@ Client::Client(ClientOptions options)
   transport_config.schedule_seed = options_.runtime.schedule_seed;
   transport_config.socket = options_.runtime.socket;
   transport_ = net::make_transport(transport_config);
-  if (options_.runtime.search_threads > 0) {
-    search_pool_ =
-        std::make_unique<ThreadPool>(options_.runtime.search_threads);
-  }
   c_submitted_ = &registry_.counter("client.queries_submitted");
   c_completed_ = &registry_.counter("client.queries_completed");
   c_stalled_ = &registry_.counter("client.queries_stalled");
@@ -111,7 +107,6 @@ StorageNodeConfig Client::node_config() {
   config.alphabet = alphabet_;
   config.bucket_capacity = options_.bucket_capacity;
   config.database_residues = database_residues_;
-  config.search_pool = search_pool_.get();
   config.node = options_.runtime.node;
   return config;
 }

@@ -18,10 +18,10 @@
 //     simulator with virtual time; the runtime the benchmark figures are
 //     measured on. Single-threaded: submit/wait/query must all be called
 //     from one thread.
-//   * TransportMode::kThreaded — one OS thread per storage node. submit()
-//     and wait() are thread-safe, so many application threads can drive
-//     overlapping queries (the concurrent query pipeline); intra-node
-//     subquery searches additionally fan out over `search_threads`.
+//   * TransportMode::kThreaded — one OS thread per storage node, which
+//     runs all of that node's work. submit() and wait() are thread-safe, so
+//     many application threads can drive overlapping queries (the
+//     concurrent query pipeline).
 //   * TransportMode::kSocket — real sockets between processes. The Client
 //     hosts no StorageNodes; mendel-node daemons (tools/mendel_node) serve
 //     them at the endpoints in RuntimeOptions::socket, built by kNodeInit
@@ -61,7 +61,6 @@
 
 #include "src/cluster/topology.h"
 #include "src/common/thread_annotations.h"
-#include "src/common/thread_pool.h"
 #include "src/mendel/indexer.h"
 #include "src/mendel/params.h"
 #include "src/mendel/storage_node.h"
@@ -78,16 +77,12 @@ using TransportMode = net::TransportMode;
 
 // Runtime knobs, grouped apart from the index-shape options: everything
 // here may differ between two deployments of the same index (transport,
-// parallelism, node settings, tracing) without affecting results. Plain
+// node settings, tracing) without affecting results. Plain
 // aggregate with member defaults, so `RuntimeOptions{}` and partial
 // designated initialization both work.
 struct RuntimeOptions {
   // Runtime selection (see the header comment).
   TransportMode transport_mode = TransportMode::kSim;
-  // Worker threads shared by all storage nodes for intra-node subquery
-  // fan-out (0 = serial searches). Only useful with real CPU parallelism;
-  // results are identical either way.
-  unsigned search_threads = 0;
   // Settings of every storage node this Client hosts (see NodeSettings).
   // In kSocket mode it configures no node: the daemons take theirs from
   // mendel-node flags. The MENDEL_ARENA_BUDGET environment variable (see
@@ -305,7 +300,6 @@ class Client {
   std::unique_ptr<score::DistanceMatrix> distance_;
   std::unique_ptr<vpt::VpPrefixTree> prefix_tree_;
   std::unique_ptr<net::Transport> transport_;
-  std::unique_ptr<ThreadPool> search_pool_;
   std::vector<std::unique_ptr<StorageNode>> nodes_;
   std::unique_ptr<net::Actor> client_actor_;
   bool indexed_ = false;

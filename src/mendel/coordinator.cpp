@@ -417,8 +417,6 @@ void rank_hits(std::vector<align::AlignmentHit>& hits,
 
 void StorageNode::finish_query(std::uint64_t query_id, PendingQuery& pending,
                                net::Context& ctx) {
-  pending.fetch.join();
-
   QueryResultPayload reply;
   for (const SequenceBin& bin : pending.bins) {
     counters_.gapped_extensions += bin.dp_runs;

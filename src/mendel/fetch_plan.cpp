@@ -75,9 +75,7 @@ std::size_t FetchStage::start(std::vector<PlannedFetch> plan,
   return outstanding_;
 }
 
-bool FetchStage::accept(FetchRangeResultPayload reply, net::Context& ctx,
-                        ThreadPool* pool,
-                        std::function<void(std::size_t)> extend) {
+std::size_t FetchStage::accept(FetchRangeResultPayload reply) {
   const std::size_t token = reply.token;
   if (token >= plan_.size() || !awaiting_[token] ||
       reply.sequence != plan_[token].sequence) {
@@ -89,20 +87,7 @@ bool FetchStage::accept(FetchRangeResultPayload reply, net::Context& ctx,
   --outstanding_;
   fetched_[token] = FetchedRange{reply.start, std::move(reply.sequence_name),
                                  std::move(reply.codes)};
-  if (pool == nullptr || ctx.virtual_time()) {
-    extend(token);
-  } else {
-    tasks_.push_back(pool->submit(
-        [extend = std::move(extend), token] { extend(token); }));
-  }
-  return outstanding_ == 0;
-}
-
-void FetchStage::join() {
-  for (std::future<void>& task : tasks_) {
-    if (task.valid()) task.get();
-  }
-  tasks_.clear();
+  return token;
 }
 
 }  // namespace mendel::core

@@ -17,14 +17,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <future>
 #include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/mendel/protocol.h"
 #include "src/net/message.h"
 
@@ -98,7 +95,8 @@ struct FetchedRange {
 
 // The step both anchor aggregations end with (paper §V-B): fetch subject
 // ranges from their home nodes and extend against each as it arrives. Each
-// pending query owns one stage and supplies its role's extension body.
+// pending query owns one stage; the role extends each admitted range on
+// its node's dispatch thread.
 //
 // Reply acceptance: a kFetchRangeResult is admitted only for a token this
 // stage sent and has not yet received, carrying the sequence it asked for.
@@ -113,26 +111,21 @@ class FetchStage {
                     std::uint64_t query_id, const obs::TraceContext& trace,
                     net::Context& ctx);
 
-  // Admits one reply and runs `extend(token)` for it: inline under virtual
-  // time (pool compute would escape the virtual clock) or without a pool,
-  // else as a pool task. Returns true when it was the last reply.
-  bool accept(FetchRangeResultPayload reply, net::Context& ctx,
-              ThreadPool* pool, std::function<void(std::size_t)> extend);
+  // Admits one reply and returns its token, whose range() is now set.
+  std::size_t accept(FetchRangeResultPayload reply);
+
+  // True once every sent range has been admitted.
+  bool done() const { return outstanding_ == 0; }
 
   const FetchedRange& range(std::size_t token) const {
     return *fetched_[token];
   }
-
-  // Joins every extension task; call before reading or erasing the pending
-  // entry the tasks reference (reply assembly, kCancelQuery).
-  void join();
 
  private:
   std::vector<PlannedFetch> plan_;
   std::vector<bool> awaiting_;
   std::vector<std::optional<FetchedRange>> fetched_;
   std::size_t outstanding_ = 0;
-  std::vector<std::future<void>> tasks_;
 };
 
 }  // namespace mendel::core

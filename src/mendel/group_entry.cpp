@@ -244,10 +244,9 @@ void StorageNode::extend_range(PendingGroupQuery& pending, std::size_t token,
 void StorageNode::finish_query(std::uint64_t query_id,
                                PendingGroupQuery& pending,
                                net::Context& ctx) {
-  pending.fetch.join();
-  // Assemble in merged-seed order: slot writes are disjoint and the order
-  // below is index order, so the reply is independent of fetch arrival
-  // order and of how extension work was scheduled.
+  // Assemble in merged-seed order: each range writes only its members'
+  // slots and the order below is index order, so the reply is independent
+  // of fetch arrival order.
   std::vector<Anchor> anchors;
   anchors.reserve(pending.anchor_slots.size());
   for (const std::optional<Anchor>& slot : pending.anchor_slots) {

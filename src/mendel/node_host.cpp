@@ -24,9 +24,6 @@ NodeHost::NodeHost(net::Transport* transport, NodeHostOptions options)
   require(transport != nullptr, "NodeHost: null transport");
   require(!options_.node_ids.empty(), "NodeHost: no node ids to host");
   require(options_.metrics != nullptr, "NodeHost: null metrics registry");
-  if (options_.search_threads > 0) {
-    search_pool_ = std::make_unique<ThreadPool>(options_.search_threads);
-  }
   for (net::NodeId id : options_.node_ids) {
     actors_.push_back(std::make_unique<HostActor>(this, id));
     transport->register_actor(id, actors_.back().get());
@@ -125,7 +122,6 @@ void NodeHost::apply_init(const NodeInitPayload& payload) {
   node_config.bucket_capacity =
       static_cast<std::size_t>(payload.bucket_capacity);
   node_config.database_residues = payload.database_residues;
-  node_config.search_pool = search_pool_.get();
   node_config.node = options_.node;
 
   for (net::NodeId id : options_.node_ids) {

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "src/common/thread_annotations.h"
-#include "src/common/thread_pool.h"
 #include "src/mendel/protocol.h"
 #include "src/mendel/storage_node.h"
 #include "src/net/message.h"
@@ -39,9 +38,6 @@ namespace mendel::core {
 struct NodeHostOptions {
   // Node ids this process hosts.
   std::vector<net::NodeId> node_ids;
-  // Worker threads shared by the hosted nodes' intra-node subquery fan-out
-  // (0 = serial searches).
-  unsigned search_threads = 0;
   // Settings of every hosted node. kNodeInit does not carry them: they are
   // deployment-local, while the index-shape knobs all travel in-band.
   NodeSettings node;
@@ -85,7 +81,6 @@ class NodeHost {
   std::unique_ptr<cluster::Topology> topology_ MENDEL_GUARDED_BY(mu_);
   std::unique_ptr<score::DistanceMatrix> distance_ MENDEL_GUARDED_BY(mu_);
   std::unique_ptr<vpt::VpPrefixTree> prefix_tree_ MENDEL_GUARDED_BY(mu_);
-  std::unique_ptr<ThreadPool> search_pool_;
   std::map<net::NodeId, std::unique_ptr<StorageNode>> nodes_
       MENDEL_GUARDED_BY(mu_);
   std::vector<std::unique_ptr<HostActor>> actors_;

@@ -174,7 +174,6 @@ void StorageNode::handle(const net::Message& message, net::Context& ctx) {
     // Bad frame off the wire: reject, count, keep serving. Everything else
     // (CheckError, ProtocolError, bad_alloc) propagates — those mean an
     // internal bug or resource exhaustion, not hostile input.
-    ++counters_.decode_errors;
     c_decode_errors_->add(1);
     last_decode_error_ = net::describe(message) + ": " + e.what();
   }
@@ -209,20 +208,10 @@ void StorageNode::dispatch(const net::Message& message, net::Context& ctx) {
     case kGroupResult:
       on_group_result(message, ctx);
       return;
-    case kCancelQuery: {
-      // Join extension tasks before erasing an entry they reference (fault
-      // path: a home node dies mid-fetch and the client's stall detector
-      // cancels while extensions of arrived ranges are still running).
-      const auto cancel = [&](auto& pending_map) {
-        auto it = pending_map.find(message.request_id);
-        if (it == pending_map.end()) return;
-        it->second.fetch.join();
-        pending_map.erase(it);
-      };
-      cancel(group_pending_);
-      cancel(coord_pending_);
+    case kCancelQuery:
+      group_pending_.erase(message.request_id);
+      coord_pending_.erase(message.request_id);
       return;
-    }
     case kRebalance:
       on_rebalance(ctx);
       return;
@@ -451,8 +440,8 @@ void StorageNode::on_node_search(const net::Message& message,
   Stopwatch search_watch;
   const obs::ScopedTimer search_timer(h_search_);
 
-  // Phase 1 (handler thread): resolve each subquery against the NN cache.
-  // Only misses pay for a vp-tree search.
+  // Phase 1: resolve each subquery against the NN cache. Only misses pay for
+  // a vp-tree search.
   std::vector<const std::vector<Seed>*> cached(count, nullptr);
   std::vector<std::string> keys(count);
   std::vector<std::size_t> misses;
@@ -492,20 +481,18 @@ void StorageNode::on_node_search(const net::Message& message,
   }
 
   // Phase 2: search the cache misses kSearchBatch at a time, one tree walk
-  // per batch (so each leaf chunk is moved once for the whole batch), with
-  // the batches fanned across the shared pool (serial without one). Each
-  // task writes its own slots of `fresh`; the join publishes the writes
-  // back to the handler thread. Each subquery of a batch records an equal
-  // share of the batch's time as its node.subquery_seconds sample.
+  // per batch (so each leaf chunk is moved once for the whole batch), in
+  // ceil(misses / kSearchBatch) near-equal batches. Each subquery of a
+  // batch records an equal share of the batch's time as its
+  // node.subquery_seconds sample.
   std::vector<std::vector<Seed>> fresh(count);
   const std::size_t batches = (misses.size() + kSearchBatch - 1) / kSearchBatch;
-  auto search_batch = [&](std::size_t b) {
+  std::vector<const vpt::Window*> windows;
+  for (std::size_t b = 0; b < batches; ++b) {
     Stopwatch watch;
-    // Near-equal batches: ceil(misses / kSearchBatch) of them.
     const std::size_t begin = b * misses.size() / batches;
     const std::size_t end = (b + 1) * misses.size() / batches;
-    std::vector<const vpt::Window*> windows;
-    windows.reserve(end - begin);
+    windows.clear();
     for (std::size_t j = begin; j < end; ++j) {
       windows.push_back(&request.subqueries[misses[j]].window);
     }
@@ -517,18 +504,12 @@ void StorageNode::on_node_search(const net::Message& message,
     for (std::size_t j = begin; j < end; ++j) {
       h_subquery_->record_seconds(share);
     }
-  };
-  if (config_.search_pool != nullptr && batches > 1) {
-    config_.search_pool->parallel_for(batches, search_batch);
-  } else {
-    for (std::size_t b = 0; b < batches; ++b) search_batch(b);
   }
 
-  // Phase 3 (handler thread): emit every subquery's seeds in subquery
-  // order — byte-identical to the serial path regardless of pool size or
-  // hit/miss pattern — then admit the fresh results into the cache, each
-  // as an exact-size copy: the cache outlives the search, so the slack
-  // push_back left in a fresh list would stay resident with it.
+  // Phase 3: emit every subquery's seeds in subquery order — byte-identical
+  // whatever the hit/miss pattern — then admit the fresh results into the
+  // cache, each as an exact-size copy: the cache outlives the search, so the
+  // slack push_back left in a fresh list would stay resident with it.
   NodeSearchResultPayload reply;
   for (std::size_t i = 0; i < count; ++i) {
     const std::vector<Seed>* seeds = cached[i] != nullptr ? cached[i]
@@ -575,18 +556,14 @@ void StorageNode::on_fetch_range_result(const net::Message& message,
   validate_codes(payload.codes, seq::cardinality(config_.alphabet),
                  "fetch_range_result");
   // The purpose tag only picks the role's pending map: the stage admits
-  // the reply and extends its range, and the last reply finishes.
+  // the reply, the role extends its range, and the last reply finishes.
   const auto advance = [&](auto& pending_map) {
     auto it = pending_map.find(message.request_id);
     if (it == pending_map.end()) return;  // stale / cancelled
     auto& pending = it->second;
-    const bool wall = !ctx.virtual_time();
-    if (pending.fetch.accept(std::move(payload), ctx, config_.search_pool,
-                             [this, &pending, wall](std::size_t token) {
-                               extend_range(pending, token, wall);
-                             })) {
-      finish_query(message.request_id, pending, ctx);
-    }
+    extend_range(pending, pending.fetch.accept(std::move(payload)),
+                 !ctx.virtual_time());
+    if (pending.fetch.done()) finish_query(message.request_id, pending, ctx);
   };
   switch (static_cast<FetchPurpose>(payload.purpose)) {
     case FetchPurpose::kGroupExtension:

@@ -21,12 +21,10 @@
 // Both aggregating roles end in one fetch→extend stage (fetch_plan.h).
 //
 // The class is transport-agnostic: the same code runs under all three
-// transports. All mutable state is only touched from handle(), which every
-// transport calls from a single thread per node. Pool tasks run in two
-// places: the subquery fan-out in on_node_search only *reads* the vp-tree
-// and arena (each with a private probe metric) into disjoint slots of a
-// local vector, and the fetch stage's extension tasks write disjoint slots
-// of their pending entry. Counters and the NN cache stay handler-only.
+// transports. All work — search, extension, reply assembly — runs inside
+// handle(), which every transport calls from one dispatch thread per node,
+// so each node's state has exactly one owning thread. A process uses more
+// cores by hosting more nodes, not by threading inside one.
 #pragma once
 
 #include <algorithm>
@@ -45,7 +43,6 @@
 #include "src/cluster/topology.h"
 #include "src/common/check.h"
 #include "src/common/thread_annotations.h"
-#include "src/common/thread_pool.h"
 #include "src/mendel/block_metric.h"
 #include "src/mendel/fetch_plan.h"
 #include "src/mendel/protocol.h"
@@ -106,10 +103,6 @@ struct StorageNodeConfig {
   // Total residues across the indexed database; set by the client after
   // indexing (used for Karlin–Altschul E-values at the coordinator).
   std::uint64_t database_residues = 0;
-  // Shared worker pool for intra-node subquery fan-out in on_node_search.
-  // nullptr keeps the serial path. Either way the seed lists are merged in
-  // subquery order, so replies are byte-identical for every pool size.
-  ThreadPool* search_pool = nullptr;
   // MENDEL_CHECKED builds audit the two-tier DHT placement of freshly
   // admitted blocks after every insert batch (senders route with the
   // shared topology, so misplacement means corrupted routing state).
@@ -144,11 +137,6 @@ struct NodeCounters {
   // score-bound pruned out of gapped extension.
   std::uint64_t fetch_ranges_coalesced = 0;
   std::uint64_t anchors_pruned = 0;
-  // Frames rejected at the trust boundary: framing failures (truncated /
-  // trailing bytes), unknown message types, and semantically poisonous
-  // values (out-of-alphabet codes, inverted intervals). The node drops the
-  // frame and keeps serving.
-  std::uint64_t decode_errors = 0;
 };
 
 class StorageNode final : public net::Actor {
@@ -156,8 +144,9 @@ class StorageNode final : public net::Actor {
   StorageNode(net::NodeId id, StorageNodeConfig config);
 
   // Decodes and dispatches one frame. Malformed frames (DecodeError — bad
-  // framing, unknown type, or semantic validation failure) are counted in
-  // counters().decode_errors / `net.decode_errors` and dropped; any other
+  // framing, unknown type, or semantic validation failure: truncated or
+  // trailing bytes, out-of-alphabet codes, inverted intervals) are counted
+  // in the registry's `net.decode_errors` and dropped; any other
   // exception (CheckError, ProtocolError) still propagates because it
   // indicates an internal bug, not hostile input.
   void handle(const net::Message& message, net::Context& ctx) override;
@@ -273,7 +262,7 @@ class StorageNode final : public net::Actor {
     // fetch and banded DP are skipped. MENDEL_CHECKED builds still extend
     // pruned bins and assert the two rankings match.
     bool pruned = false;
-    // Streaming per-bin extension outcome, written by at most one task.
+    // Streaming per-bin extension outcome, written when its range arrives.
     std::vector<align::AlignmentHit> hits;
     std::uint32_t dp_runs = 0;
   };
@@ -319,9 +308,9 @@ class StorageNode final : public net::Actor {
                                    net::Context& ctx);
   void coordinator_bin_and_fetch(std::uint64_t query_id,
                                  PendingQuery& pending, net::Context& ctx);
-  // Pure compute, on pool threads or inline: writes only the token's own
-  // slots (its members' anchor_slots / one SequenceBin); `wall_timing`
-  // routes the phase histogram (off under the simulator).
+  // Pure compute on the arrival of the token's range: writes only the
+  // token's own slots (its members' anchor_slots / one SequenceBin);
+  // `wall_timing` routes the phase histogram (off under the simulator).
   void extend_range(PendingGroupQuery& pending, std::size_t token,
                     bool wall_timing);
   void extend_range(PendingQuery& pending, std::size_t token,
@@ -378,8 +367,8 @@ class StorageNode final : public net::Actor {
 
   // Filtered n-NN searches of a batch of subquery windows over the local
   // tree, in one walk (DynamicVpTree::nearest_batch_with); result b is
-  // windows[b]'s seed list. Thread-safe with respect to other searches (the
-  // tree is only read; the probes ride in a per-call metric). Emitted seeds
+  // windows[b]'s seed list. The tree is only read; the probes ride in a
+  // per-call metric. Emitted seeds
   // carry query_offset = 0 so each result is cacheable across subqueries
   // and queries that share the window.
   std::vector<std::vector<Seed>> search_subqueries(
@@ -412,11 +401,11 @@ class StorageNode final : public net::Actor {
   std::map<std::uint64_t, PendingQuery> coord_pending_;
 
   // Node-local subquery NN cache: key = window codes + search params,
-  // value = the filtered seed list with query_offset zeroed. Mutated only
-  // from the handler thread (lookups before the pool fan-out, insertions
-  // after it joins); the mutex — uncontended on that path — makes the
-  // telemetry reads other threads perform (nn_cache_entries) well-defined
-  // and lets Clang's thread-safety analysis verify every access.
+  // value = the filtered seed list with query_offset zeroed. Touched only
+  // from the handler thread; the mutex — uncontended on that path — makes
+  // the telemetry reads other threads perform (nn_cache_entries)
+  // well-defined and lets Clang's thread-safety analysis verify every
+  // access.
   // Invalidated whenever the local block set changes (insert, rebalance,
   // load).
   mutable std::mutex nn_cache_mu_;
@@ -435,16 +424,14 @@ class StorageNode final : public net::Actor {
   obs::LatencyHistogram* h_subquery_ = nullptr;
   obs::LatencyHistogram* h_group_fanin_ = nullptr;
   obs::LatencyHistogram* h_coord_fanin_ = nullptr;
-  // Extension-phase compute latency (per coalesced range / per bin chain);
-  // recorded from pool threads, which the histograms' relaxed atomics allow.
+  // Extension-phase compute latency (per coalesced range / per bin chain).
   obs::LatencyHistogram* h_group_extend_ = nullptr;
   obs::LatencyHistogram* h_coord_extend_ = nullptr;
   // Kernel path visibility: which SIMD level this process dispatches to
   // and how often searches take the batched vs scalar-fallback path.
   obs::Counter* c_batched_scans_ = nullptr;
   obs::Counter* c_scalar_fallbacks_ = nullptr;
-  // Frames rejected by the bad-frame guard (mirror of
-  // counters_.decode_errors for the cluster-wide registry).
+  // Frames rejected by the bad-frame guard.
   obs::Counter* c_decode_errors_ = nullptr;
 };
 

@@ -216,6 +216,50 @@ std::vector<std::string> parse_endpoint_list(std::string_view csv) {
   return out;
 }
 
+std::vector<NodeId> parse_node_ids(std::string_view csv, std::size_t bound) {
+  const auto bad = [](std::string_view item, const std::string& why) {
+    return InvalidArgument("--nodes: '" + std::string(item) + "' " + why);
+  };
+  // Digits only (no sign, no blank), and below the bound digit by digit so
+  // a long literal cannot overflow.
+  const auto id_of = [&](std::string_view item, std::string_view digits) {
+    if (digits.empty()) throw bad(item, "is not a node id");
+    std::size_t value = 0;
+    for (const char c : digits) {
+      if (c < '0' || c > '9') throw bad(item, "is not a node id");
+      value = value * 10 + static_cast<std::size_t>(c - '0');
+      if (value >= bound) {
+        throw bad(item, "names an id past the " + std::to_string(bound) +
+                            " endpoints");
+      }
+    }
+    return static_cast<NodeId>(value);
+  };
+  std::vector<NodeId> ids;
+  std::vector<bool> seen(bound, false);
+  std::size_t begin = 0;
+  while (begin <= csv.size()) {
+    std::size_t end = csv.find(',', begin);
+    if (end == std::string_view::npos) end = csv.size();
+    const std::string_view item = csv.substr(begin, end - begin);
+    begin = end + 1;
+    if (item.empty()) continue;
+    const std::size_t dash = item.find('-');
+    const NodeId lo = id_of(item, item.substr(0, dash));
+    const NodeId hi = dash == std::string_view::npos
+                          ? lo
+                          : id_of(item, item.substr(dash + 1));
+    if (lo > hi) throw bad(item, "is an inverted range");
+    for (std::size_t id = lo; id <= hi; ++id) {
+      if (seen[id]) throw bad(item, "repeats node id " + std::to_string(id));
+      seen[id] = true;
+      ids.push_back(static_cast<NodeId>(id));
+    }
+  }
+  require(!ids.empty(), "--nodes lists no node ids");
+  return ids;
+}
+
 std::vector<std::string> endpoints_from_env(
     std::vector<std::string> fallback) {
   const char* env = std::getenv("MENDEL_ENDPOINTS");

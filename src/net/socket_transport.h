@@ -92,6 +92,14 @@ struct SocketOptions {
 // Empty input yields an empty list; whitespace around items is trimmed.
 std::vector<std::string> parse_endpoint_list(std::string_view csv);
 
+// Parses a daemon's hosted node ids: a comma-separated list of decimal ids
+// and inclusive lo-hi ranges ("0-4,10"), each id below `bound` (the
+// endpoint count). Signs, ids at or past the bound, inverted ranges and
+// repeated ids throw InvalidArgument before any range is expanded, so the
+// result never holds more than `bound` ids. Empty items are skipped; a list
+// with no id throws.
+std::vector<NodeId> parse_node_ids(std::string_view csv, std::size_t bound);
+
 // MENDEL_ENDPOINTS environment override: when set and non-empty, its
 // parsed list replaces `fallback` (same pattern as MENDEL_ARENA_BUDGET).
 std::vector<std::string> endpoints_from_env(

@@ -2,6 +2,7 @@
 // subcommand, run in-process against temp files.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -63,6 +64,34 @@ TEST(Flags, RealAndDefaults) {
   EXPECT_DOUBLE_EQ(flags.real("e", 1.0), 0.5);
   EXPECT_DOUBLE_EQ(flags.real("missing", 2.5), 2.5);
   EXPECT_EQ(flags.integer("missing", 9), 9);
+}
+
+TEST(Flags, NarrowedIntegerRejectsNegativeValues) {
+  const auto flags = Flags::parse({"--groups", "-1", "--budget", "-1"});
+  try {
+    flags.integer_as<std::uint32_t>("groups", 10);
+    FAIL() << "--groups -1 was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("--groups"), std::string::npos);
+  }
+  EXPECT_THROW(flags.integer_as<std::size_t>("budget", 0), InvalidArgument);
+}
+
+TEST(Flags, NarrowedIntegerRejectsValuesPastTheType) {
+  const auto flags = Flags::parse(
+      {"--n", "4294967296", "--max", "4294967295", "--bytes", "4294967296"});
+  EXPECT_THROW(flags.integer_as<std::uint32_t>("n", 0), InvalidArgument);
+  EXPECT_EQ(flags.integer_as<std::uint32_t>("max", 0), 4294967295u);
+  EXPECT_EQ(flags.integer_as<std::size_t>("bytes", 0),
+            std::size_t{4294967296});
+  EXPECT_EQ(flags.integer_as<std::uint32_t>("missing", 7), 7u);
+}
+
+TEST(Flags, OutOfRangeLiteralThrows) {
+  const auto flags = Flags::parse(
+      {"--seed", "99999999999999999999", "--low", "-99999999999999999999"});
+  EXPECT_THROW(flags.integer("seed", 0), InvalidArgument);
+  EXPECT_THROW(flags.integer("low", 0), InvalidArgument);
 }
 
 // ---------- CLI end-to-end ----------

@@ -1,7 +1,7 @@
 // Concurrent query pipeline tests: multi-query admission (submit/wait and
 // query_batch), the node-local subquery NN cache (counters, correctness,
-// invalidation), intra-node parallel subquery search determinism, and the
-// stall -> cancel -> heal -> retry protocol's no-leak guarantee.
+// invalidation), and the stall -> cancel -> heal -> retry protocol's no-leak
+// guarantee.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -200,28 +200,6 @@ TEST(NnCache, CapacityBoundsEntries) {
     EXPECT_LE(client.node(id).nn_cache_entries(),
               options.runtime.node.nn_cache_capacity + 64);
   }
-}
-
-// ---------- parallel subquery fan-out ----------
-
-TEST(ConcurrentQuery, ParallelSubquerySearchIsDeterministic) {
-  const auto store = workload::generate_database(database_spec());
-  const auto query = probe_of(store, 7, 0, 130);
-
-  core::Client serial(cluster_options());
-  serial.index(store);
-  const auto serial_outcome = serial.query(query);
-
-  // Same cluster with intra-node searches fanned over a 3-thread pool
-  // (cache off so every subquery actually exercises the pool path).
-  auto pooled_options = cluster_options();
-  pooled_options.runtime.search_threads = 3;
-  pooled_options.runtime.node.nn_cache_capacity = 0;
-  core::Client pooled(pooled_options);
-  pooled.index(store);
-  const auto pooled_outcome = pooled.query(query);
-
-  expect_same_hits(serial_outcome.hits, pooled_outcome.hits);
 }
 
 // ---------- batched admission ----------
@@ -465,7 +443,6 @@ TEST(ConcurrentQuery, HomeFailedMidFetchCancelsThenHealsAndCompletes) {
 TEST(ConcurrentQuery, ThreadedHomeFailedMidFetchCancelsThenHealsAndCompletes) {
   auto options = fetch_fault_options();
   options.runtime.transport_mode = core::TransportMode::kThreaded;
-  options.runtime.search_threads = 2;  // extensions ride the pool
   const auto store = workload::generate_database(database_spec());
   core::Client client(options);
   client.index(store);

@@ -320,7 +320,6 @@ TEST(Trace, SpanTreeIsPinnedUnderSim) {
 TEST(Trace, CoversEveryStageUnderThreads) {
   const auto store = workload::generate_database(obs_spec());
   auto options = obs_options(core::TransportMode::kThreaded);
-  options.runtime.search_threads = 2;
   core::Client client(options);
   client.index(store);
   const auto trace = traced_query(client, probe_of(store, 2));
@@ -388,7 +387,6 @@ TEST(Traffic, PerQueryAttributionIsExactUnderConcurrency) {
 TEST(Metrics, ConsistentUnderConcurrentBatch) {
   const auto store = workload::generate_database(obs_spec());
   auto options = obs_options(core::TransportMode::kThreaded);
-  options.runtime.search_threads = 2;
   core::Client client(options);
   client.index(store);
 
@@ -474,7 +472,6 @@ TEST(Metrics, ExtensionPipelineCountersAndHistograms) {
   for (const auto& s : workload::generate_database(short_spec)) store.add(s);
 
   auto options = obs_options(core::TransportMode::kThreaded);
-  options.runtime.search_threads = 2;
   core::Client client(options);
   client.index(store);
 

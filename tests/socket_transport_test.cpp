@@ -761,5 +761,20 @@ TEST(SocketTransport, EndpointParsingAndEnvOverride) {
             (std::vector<std::string>{"fallback:9"}));
 }
 
+TEST(SocketTransport, NodeIdsParseWithinTheEndpointCount) {
+  EXPECT_EQ(net::parse_node_ids("0-3", 4),
+            (std::vector<net::NodeId>{0, 1, 2, 3}));
+  EXPECT_EQ(net::parse_node_ids("0,2", 4), (std::vector<net::NodeId>{0, 2}));
+  EXPECT_EQ(net::parse_node_ids("3,0-1", 4),
+            (std::vector<net::NodeId>{3, 0, 1}));
+  // Past the bound, signed, wrapping, inverted, repeated, or empty: each is
+  // rejected before any range is expanded.
+  for (const char* bad : {"0-4", "0--1", "-1", "+1", "4294967296",
+                          "99999999999999999999999", "3-1", "1,0-2", "a",
+                          "1-", "", ","}) {
+    EXPECT_THROW(net::parse_node_ids(bad, 4), InvalidArgument) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace mendel

@@ -14,7 +14,6 @@
 #include <type_traits>
 
 #include "src/common/error.h"
-#include "src/common/thread_pool.h"
 #include "src/mendel/client.h"
 #include "src/mendel/indexer.h"
 #include "src/mendel/protocol.h"
@@ -36,9 +35,9 @@ namespace {
 //     the role's fetch stage has issued nothing): a fetch result for it;
 //   * after every such reply: an exact duplicate.
 // A variant that reaches the query's live pending entry must be rejected
-// and counted in decode_errors; one that arrives after the entry finished
-// is stale and ignored. `rejected` tallies the former per kind (one query
-// in flight at a time, so "live" is "the role has a pending entry").
+// and counted in `net.decode_errors`; one that arrives after the entry
+// finished is stale and ignored. `rejected` tallies the former per kind (one
+// query in flight at a time, so "live" is "the role has a pending entry").
 class HostileReplies final : public net::Actor {
  public:
   explicit HostileReplies(StorageNode& node) : node_(node) {}
@@ -99,9 +98,8 @@ class HostileReplies final : public net::Actor {
 };
 
 // A tiny two-group cluster whose internals the tests can poke directly,
-// over the simulator or (with a two-thread search pool, so extension runs
-// on pool threads) over real threads. With `hostile`, every node sits
-// behind a HostileReplies wrapper.
+// over the simulator or over real threads (one dispatch thread per node).
+// With `hostile`, every node sits behind a HostileReplies wrapper.
 template <class Transport>
 struct BasicMiniCluster {
   static constexpr bool kThreaded =
@@ -112,7 +110,6 @@ struct BasicMiniCluster {
   seq::SequenceStore store;
   vpt::VpPrefixTree prefix_tree;
   obs::MetricsRegistry registry;
-  std::unique_ptr<ThreadPool> pool;
   std::vector<std::unique_ptr<StorageNode>> nodes;
   std::vector<std::unique_ptr<HostileReplies>> hostile;
   std::mutex inbox_mu;
@@ -140,10 +137,6 @@ struct BasicMiniCluster {
     // blocks; the MENDEL_CHECKED placement audit would rightly reject
     // them, so it is opted out at the node level.
     config.checked_placement_audit = false;
-    if (kThreaded) {
-      pool = std::make_unique<ThreadPool>(2);
-      config.search_pool = pool.get();
-    }
     for (net::NodeId id = 0; id < topology.total_nodes(); ++id) {
       nodes.push_back(std::make_unique<StorageNode>(id, config));
       net::Actor* actor = nodes.back().get();
@@ -211,6 +204,19 @@ struct BasicMiniCluster {
     Indexer indexer(&topology, &distance, options);
     indexer.index_store(store, prefix_tree, transport, net::kClientNode);
     settle();
+  }
+
+  // Frames the nodes rejected, read from the registry they share.
+  std::uint64_t decode_errors() {
+    return registry.counter("net.decode_errors").value();
+  }
+  // The nodes that rejected a frame, in id order.
+  std::vector<net::NodeId> rejecting_nodes() const {
+    std::vector<net::NodeId> ids;
+    for (const auto& node : nodes) {
+      if (!node->last_decode_error().empty()) ids.push_back(node->id());
+    }
+    return ids;
   }
 
   void send(net::NodeId to, std::uint32_t type, std::uint64_t request_id,
@@ -300,7 +306,7 @@ TEST(StorageNode, FetchRangeEndDoesNotWrapPastU32) {
       mini.client_inbox[0].payload);
   EXPECT_EQ(reply.start, 100u);
   EXPECT_EQ(reply.codes.size(), 200u);
-  EXPECT_EQ(mini.nodes[0]->counters().decode_errors, 0u);
+  EXPECT_EQ(mini.decode_errors(), 0u);
 }
 
 TEST(StorageNode, FetchUnknownSequenceReturnsEmpty) {
@@ -418,7 +424,8 @@ TEST(StorageNode, UnknownMessageTypeIsCountedAndDropped) {
   MiniCluster mini;
   mini.send(0, 0xdead, 0, {});
   EXPECT_NO_THROW(mini.transport.run_until_idle());
-  EXPECT_EQ(mini.nodes[0]->counters().decode_errors, 1u);
+  EXPECT_EQ(mini.decode_errors(), 1u);
+  EXPECT_EQ(mini.rejecting_nodes(), std::vector<net::NodeId>{0});
   EXPECT_NE(mini.nodes[0]->last_decode_error().find("unknown message type"),
             std::string::npos);
 }
@@ -437,7 +444,8 @@ TEST(StorageNode, TruncatedPayloadIsCountedAndDropped) {
   const std::size_t before = mini.nodes[0]->sequence_count();
   mini.send(0, kStoreSequence, 0, bytes);
   EXPECT_NO_THROW(mini.transport.run_until_idle());
-  EXPECT_EQ(mini.nodes[0]->counters().decode_errors, 1u);
+  EXPECT_EQ(mini.decode_errors(), 1u);
+  EXPECT_EQ(mini.rejecting_nodes(), std::vector<net::NodeId>{0});
   EXPECT_EQ(mini.nodes[0]->sequence_count(), before);
 }
 
@@ -451,7 +459,8 @@ TEST(StorageNode, OutOfAlphabetCodesAreRejected) {
   payload.codes = {0, 1, 250};
   mini.send(0, kStoreSequence, 0, encode_payload(payload));
   EXPECT_NO_THROW(mini.transport.run_until_idle());
-  EXPECT_EQ(mini.nodes[0]->counters().decode_errors, 1u);
+  EXPECT_EQ(mini.decode_errors(), 1u);
+  EXPECT_EQ(mini.rejecting_nodes(), std::vector<net::NodeId>{0});
   EXPECT_EQ(mini.nodes[0]->sequence_count(), 0u);
 }
 
@@ -937,18 +946,16 @@ void expect_hostile_replies_rejected() {
 
   std::map<std::string, std::size_t> rejected;
   std::uint64_t expected = 0;
-  std::uint64_t counted = 0;
   for (std::size_t id = 0; id < mini.nodes.size(); ++id) {
     for (const auto& [kind, n] : mini.hostile[id]->rejected) {
       rejected[kind] += n;
       expected += n;
     }
-    counted += mini.nodes[id]->counters().decode_errors;
     EXPECT_EQ(mini.nodes[id]->pending_group_queries(), 0u) << "node " << id;
     EXPECT_EQ(mini.nodes[id]->pending_coordinator_queries(), 0u)
         << "node " << id;
   }
-  EXPECT_EQ(counted, expected);
+  EXPECT_EQ(mini.decode_errors(), expected);
   // Every kind of hostile reply reached live state at both roles.
   for (const char* kind : {"wrong sequence", "out-of-range token",
                            "duplicate fetch", "unissued token",
@@ -963,9 +970,9 @@ TEST(StorageNode, DuplicateAndUnissuedRepliesAreRejected) {
   expect_hostile_replies_rejected<MiniCluster>();
 }
 
-// Same contract with extension on a real pool under wall-clock time: a
-// duplicate reply must never start a second task on a range or bin whose
-// first extension may still be running (the TSan job runs this binary).
+// Same contract under wall-clock time, with every node searching and
+// extending on its own dispatch thread while the hostile copies arrive
+// (the TSan job runs this binary).
 TEST(StorageNode, DuplicateAndUnissuedRepliesAreRejectedOnThreads) {
   expect_hostile_replies_rejected<BasicMiniCluster<net::ThreadTransport>>();
 }

@@ -164,9 +164,9 @@ void expect_same_hits(const core::QueryOutcome& a, const core::QueryOutcome& b) 
 
 TEST(TransportParity, ConcurrentBatchMatchesSimBatch) {
   // The full concurrent pipeline: a threaded-mode Client admits a whole
-  // batch (queries genuinely overlap across node threads, with intra-node
-  // fan-out and the NN cache active) and must produce exactly the ranked
-  // hit sets the deterministic simulator produces.
+  // batch (queries genuinely overlap across node threads, with the NN cache
+  // active) and must produce exactly the ranked hit sets the deterministic
+  // simulator produces.
   const auto store = workload::generate_database(spec());
   const auto queries = parity_queries(store);
 
@@ -175,7 +175,6 @@ TEST(TransportParity, ConcurrentBatchMatchesSimBatch) {
   const auto sim_outcomes = sim_client.query_batch(queries);
 
   auto threaded_options = parity_options(core::TransportMode::kThreaded);
-  threaded_options.runtime.search_threads = 2;
   core::Client threaded_client(threaded_options);
   threaded_client.index(store);
   const auto threaded_outcomes = threaded_client.query_batch(queries);
@@ -246,7 +245,6 @@ TEST(TransportParity, DnaBatchMatchesAcrossTransports) {
   const auto sim_outcomes = sim_client.query_batch(queries, params);
 
   auto threaded_options = parity_options(core::TransportMode::kThreaded);
-  threaded_options.runtime.search_threads = 2;
   core::Client threaded_client(threaded_options);
   threaded_client.index(store);
   const auto threaded_outcomes = threaded_client.query_batch(queries, params);
@@ -375,16 +373,14 @@ TEST(TransportParity, SocketClusterMatchesSimDna) {
 
 // A node searches its NN-cache misses kSearchBatch at a time in one
 // vp-tree walk, so which subqueries share a walk depends on the cache (it
-// decides what misses) and on nothing else; the search pool only runs
-// whole batches in parallel. Encoded ranked hits must be byte-identical
-// for every combination: cache off and at its default, 0, 1 and 3 search
-// threads. One group hands each node all ~50 subqueries of a long query in
-// one message (more than one batch), a repeated segment puts duplicate
-// windows in one batch, and each query runs twice so the second pass mixes
-// cache hits into the messages.
-std::vector<std::vector<std::uint8_t>> hits_with_runtime(
-    seq::Alphabet alphabet, unsigned search_threads,
-    std::size_t nn_cache_capacity) {
+// decides what misses) and on nothing else. Encoded ranked hits must be
+// byte-identical with the cache off and at its default. One group hands
+// each node all ~50 subqueries of a long query in one message (more than
+// one batch), a repeated segment puts duplicate windows in one batch, and
+// each query runs twice so the second pass mixes cache hits into the
+// messages.
+std::vector<std::vector<std::uint8_t>> hits_with_cache(
+    seq::Alphabet alphabet, std::size_t nn_cache_capacity) {
   auto dbspec = spec();
   dbspec.alphabet = alphabet;
   dbspec.min_length = 400;
@@ -392,7 +388,6 @@ std::vector<std::vector<std::uint8_t>> hits_with_runtime(
   const auto store = workload::generate_database(dbspec);
   auto options = parity_options(core::TransportMode::kSim);
   options.topology.num_groups = 1;
-  options.runtime.search_threads = search_threads;
   options.runtime.node.nn_cache_capacity = nn_cache_capacity;
   core::Client client(options);
   client.index(store);
@@ -429,7 +424,7 @@ std::vector<std::vector<std::uint8_t>> hits_with_runtime(
 TEST(TransportParity, RankedHitsDoNotDependOnSearchBatching) {
   const std::size_t default_cache = core::NodeSettings{}.nn_cache_capacity;
   for (const auto alphabet : {seq::Alphabet::kProtein, seq::Alphabet::kDna}) {
-    const auto reference = hits_with_runtime(alphabet, 0, 0);
+    const auto reference = hits_with_cache(alphabet, 0);
     std::size_t with_hits = 0;
     for (const auto& bytes : reference) {
       const auto payload =
@@ -437,14 +432,8 @@ TEST(TransportParity, RankedHitsDoNotDependOnSearchBatching) {
       with_hits += payload.hits.empty() ? 0 : 1;
     }
     EXPECT_EQ(with_hits, reference.size()) << seq::name(alphabet);
-    for (const unsigned threads : {0u, 1u, 3u}) {
-      for (const std::size_t cache : {std::size_t{0}, default_cache}) {
-        if (threads == 0 && cache == 0) continue;
-        EXPECT_EQ(hits_with_runtime(alphabet, threads, cache), reference)
-            << seq::name(alphabet) << " search_threads " << threads
-            << " nn_cache_capacity " << cache;
-      }
-    }
+    EXPECT_EQ(hits_with_cache(alphabet, default_cache), reference)
+        << seq::name(alphabet);
   }
 }
 
@@ -469,9 +458,6 @@ TEST(TransportParity, SpillForcedBudgetMatchesAllResident) {
     for (const auto mode :
          {core::TransportMode::kSim, core::TransportMode::kThreaded}) {
       auto resident_options = parity_options(mode);
-      if (mode == core::TransportMode::kThreaded) {
-        resident_options.runtime.search_threads = 2;
-      }
       core::Client resident_client(resident_options);
       resident_client.index(store);
       const auto resident = resident_client.query_batch(queries, params);
@@ -548,9 +534,6 @@ TEST(TransportParity, PruningMatchesUnprunedExactly) {
     for (const auto mode :
          {core::TransportMode::kSim, core::TransportMode::kThreaded}) {
       auto options = parity_options(mode);
-      if (mode == core::TransportMode::kThreaded) {
-        options.runtime.search_threads = 2;
-      }
       core::Client pruned_client(options);
       pruned_client.index(store);
       const auto pruned = pruned_client.query_batch(queries, params);
